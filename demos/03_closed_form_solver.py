@@ -55,4 +55,4 @@ fsr_solve(y64, cfg64)  # warm up
 t0 = time.perf_counter()
 _, rep = fsr_solve(y64, cfg64)
 print(f"\n64^3 x4 solve: {(time.perf_counter() - t0) * 1e3:.0f} ms "
-      "(one forward + one inverse 3D FFT plus pointwise work)")
+      "(two high-res 3D FFTs for the solve, two for its diagnostics, plus pointwise work)")

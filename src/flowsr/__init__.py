@@ -39,11 +39,10 @@ from .metrics import (
     psnr,
 )
 from .oracle import DenseOperators, build_dense, dense_solve
-from .phantom import helix_phantom, load_external, poiseuille_phantom, pulsatile_profile
+from .phantom import helix_phantom, poiseuille_phantom, pulsatile_profile
 from .solver import SolverConfig, SolveReport, build_prior, compute_k, fsr_solve, superresolve_dataset
 from .spectral import (
     FoldedSpectrum,
-    FourierEngine,
     KernelSpectrum,
     crop_kspace,
     fold_spectrum,
@@ -83,7 +82,6 @@ __all__ = [
     "FlowSRError",
     "FoldedSpectrum",
     "FormatError",
-    "FourierEngine",
     "Grid3",
     "GridMismatchError",
     "KernelSpectrum",
@@ -117,7 +115,6 @@ __all__ = [
     "ideal_lowpass_spectrum",
     "inverse_fft",
     "load_dataset",
-    "load_external",
     "make_mask",
     "mean_relative_error",
     "parse_config_text",

@@ -17,22 +17,20 @@ import time
 import numpy as np
 
 from .config import RunConfig, format_config_text, parse_config_text
-from .degrade import DegradationConfig, degrade_dataset
+from .degrade import KERNEL_KINDS, DegradationConfig, degrade_dataset
 from .errors import FlowSRError
-from .interp import upsample_dataset
+from .interp import METHODS, upsample_dataset
 from .metrics import EvalReport, evaluate
 from .oracle import build_dense, dense_solve
-from .phantom import helix_phantom, poiseuille_phantom, pulsatile_profile
-from .solver import SolverConfig, fsr_solve, superresolve_dataset
+from .phantom import PHANTOMS, helix_phantom, poiseuille_phantom, pulsatile_profile
+from .solver import PRIOR_MODES, SolverConfig, fsr_solve, superresolve_dataset
+from .solver import _per_bin_solve, _rhs_spectrum
 from .spectral import (
     KernelSpectrum,
-    fftn_unitary,
-    fold_blocks,
     fold_spectrum,
     gaussian_spectrum,
     ideal_lowpass_spectrum,
     ifftn_unitary,
-    unfold_blocks,
 )
 from .volio import load_dataset, save_dataset
 from .volume import ComplexVolume, Grid3
@@ -41,7 +39,6 @@ __all__ = ["main"]
 
 ORACLE_GRIDS = [(4, 4, 4), (6, 6, 6), (8, 8, 8), (8, 6, 4)]
 ORACLE_FACTORS = [(2, 1, 1), (2, 2, 1), (2, 2, 2)]
-ORACLE_KERNELS = ["ideal", "gaussian"]
 ORACLE_TAUS = [1e-3, 0.05, 1.0]
 ORACLE_TOLERANCE = 1e-8
 
@@ -167,7 +164,7 @@ def _solve_report_csv(reports) -> str:
 
 def cmd_sr(args) -> int:
     lr = load_dataset(args.infile)
-    if args.method in ("trilinear", "tricubic"):
+    if args.method in METHODS:
         sr = upsample_dataset(lr, args.factor, args.method)
         save_dataset(sr, args.out)
         print(f"wrote {args.out}: {args.method} upsampling to {sr.grid.dims}")
@@ -213,26 +210,13 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _broken_spectral_solve(y: ComplexVolume, prior: ComplexVolume, cfg: SolverConfig) -> ComplexVolume:
-    # negative-control solver for oracle-check: drops the d factor in the
-    # per-bin denominator, the constant the derivation pins down
-    folded = fold_spectrum(cfg.kernel, cfg.d)
-    tiled = np.tile(fftn_unitary(y.data), cfg.d) / np.sqrt(np.prod(cfg.d))
-    k_spec = np.conj(cfg.kernel.values) * tiled + 2 * cfg.tau * fftn_unitary(prior.data)
-    k_blocks = fold_blocks(k_spec, cfg.d)
-    reduced = (folded.blocks * k_blocks).sum(axis=(0, 1, 2))
-    weights = reduced / (2 * cfg.tau + folded.gram)  # correct constant is 2*tau*d
-    x_blocks = (k_blocks - np.conj(folded.blocks) * weights) / (2 * cfg.tau)
-    return ComplexVolume(cfg.hr_grid, ifftn_unitary(unfold_blocks(x_blocks)))
-
-
 def _oracle_cases(args):
     if args.dims is not None:
         return [(args.dims, args.factor, args.kernel, [args.tau])]
     cases = []
     for dims in ORACLE_GRIDS:
         for factor in ORACLE_FACTORS:
-            for kernel in ORACLE_KERNELS:
+            for kernel in KERNEL_KINDS:
                 cases.append((dims, factor, kernel, ORACLE_TAUS))
     return cases
 
@@ -256,7 +240,11 @@ def cmd_oracle_check(args) -> int:
                 ops = build_dense(hr, cfg)
             x_ref = dense_solve(y, prior, ops, tau)
             if args.break_constant:
-                x_fast = _broken_spectral_solve(y, prior, cfg)
+                # negative control: drops the d factor from the per-bin
+                # denominator, the constant the derivation pins down
+                k_spec = _rhs_spectrum(y.data, prior.data, cfg)
+                x_spec = _per_bin_solve(k_spec, fold_spectrum(kernel, factor), tau, 1)
+                x_fast = ComplexVolume(hr, ifftn_unitary(x_spec))
             else:
                 x_fast, _ = fsr_solve(y, cfg, prior=prior)
             rel = float(
@@ -401,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("simulate", help="generate an analytic phantom dataset")
-    p.add_argument("--phantom", choices=("poiseuille", "helix"), default="poiseuille")
+    p.add_argument("--phantom", choices=PHANTOMS, default="poiseuille")
     p.add_argument("--dims", type=_triple(int, 1), default=(64, 64, 64), metavar="M,N,S")
     p.add_argument("--frames", type=int, default=5)
     p.add_argument("--venc", type=_positive_float, default=150.0, help="cm/s")
@@ -420,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factor", type=_triple(int, 1), required=True, metavar="DR,DC,DS")
     p.add_argument("--noise-psnr", type=float, default=None, help="target PSNR in dB (omit for noiseless)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kernel", choices=("ideal", "gaussian"), default="ideal")
+    p.add_argument("--kernel", choices=KERNEL_KINDS, default="ideal")
     p.add_argument("--kernel-fwhm", type=_triple(float), default=None, metavar="FX,FY,FZ")
     p.add_argument("--calibration-out", default=None, help="default: <out>.cal")
     p.set_defaults(func=cmd_degrade)
@@ -429,10 +417,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--factor", type=_triple(int, 1), required=True, metavar="DR,DC,DS")
-    p.add_argument("--method", choices=("fsr", "trilinear", "tricubic"), default="fsr")
+    p.add_argument("--method", choices=("fsr",) + METHODS, default="fsr")
     p.add_argument("--tau", type=_positive_float, default=0.01)
-    p.add_argument("--prior", choices=("trilinear", "zero-fill"), default="trilinear")
-    p.add_argument("--kernel", choices=("ideal", "gaussian"), default="ideal")
+    p.add_argument("--prior", choices=PRIOR_MODES, default="trilinear")
+    p.add_argument("--kernel", choices=KERNEL_KINDS, default="ideal")
     p.add_argument("--kernel-fwhm", type=_triple(float), default=None, metavar="FX,FY,FZ")
     p.add_argument("--report-out", default=None, help="per-solve diagnostics CSV")
     p.set_defaults(func=cmd_sr)
@@ -454,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=_triple(int, 1), default=None, metavar="M,N,S")
     p.add_argument("--factor", type=_triple(int, 1), default=(2, 2, 2), metavar="DR,DC,DS")
     p.add_argument("--tau", type=_positive_float, default=0.05)
-    p.add_argument("--kernel", choices=("ideal", "gaussian"), default="ideal")
+    p.add_argument("--kernel", choices=KERNEL_KINDS, default="ideal")
     p.add_argument("--tolerance", type=_positive_float, default=ORACLE_TOLERANCE)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--break-constant", action="store_true", help=argparse.SUPPRESS)
@@ -463,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="simulate, degrade, super-resolve and evaluate in one run")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", default=None, help="key=value run configuration file")
-    p.add_argument("--phantom", choices=("poiseuille", "helix"), default=None)
+    p.add_argument("--phantom", choices=PHANTOMS, default=None)
     p.add_argument("--dims", type=_triple(int, 1), default=None, metavar="M,N,S")
     p.add_argument("--frames", type=int, default=None)
     p.add_argument("--venc", type=_positive_float, default=None)
@@ -471,13 +459,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=None)
     p.add_argument("--axis", choices=("x", "y", "z"), default=None)
     p.add_argument("--factor", type=_triple(int, 1), default=None, metavar="DR,DC,DS")
-    p.add_argument("--kernel", choices=("ideal", "gaussian"), default=None)
+    p.add_argument("--kernel", choices=KERNEL_KINDS, default=None)
     p.add_argument("--kernel-fwhm", type=_triple(float), default=None, metavar="FX,FY,FZ")
     p.add_argument("--noise-psnr", type=float, default=None, help="<= 0 disables noise")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--tau", type=_positive_float, default=None)
-    p.add_argument("--prior", choices=("trilinear", "zero-fill"), default=None)
-    p.add_argument("--baseline", choices=("trilinear", "tricubic"), default=None)
+    p.add_argument("--prior", choices=PRIOR_MODES, default=None)
+    p.add_argument("--baseline", choices=METHODS, default=None)
     p.add_argument("--mask-threshold", type=float, default=None)
     p.set_defaults(func=cmd_pipeline)
 

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
+from .degrade import KERNEL_KINDS
 from .errors import ConfigError
+from .interp import METHODS
+from .phantom import PHANTOMS
+from .solver import PRIOR_MODES
 
 __all__ = ["RunConfig", "parse_config_text", "format_config_text"]
-
-PHANTOMS = ("poiseuille", "helix")
-KERNELS = ("ideal", "gaussian")
-PRIORS = ("trilinear", "zero-fill")
-BASELINES = ("trilinear", "tricubic")
 
 
 def _parse_triple(text: str, kind, key: str):
@@ -56,12 +55,12 @@ class RunConfig:
     def __post_init__(self):
         if self.phantom not in PHANTOMS:
             raise ConfigError(f"phantom must be one of {PHANTOMS}, got {self.phantom!r}")
-        if self.kernel not in KERNELS:
-            raise ConfigError(f"kernel must be one of {KERNELS}, got {self.kernel!r}")
-        if self.prior not in PRIORS:
-            raise ConfigError(f"prior must be one of {PRIORS}, got {self.prior!r}")
-        if self.baseline not in BASELINES:
-            raise ConfigError(f"baseline must be one of {BASELINES}, got {self.baseline!r}")
+        if self.kernel not in KERNEL_KINDS:
+            raise ConfigError(f"kernel must be one of {KERNEL_KINDS}, got {self.kernel!r}")
+        if self.prior not in PRIOR_MODES:
+            raise ConfigError(f"prior must be one of {PRIOR_MODES}, got {self.prior!r}")
+        if self.baseline not in METHODS:
+            raise ConfigError(f"baseline must be one of {METHODS}, got {self.baseline!r}")
         if self.axis not in ("x", "y", "z"):
             raise ConfigError(f"axis must be x, y or z, got {self.axis!r}")
         if min(self.dims) < 1 or min(self.factor) < 1:

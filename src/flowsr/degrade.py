@@ -22,6 +22,8 @@ import numpy as np
 from .errors import CalibrationError, GridMismatchError, ParameterError
 from .spectral import (
     KernelSpectrum,
+    _check_divisible,
+    adjoint_spectrum,
     crop_kspace,
     fftn_unitary,
     forward_fft,
@@ -31,13 +33,14 @@ from .spectral import (
     inverse_fft,
 )
 from .volume import (
-    AcquisitionParams,
+    CHANNELS,
     ComplexVolume,
     Grid3,
     ScalarVolume,
     VelocityDataset,
     VelocityFrame,
     extract_velocity,
+    map_channels,
     synthesize_complex,
 )
 
@@ -51,7 +54,6 @@ __all__ = [
 ]
 
 KERNEL_KINDS = ("ideal", "gaussian")
-CHANNELS = ("u", "v", "w")
 
 
 @dataclass(frozen=True)
@@ -109,13 +111,7 @@ def _check_kernel_and_rates(x_grid: Grid3, kernel: KernelSpectrum, d) -> tuple[i
         raise GridMismatchError(
             f"kernel grid {kernel.grid.dims} != volume grid {x_grid.dims}"
         )
-    d = tuple(int(v) for v in d)
-    for dim, rate, axis in zip(x_grid.dims, d, "xyz"):
-        if rate < 1 or dim % rate:
-            raise GridMismatchError(
-                f"decimation rate {rate} invalid for axis {axis} of dims {x_grid.dims}"
-            )
-    return d
+    return _check_divisible(x_grid, d)
 
 
 def apply_SH(x: ComplexVolume, kernel: KernelSpectrum, d: tuple[int, int, int]) -> ComplexVolume:
@@ -133,15 +129,10 @@ def apply_SH_adjoint(
     Implemented spectrally: the unitary spectrum of the zero-upsampled volume
     is the low-res spectrum tiled over alias blocks, scaled by 1/sqrt(d).
     """
-    d = tuple(int(v) for v in d)
-    hr_dims = tuple(dim * rate for dim, rate in zip(y.grid.dims, d))
-    if kernel.grid.dims != hr_dims:
-        raise GridMismatchError(
-            f"kernel grid {kernel.grid.dims} != upsampled grid {hr_dims}"
-        )
-    spec_up = np.tile(fftn_unitary(y.data), d) / np.sqrt(np.prod(d))
-    out = ifftn_unitary(np.conj(kernel.values) * spec_up)
-    return ComplexVolume(y.grid.scaled(d), out)
+    hr_grid = y.grid.scaled(d)
+    d = _check_kernel_and_rates(hr_grid, kernel, d)
+    out = ifftn_unitary(adjoint_spectrum(fftn_unitary(y.data), kernel, d))
+    return ComplexVolume(hr_grid, out)
 
 
 def calibrate_noise(
@@ -265,21 +256,8 @@ def degrade_dataset(
             ScalarVolume(lr_grid, peak_volume), cfg.noise_psnr_db, seed=cfg.rng_seed
         )
 
-    lr_frames = []
-    for f_idx, frame in enumerate(hr.frames):
-        out: dict[str, ScalarVolume] = {}
-        for c_idx, ch in enumerate(CHANNELS):
-            rng = _channel_rng(cfg.rng_seed, f_idx, c_idx)
-            lr_sig = run_channel(frame, ch, cal.sigma, rng)
-            mag, vel = extract_velocity(lr_sig, venc)
-            out[ch] = vel
-            if ch == "u":
-                out["magnitude"] = mag
-        lr_frames.append(
-            VelocityFrame(magnitude=out["magnitude"], u=out["u"], v=out["v"], w=out["w"])
-        )
+    def lr_channel(f_idx: int, frame: VelocityFrame, ch: str):
+        rng = _channel_rng(cfg.rng_seed, f_idx, CHANNELS.index(ch))
+        return extract_velocity(run_channel(frame, ch, cal.sigma, rng), venc)
 
-    params = AcquisitionParams(
-        venc=venc, frame_count=hr.params.frame_count, frame_interval=hr.params.frame_interval
-    )
-    return VelocityDataset(params, tuple(lr_frames)), cal
+    return map_channels(hr, lr_channel), cal

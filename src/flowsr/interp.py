@@ -15,9 +15,10 @@ from scipy.ndimage import map_coordinates
 from .errors import ParameterError
 from .volume import ScalarVolume, VelocityDataset, VelocityFrame
 
-__all__ = ["upsample_array", "upsample_velocity", "upsample_dataset"]
+__all__ = ["METHODS", "upsample_array", "upsample_velocity", "upsample_dataset"]
 
 _ORDERS = {"trilinear": 1, "tricubic": 3}
+METHODS = tuple(_ORDERS)
 
 
 def upsample_array(a: np.ndarray, d: tuple[int, int, int], method: str = "trilinear") -> np.ndarray:

@@ -22,7 +22,9 @@ from .volume import (
     VelocityFrame,
 )
 
-__all__ = ["pulsatile_profile", "poiseuille_phantom", "helix_phantom", "load_external"]
+__all__ = ["PHANTOMS", "pulsatile_profile", "poiseuille_phantom", "helix_phantom"]
+
+PHANTOMS = ("poiseuille", "helix")
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 
@@ -156,10 +158,3 @@ def helix_phantom(
         )
     params = AcquisitionParams(venc=venc, frame_count=len(vmax), frame_interval=frame_interval)
     return VelocityDataset(params, tuple(frames))
-
-
-def load_external(path) -> VelocityDataset:
-    """Load an externally produced velocity dataset from a volume file."""
-    from .volio import load_dataset
-
-    return load_dataset(path)

@@ -14,10 +14,13 @@ rank-one-plus-identity systems, solved exactly per bin:
     w(kappa)   = r(kappa) / (2 tau d + sum_b |lam_b(kappa)|^2)
     Xhat_b     = (K_b - conj(lam_b) * w) / (2 tau)
 
-where K is the unitary spectrum of ``H^H S^H y + 2 tau xbar``.  The whole
-solve costs one high-res FFT, one high-res inverse FFT, one low-res FFT and
-pointwise work; no iterations and no large matrix is ever formed.  Exactness
-is enforced against a dense brute-force solver in the test suite.
+where K is the unitary spectrum of ``H^H S^H y + 2 tau xbar``.  The solve
+itself costs one low-res FFT, the prior's high-res FFT, one high-res inverse
+FFT and pointwise work; no iterations and no large matrix is ever formed.
+The ``SolveReport`` diagnostics apply ``S H`` to the estimate, which adds a
+high-res FFT and a high-res inverse FFT, so a solve runs four high-res
+transforms in all.  Exactness is enforced against a dense brute-force solver
+in the test suite.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ from .interp import upsample_array
 from .spectral import (
     FoldedSpectrum,
     KernelSpectrum,
+    _check_divisible,
+    adjoint_spectrum,
     fftn_unitary,
     fold_blocks,
     fold_spectrum,
@@ -41,14 +46,14 @@ from .spectral import (
     unfold_blocks,
     zero_pad_kspace,
 )
-from .degrade import CHANNELS, apply_SH
+from .degrade import apply_SH
 from .volume import (
     ComplexVolume,
     Grid3,
-    ScalarVolume,
     VelocityDataset,
     VelocityFrame,
     extract_velocity,
+    map_channels,
 )
 
 __all__ = [
@@ -75,17 +80,9 @@ class SolverConfig:
     def __post_init__(self):
         if not self.tau > 0:
             raise ParameterError(f"tau must be > 0, got {self.tau}")
-        d = tuple(int(v) for v in self.d)
-        if len(d) != 3 or min(d) < 1:
-            raise ParameterError(f"decimation rates must be 3 ints >= 1, got {self.d}")
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d", _check_divisible(self.kernel.grid, self.d))
         if self.prior not in PRIOR_MODES:
             raise ParameterError(f"prior must be one of {PRIOR_MODES}, got {self.prior!r}")
-        for dim, rate, axis in zip(self.kernel.grid.dims, d, "xyz"):
-            if dim % rate:
-                raise GridMismatchError(
-                    f"decimation rate {rate} does not divide kernel axis {axis}"
-                )
 
     @property
     def hr_grid(self) -> Grid3:
@@ -139,10 +136,25 @@ def compute_k(y: ComplexVolume, prior: ComplexVolume, cfg: SolverConfig) -> Comp
 
 
 def _rhs_spectrum(y_data: np.ndarray, prior_data: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    # spectrum of H^H S^H y: LR spectrum tiled over alias blocks / sqrt(d),
-    # conjugate-filtered; avoids a round trip through image space
-    tiled = np.tile(fftn_unitary(y_data), cfg.d) / np.sqrt(np.prod(cfg.d))
-    return np.conj(cfg.kernel.values) * tiled + 2.0 * cfg.tau * fftn_unitary(prior_data)
+    # H^H S^H y is built in the spectral domain, avoiding a round trip
+    # through image space; the prior term is added in place
+    rhs = adjoint_spectrum(fftn_unitary(y_data), cfg.kernel, cfg.d)
+    rhs += 2.0 * cfg.tau * fftn_unitary(prior_data)
+    return rhs
+
+
+def _per_bin_solve(
+    k_spec: np.ndarray, folded: FoldedSpectrum, tau: float, alias_count: float
+) -> np.ndarray:
+    # the d x d Woodbury solve of every low-res bin, from the right-hand
+    # side's spectrum to the minimizer's; alias_count is the number of alias
+    # blocks d (the oracle check's negative control passes 1)
+    k_blocks = fold_blocks(k_spec, folded.d)
+    lam = folded.blocks
+    reduced = (lam * k_blocks).sum(axis=(0, 1, 2))
+    weights = reduced / (2.0 * tau * alias_count + folded.gram)
+    x_blocks = (k_blocks - np.conj(lam) * weights) / (2.0 * tau)
+    return unfold_blocks(x_blocks)
 
 
 def fsr_solve(
@@ -183,16 +195,9 @@ def fsr_solve(
         folded = fold_spectrum(cfg.kernel, cfg.d)
 
     tau = cfg.tau
-    dprod = float(np.prod(cfg.d))
     k_spec = _rhs_spectrum(y.data, prior.data, cfg)
-
-    k_blocks = fold_blocks(k_spec, cfg.d)
-    lam = folded.blocks
-    reduced = (lam * k_blocks).sum(axis=(0, 1, 2))
-    weights = reduced / (2.0 * tau * dprod + folded.gram)
-    x_blocks = (k_blocks - np.conj(lam) * weights) / (2.0 * tau)
-    hr_grid = Grid3(*cfg.hr_grid.dims, spacing=y.grid.scaled(cfg.d).spacing)
-    x_hat = ComplexVolume(hr_grid, ifftn_unitary(unfold_blocks(x_blocks)))
+    x_spec = _per_bin_solve(k_spec, folded, tau, float(np.prod(cfg.d)))
+    x_hat = ComplexVolume(y.grid.scaled(cfg.d), ifftn_unitary(x_spec))
 
     residual = apply_SH(x_hat, cfg.kernel, cfg.d).data - y.data
     residual_norm = float(np.linalg.norm(residual))
@@ -234,26 +239,15 @@ def superresolve_dataset(
     folded = fold_spectrum(cfg.kernel, cfg.d)
     venc = lr.params.venc
 
-    # measured data may hold velocities exactly at the encoding boundary
-    # (phase pi, e.g. after float32 storage), so rebuild the signal without
-    # the ground-truth aliasing guard
-    def measured_signal(frame: VelocityFrame, ch: str) -> ComplexVolume:
+    def sr_channel(f_idx: int, frame: VelocityFrame, ch: str):
+        # measured data may hold velocities exactly at the encoding boundary
+        # (phase pi, e.g. after float32 storage), so rebuild the signal
+        # without the ground-truth aliasing guard
         phase = np.pi * frame.channel(ch).data / venc
-        return ComplexVolume(frame.grid, frame.magnitude.data * np.exp(1j * phase))
+        y = ComplexVolume(frame.grid, frame.magnitude.data * np.exp(1j * phase))
+        x_hat, rep = fsr_solve(y, cfg, folded=folded)
+        if reports is not None:
+            reports.append((f_idx, ch, rep))
+        return extract_velocity(x_hat, venc)
 
-    frames = []
-    for f_idx, frame in enumerate(lr.frames):
-        out: dict[str, ScalarVolume] = {}
-        for ch in CHANNELS:
-            y = measured_signal(frame, ch)
-            x_hat, rep = fsr_solve(y, cfg, folded=folded)
-            if reports is not None:
-                reports.append((f_idx, ch, rep))
-            mag, vel = extract_velocity(x_hat, venc)
-            out[ch] = vel
-            if ch == "u":
-                out["magnitude"] = mag
-        frames.append(
-            VelocityFrame(magnitude=out["magnitude"], u=out["u"], v=out["v"], w=out["w"])
-        )
-    return VelocityDataset(lr.params, tuple(frames))
+    return map_channels(lr, sr_channel)

@@ -25,7 +25,6 @@ from .errors import GridMismatchError, ParameterError
 from .volume import ComplexVolume, Grid3
 
 __all__ = [
-    "FourierEngine",
     "KernelSpectrum",
     "FoldedSpectrum",
     "forward_fft",
@@ -38,6 +37,7 @@ __all__ = [
     "crop_kspace",
     "zero_pad_kspace",
     "fold_spectrum",
+    "adjoint_spectrum",
 ]
 
 
@@ -59,24 +59,6 @@ def forward_fft(x: ComplexVolume) -> ComplexVolume:
 def inverse_fft(X: ComplexVolume) -> ComplexVolume:
     """Exact inverse of :func:`forward_fft`."""
     return ComplexVolume(X.grid, ifftn_unitary(X.data))
-
-
-class FourierEngine:
-    """Transform frontend holding per-instance state.
-
-    The contract is one engine per worker thread: instances are cheap, and
-    the ``workers`` setting (threads used inside a single transform) is
-    private to each.  Transforms are unitary in both directions.
-    """
-
-    def __init__(self, workers: int | None = None):
-        self.workers = workers
-
-    def forward(self, x: ComplexVolume) -> ComplexVolume:
-        return ComplexVolume(x.grid, scipy.fft.fftn(x.data, norm="ortho", workers=self.workers))
-
-    def inverse(self, X: ComplexVolume) -> ComplexVolume:
-        return ComplexVolume(X.grid, scipy.fft.ifftn(X.data, norm="ortho", workers=self.workers))
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,3 +206,13 @@ def fold_spectrum(spec: KernelSpectrum, d: tuple[int, int, int]) -> FoldedSpectr
     blocks.setflags(write=False)
     gram.setflags(write=False)
     return FoldedSpectrum(lr, d, blocks, gram)
+
+
+def adjoint_spectrum(y_spec: np.ndarray, kernel: KernelSpectrum, d: tuple[int, int, int]) -> np.ndarray:
+    """Unitary spectrum of ``H^H S^H y`` from the unitary spectrum of low-res ``y``.
+
+    Zero-insertion upsampling tiles the low-res spectrum over the alias
+    blocks, scaled by 1/sqrt(d); the conjugate kernel filters it in place.
+    """
+    spec = np.tile(y_spec, d) / np.sqrt(np.prod(d))
+    return np.multiply(np.conj(kernel.values), spec, out=spec)

@@ -14,6 +14,7 @@ marked read-only), so they can be shared freely across threads.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,7 @@ import numpy as np
 from .errors import AliasingError, GridMismatchError, ParameterError
 
 __all__ = [
+    "CHANNELS",
     "Grid3",
     "ScalarVolume",
     "ComplexVolume",
@@ -33,7 +35,10 @@ __all__ = [
     "phase_to_velocity",
     "synthesize_complex",
     "extract_velocity",
+    "map_channels",
 ]
+
+CHANNELS = ("u", "v", "w")
 
 
 @dataclass(frozen=True)
@@ -149,7 +154,7 @@ class VelocityFrame:
 
     def __post_init__(self):
         g = self.magnitude.grid
-        for name in ("u", "v", "w"):
+        for name in CHANNELS:
             if getattr(self, name).grid != g:
                 raise GridMismatchError(f"channel {name} grid differs from magnitude grid")
 
@@ -158,7 +163,7 @@ class VelocityFrame:
         return self.magnitude.grid
 
     def channel(self, name: str) -> ScalarVolume:
-        if name not in ("magnitude", "u", "v", "w"):
+        if name != "magnitude" and name not in CHANNELS:
             raise ParameterError(f"unknown channel {name!r}")
         return getattr(self, name)
 
@@ -256,3 +261,26 @@ def extract_velocity(signal: ComplexVolume, venc: float) -> tuple[ScalarVolume, 
     phase = np.angle(signal.data)  # angle(0) == 0, matching the zero-voxel convention
     vel = venc * phase / np.pi
     return ScalarVolume(signal.grid, magnitude), ScalarVolume(signal.grid, vel)
+
+
+def map_channels(
+    ds: VelocityDataset,
+    channel_fn: Callable[[int, VelocityFrame, str], tuple[ScalarVolume, ScalarVolume]],
+) -> VelocityDataset:
+    """Build a dataset by mapping every frame and velocity channel of ``ds``.
+
+    ``channel_fn(frame_index, frame, channel)`` returns the ``(magnitude,
+    velocity)`` pair of one channel, and is called frame by frame in
+    :data:`CHANNELS` order.  Each output frame keeps every channel's velocity
+    and the u channel's magnitude (channel magnitudes differ only through
+    noise and ringing); the output keeps ``ds.params``.
+    """
+    frames = []
+    for f_idx, frame in enumerate(ds.frames):
+        out: dict[str, ScalarVolume] = {}
+        for ch in CHANNELS:
+            mag, out[ch] = channel_fn(f_idx, frame, ch)
+            if ch == "u":
+                out["magnitude"] = mag
+        frames.append(VelocityFrame(**out))
+    return VelocityDataset(ds.params, tuple(frames))

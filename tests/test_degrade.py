@@ -14,8 +14,10 @@ from flowsr import (
     calibrate_noise,
     crop_kspace,
     degrade_dataset,
+    extract_velocity,
     forward_fft,
     gaussian_spectrum,
+    helix_phantom,
     ideal_lowpass_spectrum,
     inverse_fft,
     poiseuille_phantom,
@@ -183,6 +185,37 @@ class TestDegradeDataset:
                     # non-u channels reuse the u magnitude; compare velocity via phase
                     got = np.abs(expected) * np.exp(1j * np.pi * f_lr.channel(ch).data / venc)
                 assert rel_err(got, expected) < 1e-9
+
+    @pytest.mark.parametrize("kernel_kind", ["ideal", "gaussian"])
+    def test_matches_explicit_frame_channel_loop(self, kernel_kind):
+        # pins the (seed, frame, channel) noise stream of every channel and
+        # the rule that the stored magnitude is the u channel's
+        hr = helix_phantom(
+            Grid3(8, 8, 4), radius_voxels=3, vmax_per_frame=[90.0, 60.0], venc=150.0,
+            magnitude_out=0.2, frame_interval=0.04,
+        )
+        d = (2, 2, 1)
+        cfg = DegradationConfig(d=d, kernel=kernel_kind, noise_psnr_db=15.0, rng_seed=7)
+        lr, cal = degrade_dataset(hr, cfg)
+        assert lr.params == hr.params
+        lr_grid = hr.grid.decimated(d)
+        venc = hr.params.venc
+        for f_idx, (f_hr, f_lr) in enumerate(zip(hr.frames, lr.frames)):
+            for c_idx, ch in enumerate(("u", "v", "w")):
+                rng = np.random.default_rng([cfg.rng_seed, f_idx, c_idx])
+                sig = _frame_signal(f_hr, ch, venc)
+                if kernel_kind == "ideal":
+                    spec = forward_fft(sig)  # noise over the full HR k-space
+                else:
+                    clean = apply_SH(sig, cfg.kernel_spectrum(hr.grid), d).data
+                    spec = forward_fft(ComplexVolume(lr_grid, np.sqrt(np.prod(d)) * clean))
+                shape = spec.grid.dims
+                noise = cal.sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                noisy = crop_kspace(ComplexVolume(spec.grid, spec.data + noise), lr_grid)
+                mag, vel = extract_velocity(inverse_fft(noisy), venc)
+                assert np.array_equal(f_lr.channel(ch).data, vel.data)
+                if ch == "u":
+                    assert np.array_equal(f_lr.magnitude.data, mag.data)
 
     def test_seeded_runs_are_bit_identical(self):
         hr = _phantom()

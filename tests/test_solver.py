@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -16,8 +19,10 @@ from flowsr import (
     compute_k,
     degrade_dataset,
     dense_solve,
+    extract_velocity,
     fsr_solve,
     gaussian_spectrum,
+    helix_phantom,
     ideal_lowpass_spectrum,
     poiseuille_phantom,
     superresolve_dataset,
@@ -244,6 +249,63 @@ class TestSuperresolveDataset:
             venc=150.0,
             magnitude_out=magnitude_out,
         )
+
+    def _noisy_helix(self, dims=(8, 8, 4), d=(2, 2, 1)):
+        hr = helix_phantom(
+            Grid3(*dims), radius_voxels=0.35 * dims[0], vmax_per_frame=[90.0, 60.0], venc=150.0,
+            magnitude_out=0.2, frame_interval=0.04,
+        )
+        lr, _ = degrade_dataset(hr, DegradationConfig(d=d, noise_psnr_db=15.0, rng_seed=3))
+        return hr, lr, _cfg(dims, d, kind="gaussian", tau=0.05)
+
+    def test_matches_explicit_frame_channel_loop(self):
+        hr, lr, cfg = self._noisy_helix()
+        reports = []
+        sr = superresolve_dataset(lr, cfg, hr.grid, reports=reports)
+        assert sr.params == lr.params
+        venc = lr.params.venc
+        expected = []
+        for f_idx, (f_lr, f_sr) in enumerate(zip(lr.frames, sr.frames)):
+            for ch in ("u", "v", "w"):
+                phase = np.pi * f_lr.channel(ch).data / venc
+                y = ComplexVolume(lr.grid, f_lr.magnitude.data * np.exp(1j * phase))
+                x_hat, rep = fsr_solve(y, cfg)
+                mag, vel = extract_velocity(x_hat, venc)
+                assert np.array_equal(f_sr.channel(ch).data, vel.data)
+                if ch == "u":
+                    assert np.array_equal(f_sr.magnitude.data, mag.data)
+                expected.append((f_idx, ch, rep.residual_norm, rep.objective))
+        assert [(f, ch, r.residual_norm, r.objective) for f, ch, r in reports] == expected
+
+    def test_threads_sharing_one_config_match_serial(self):
+        # more threads than cores and a short switch interval, so solves on
+        # the shared config, kernel and dataset interleave as much as they can
+        hr, lr, cfg = self._noisy_helix(dims=(32, 32, 16))
+        serial = superresolve_dataset(lr, cfg, hr.grid)
+        results, errors = [None] * 4, []
+
+        def work(i):
+            try:
+                results[i] = superresolve_dataset(lr, cfg, hr.grid)
+            except Exception as exc:  # reported by the main thread below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        for out in results:
+            for f_out, f_serial in zip(out.frames, serial.frames):
+                for ch in ("magnitude", "u", "v", "w"):
+                    assert np.array_equal(f_out.channel(ch).data, f_serial.channel(ch).data)
 
     def test_round_trip_with_trivial_config(self):
         # positive background magnitude keeps every voxel's phase meaningful

@@ -3,7 +3,6 @@ import pytest
 
 from flowsr import (
     ComplexVolume,
-    FourierEngine,
     Grid3,
     GridMismatchError,
     KernelSpectrum,
@@ -68,13 +67,6 @@ class TestFourier:
         combo = inverse_fft(ComplexVolume(g, a * X.data + b * Y.data))
         split = a * inverse_fft(X).data + b * inverse_fft(Y).data
         assert rel_err(combo.data, split) < 1e-12
-
-    def test_engine_matches_module_functions(self, rng):
-        g = Grid3(4, 6, 5)
-        x = random_complex(g, rng)
-        eng = FourierEngine(workers=1)
-        assert np.array_equal(eng.forward(x).data, forward_fft(x).data)
-        assert rel_err(eng.inverse(eng.forward(x)).data, x.data) < 1e-12
 
 
 class TestRetainedBox:

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from flowsr import FormatError, Grid3, load_dataset, load_external, poiseuille_phantom, save_dataset
+from flowsr import FormatError, Grid3, load_dataset, poiseuille_phantom, save_dataset
 from flowsr.volio import HEADER_SIZE, MAGIC, VERSION
 
 
@@ -46,12 +46,6 @@ class TestRoundTrip:
     def test_no_temp_files_left(self, tmp_path, dataset):
         save_dataset(dataset, tmp_path / "ds.flw4")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.flw4"]
-
-    def test_load_external_alias(self, tmp_path, dataset):
-        path = tmp_path / "ds.flw4"
-        save_dataset(dataset, path)
-        back = load_external(path)
-        assert back.grid == dataset.grid
 
     def test_venc_governs_downstream(self, tmp_path, dataset):
         path = tmp_path / "ds.flw4"
