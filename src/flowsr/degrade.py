@@ -24,13 +24,12 @@ from .spectral import (
     KernelSpectrum,
     _check_divisible,
     adjoint_spectrum,
-    crop_kspace,
     fftn_unitary,
-    forward_fft,
     gaussian_spectrum,
     ideal_lowpass_spectrum,
     ifftn_unitary,
     inverse_fft,
+    retained_axis_indices,
 )
 from .volume import (
     CHANNELS,
@@ -173,40 +172,6 @@ def _complex_noise(shape, sigma: float, rng: np.random.Generator) -> np.ndarray:
     return sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
-def _degrade_ideal(
-    signal: ComplexVolume, lr: Grid3, sigma: float, rng: np.random.Generator | None
-) -> ComplexVolume:
-    # literal protocol: noise over the full HR k-space, then truncation;
-    # equals sqrt(d) * S H + white LR noise for the ideal kernel
-    if sigma == 0 and lr.dims == signal.grid.dims:
-        # exact identity; a transform round trip would turn zero-magnitude
-        # voxels into numerical junk with arbitrary phase
-        return signal
-    spec = forward_fft(signal)
-    data = spec.data
-    if sigma > 0 and rng is not None:
-        data = data + _complex_noise(data.shape, sigma, rng)
-    return inverse_fft(crop_kspace(ComplexVolume(spec.grid, data), lr))
-
-
-def _degrade_kernel(
-    signal: ComplexVolume,
-    kernel: KernelSpectrum,
-    d: tuple[int, int, int],
-    sigma: float,
-    rng: np.random.Generator | None,
-) -> ComplexVolume:
-    # general kernels: sqrt(d) * S H, then white noise on the LR k-space so
-    # the noise stays white per the forward model (a subsample after the
-    # filter would otherwise fold kernel-shaped noise)
-    clean = apply_SH(signal, kernel, d)
-    data = np.sqrt(np.prod(d)) * clean.data
-    if sigma > 0 and rng is not None:
-        spec = fftn_unitary(data) + _complex_noise(data.shape, sigma, rng)
-        data = ifftn_unitary(spec)
-    return ComplexVolume(clean.grid, data)
-
-
 def degrade_dataset(
     hr: VelocityDataset, cfg: DegradationConfig
 ) -> tuple[VelocityDataset, NoiseCalibration]:
@@ -220,8 +185,12 @@ def degrade_dataset(
 
     The noise std is calibrated once against the global peak of the
     noiseless LR magnitudes over all frames and channels, so one noise level
-    serves the whole dataset.  The stored LR magnitude comes from the u
-    channel (channel magnitudes differ only through noise and ringing).
+    serves the whole dataset.  That calibration pass keeps each channel's
+    noiseless LR-sized result (the retained k-space box for the ideal
+    kernel, the image ``sqrt(d) S H x`` for a general one), and the noisy
+    pass adds noise to it, so every channel is synthesized and filtered
+    once.  The stored LR magnitude comes from the u channel (channel
+    magnitudes differ only through noise and ringing).
     Note the pipeline scales amplitudes by sqrt(d) relative to a bare
     ``S H``; velocities, living in the phase, are unaffected.
 
@@ -232,21 +201,51 @@ def degrade_dataset(
     lr_grid = hr.grid.decimated(d)
     venc = hr.params.venc
     kernel = None if cfg.kernel == "ideal" else cfg.kernel_spectrum(hr.grid)
+    # the ideal kernel at rate 1 is the identity: a transform round trip would
+    # turn zero-magnitude voxels into numerical junk with arbitrary phase
+    identity = kernel is None and lr_grid.dims == hr.grid.dims
+    box = np.ix_(*(retained_axis_indices(h, l) for h, l in zip(hr.grid.dims, lr_grid.dims)))
 
-    def run_channel(frame: VelocityFrame, ch: str, sigma: float, rng) -> ComplexVolume:
+    def clean_channel(frame: VelocityFrame, ch: str) -> ComplexVolume:
+        # the noiseless LR result: the retained k-space box for the ideal
+        # kernel (the signal itself where that kernel is the identity), the
+        # image sqrt(d) * S H x for a general kernel
         sig = synthesize_complex(frame.magnitude, frame.channel(ch), venc)
+        if identity:
+            return sig
         if kernel is None:
-            return _degrade_ideal(sig, lr_grid, sigma, rng)
-        return _degrade_kernel(sig, kernel, d, sigma, rng)
+            return ComplexVolume(lr_grid, fftn_unitary(sig.data)[box])
+        return ComplexVolume(lr_grid, np.sqrt(np.prod(d)) * apply_SH(sig, kernel, d).data)
 
+    def clean_image(clean: ComplexVolume) -> ComplexVolume:
+        return inverse_fft(clean) if kernel is None and not identity else clean
+
+    def noisy_image(clean: ComplexVolume, sigma: float, rng) -> ComplexVolume:
+        if kernel is None:
+            # literal protocol: noise over the full HR k-space, then
+            # truncation; cropping only selects, so adding the cropped draw
+            # to the kept box equals cropping the noisy spectrum bit for bit
+            spec = fftn_unitary(clean.data) if identity else clean.data
+            noise = _complex_noise(hr.grid.dims, sigma, rng)[box]
+        else:
+            # white noise on the LR k-space keeps the noise white per the
+            # forward model (a subsample after the filter would otherwise
+            # fold kernel-shaped noise)
+            spec = fftn_unitary(clean.data)
+            noise = _complex_noise(lr_grid.dims, sigma, rng)
+        return ComplexVolume(lr_grid, ifftn_unitary(spec + noise))
+
+    cleans = None
     if cfg.noise_psnr_db is None:
         cal = NoiseCalibration(sigma=0.0, achieved_psnr_db=np.inf, target_psnr_db=None)
     else:
+        cleans = {}
         peak_volume = None
         peak = -1.0
-        for frame in hr.frames:
+        for f_idx, frame in enumerate(hr.frames):
             for ch in CHANNELS:
-                clean_mag = np.abs(run_channel(frame, ch, 0.0, None).data)
+                cleans[f_idx, ch] = clean = clean_channel(frame, ch)
+                clean_mag = np.abs(clean_image(clean).data)
                 if float(clean_mag.max()) > peak:
                     peak = float(clean_mag.max())
                     peak_volume = clean_mag
@@ -257,7 +256,12 @@ def degrade_dataset(
         )
 
     def lr_channel(f_idx: int, frame: VelocityFrame, ch: str):
-        rng = _channel_rng(cfg.rng_seed, f_idx, CHANNELS.index(ch))
-        return extract_velocity(run_channel(frame, ch, cal.sigma, rng), venc)
+        clean = clean_channel(frame, ch) if cleans is None else cleans.pop((f_idx, ch))
+        if cal.sigma == 0:
+            signal = clean_image(clean)
+        else:
+            rng = _channel_rng(cfg.rng_seed, f_idx, CHANNELS.index(ch))
+            signal = noisy_image(clean, cal.sigma, rng)
+        return extract_velocity(signal, venc)
 
     return map_channels(hr, lr_channel), cal

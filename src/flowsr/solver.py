@@ -106,19 +106,20 @@ class SolveReport:
 def build_prior(y: ComplexVolume, d: tuple[int, int, int], mode: str = "trilinear") -> ComplexVolume:
     """Rough high-resolution estimate of the signal behind a low-res volume.
 
-    ``trilinear`` interpolates real and imaginary parts separately onto the
-    fine lattice (phase wraps at +-pi, so interpolating it directly would
-    create seam artifacts).  ``zero-fill`` embeds the low-res spectrum in a
-    zero high-res spectrum and scales by sqrt(d), which makes the prior
-    exactly consistent with the data under the ideal low-pass kernel.
+    ``trilinear`` interpolates the complex samples, not the phase, onto the
+    fine lattice in one pass (phase wraps at +-pi, so interpolating it
+    directly would create seam artifacts).  The interpolation weights are
+    real, so this equals interpolating the real and imaginary parts
+    separately.  ``zero-fill`` embeds the low-res spectrum in a zero
+    high-res spectrum and scales by sqrt(d), which makes the prior exactly
+    consistent with the data under the ideal low-pass kernel.
     """
     if mode not in PRIOR_MODES:
         raise ParameterError(f"prior mode must be one of {PRIOR_MODES}, got {mode!r}")
     d = tuple(int(v) for v in d)
     hr_grid = y.grid.scaled(d)
     if mode == "trilinear":
-        data = upsample_array(y.data.real, d) + 1j * upsample_array(y.data.imag, d)
-        return ComplexVolume(hr_grid, data)
+        return ComplexVolume(hr_grid, upsample_array(y.data, d))
     padded = zero_pad_kspace(forward_fft(y), hr_grid)
     return ComplexVolume(hr_grid, np.sqrt(np.prod(d)) * inverse_fft(padded).data)
 

@@ -217,6 +217,25 @@ class TestDegradeDataset:
                 if ch == "u":
                     assert np.array_equal(f_lr.magnitude.data, mag.data)
 
+    @pytest.mark.parametrize("kernel_kind", ["ideal", "gaussian"])
+    def test_noisy_run_synthesizes_each_channel_once(self, kernel_kind, monkeypatch):
+        # the calibration pass keeps each channel's noiseless LR result for
+        # the noisy pass, so no channel is synthesized twice
+        import flowsr.degrade
+
+        calls = []
+        original = flowsr.degrade.synthesize_complex
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(flowsr.degrade, "synthesize_complex", counting)
+        hr = _phantom(dims=(8, 8, 8), frames=3)
+        cfg = DegradationConfig(d=(2, 2, 2), kernel=kernel_kind, noise_psnr_db=15.0)
+        degrade_dataset(hr, cfg)
+        assert len(calls) == len(hr.frames) * 3
+
     def test_seeded_runs_are_bit_identical(self):
         hr = _phantom()
         cfg = DegradationConfig(d=(2, 2, 2), noise_psnr_db=15.0, rng_seed=99)

@@ -1,5 +1,9 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
 from flowsr import (
     DegradationConfig,
@@ -11,7 +15,27 @@ from flowsr import (
     upsample_dataset,
     upsample_velocity,
 )
-from flowsr.interp import upsample_array
+from flowsr.interp import _axis_weights, upsample_array
+
+from conftest import rel_err
+
+_ORDERS = {"trilinear": 1, "tricubic": 3}
+# (LR shape, rates): a cube, odd shapes with mixed rates, single-voxel axes
+SEPARABLE_CASES = [
+    ((16, 16, 16), (4, 4, 4)),
+    ((5, 7, 3), (3, 2, 1)),
+    ((1, 4, 2), (2, 3, 2)),
+]
+
+
+def _reference_upsample(a, d, method):
+    # the 3D map_coordinates call on a meshgrid of high-res coordinates that
+    # the per-axis weights replace
+    coords = np.meshgrid(
+        *(np.arange(dim * rate) / rate for dim, rate in zip(a.shape, d)),
+        indexing="ij",
+    )
+    return map_coordinates(a, coords, order=_ORDERS[method], mode="nearest")
 
 
 class TestUpsampleArray:
@@ -61,6 +85,66 @@ class TestUpsampleArray:
     def test_bad_rates(self, rng):
         with pytest.raises(ParameterError):
             upsample_array(rng.standard_normal((2, 2, 2)), (0, 1, 1))
+
+
+class TestSeparableWeights:
+    @pytest.mark.parametrize("method", ["trilinear", "tricubic"])
+    @pytest.mark.parametrize("shape,d", SEPARABLE_CASES)
+    def test_matches_3d_map_coordinates(self, method, shape, d, rng):
+        a = rng.standard_normal(shape)
+        out = upsample_array(a, d, method)
+        assert out.shape == tuple(dim * rate for dim, rate in zip(shape, d))
+        assert rel_err(out, _reference_upsample(a, d, method)) < 1e-12
+
+    @pytest.mark.parametrize("method", ["trilinear", "tricubic"])
+    @pytest.mark.parametrize("shape,d", SEPARABLE_CASES)
+    def test_complex_equals_parts_interpolated_separately(self, method, shape, d, rng):
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        parts = _reference_upsample(a.real, d, method) + 1j * _reference_upsample(
+            a.imag, d, method
+        )
+        out = upsample_array(a, d, method)
+        assert np.iscomplexobj(out)
+        assert rel_err(out, parts) < 1e-12
+
+    def test_cached_weights_are_read_only(self):
+        weights = _axis_weights(4, 2, 3)
+        assert weights is _axis_weights(4, 2, 3)
+        with pytest.raises(ValueError):
+            weights[0, 0] = 1.0
+
+    def test_threads_on_a_cold_cache_match_serial(self):
+        hr = poiseuille_phantom(
+            Grid3(12, 12, 8), radius_voxels=4, vmax_per_frame=[90.0, 70.0], venc=150.0
+        )
+        lr, _ = degrade_dataset(hr, DegradationConfig(d=(3, 3, 2), noise_psnr_db=15.0))
+        serial = upsample_dataset(lr, (3, 3, 2), "tricubic")
+        _axis_weights.cache_clear()
+        results = [None] * 4
+        errors = []
+
+        def work(i):
+            try:
+                results[i] = upsample_dataset(lr, (3, 3, 2), "tricubic")
+            except Exception as exc:  # reported by the main thread below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        for out in results:
+            for f_out, f_serial in zip(out.frames, serial.frames):
+                for ch in ("magnitude", "u", "v", "w"):
+                    assert np.array_equal(f_out.channel(ch).data, f_serial.channel(ch).data)
 
 
 class TestUpsampleDataset:
