@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import os
 import sys
-import tempfile
 import time
 
 import numpy as np
@@ -32,7 +31,7 @@ from .spectral import (
     ideal_lowpass_spectrum,
     ifftn_unitary,
 )
-from .volio import load_dataset, save_dataset
+from .volio import atomic_write, load_dataset, save_dataset
 from .volume import ComplexVolume, Grid3
 
 __all__ = ["main"]
@@ -64,16 +63,7 @@ def _positive_float(text: str) -> float:
 
 
 def _write_text(path, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".flowsr-", dir=directory)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, [text.encode("utf-8")])
 
 
 def _build_kernel(hr_grid: Grid3, kind: str, d, fwhm) -> KernelSpectrum:
@@ -101,19 +91,7 @@ def _make_phantom(rc: RunConfig):
 
 
 def cmd_simulate(args) -> int:
-    rc = RunConfig(
-        phantom=args.phantom,
-        dims=args.dims,
-        frames=args.frames,
-        venc=args.venc,
-        vmax=args.vmax,
-        radius=args.radius,
-        axis=args.axis,
-        magnitude_in=args.magnitude_in,
-        magnitude_out=args.magnitude_out,
-        spacing=args.spacing,
-        factor=(1, 1, 1),
-    )
+    rc = _apply_overrides(RunConfig(factor=(1, 1, 1)), args)
     ds = _make_phantom(rc)
     save_dataset(ds, args.out)
     print(f"wrote {args.out}: {rc.phantom} phantom, dims {rc.dims}, {rc.frames} frame(s)")
@@ -133,19 +111,24 @@ def _calibration_text(cal, cfg: DegradationConfig) -> str:
     )
 
 
-def cmd_degrade(args) -> int:
-    hr = load_dataset(args.infile)
+def _degrade(hr, src, out, cal_path):
+    """Degrade ``hr`` as ``src`` (parsed flags or a RunConfig) says; write ``out`` and its sidecar."""
     cfg = DegradationConfig(
-        d=args.factor,
-        kernel=args.kernel,
-        gaussian_fwhm_bins=args.kernel_fwhm,
-        noise_psnr_db=args.noise_psnr,
-        rng_seed=args.seed,
+        d=src.factor,
+        kernel=src.kernel,
+        gaussian_fwhm_bins=src.kernel_fwhm,
+        noise_psnr_db=src.noise_psnr,
+        rng_seed=src.seed,
     )
     lr, cal = degrade_dataset(hr, cfg)
-    save_dataset(lr, args.out)
-    cal_path = args.calibration_out or args.out + ".cal"
+    save_dataset(lr, out)
     _write_text(cal_path, _calibration_text(cal, cfg))
+    return lr, cal
+
+
+def cmd_degrade(args) -> int:
+    hr = load_dataset(args.infile)
+    lr, cal = _degrade(hr, args, args.out, args.calibration_out or args.out + ".cal")
     print(f"wrote {args.out}: LR grid {lr.grid.dims}")
     if cal.target_psnr_db is not None:
         print(f"noise sigma {cal.sigma:.6g}, achieved PSNR {cal.achieved_psnr_db:.2f} dB")
@@ -162,6 +145,19 @@ def _solve_report_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fsr(lr, src, out, report_path):
+    """Super-resolve ``lr`` as ``src`` says; write ``out`` and, given a path, the solve reports."""
+    hr_grid = lr.grid.scaled(src.factor)
+    kernel = _build_kernel(hr_grid, src.kernel, src.factor, src.kernel_fwhm)
+    cfg = SolverConfig(tau=src.tau, kernel=kernel, d=src.factor, prior=src.prior)
+    reports: list = []
+    sr = superresolve_dataset(lr, cfg, hr_grid, reports=reports)
+    save_dataset(sr, out)
+    if report_path:
+        _write_text(report_path, _solve_report_csv(reports))
+    return sr, reports
+
+
 def cmd_sr(args) -> int:
     lr = load_dataset(args.infile)
     if args.method in METHODS:
@@ -169,26 +165,19 @@ def cmd_sr(args) -> int:
         save_dataset(sr, args.out)
         print(f"wrote {args.out}: {args.method} upsampling to {sr.grid.dims}")
         return 0
-    hr_grid = lr.grid.scaled(args.factor)
-    kernel = _build_kernel(hr_grid, args.kernel, args.factor, args.kernel_fwhm)
-    cfg = SolverConfig(tau=args.tau, kernel=kernel, d=args.factor, prior=args.prior)
-    reports: list = []
-    sr = superresolve_dataset(lr, cfg, hr_grid, reports=reports)
-    save_dataset(sr, args.out)
-    if args.report_out:
-        _write_text(args.report_out, _solve_report_csv(reports))
+    sr, reports = _fsr(lr, args, args.out, args.report_out)
     total = sum(rep.wall_time_s for _, _, rep in reports)
     print(f"wrote {args.out}: fsr tau={args.tau:g} to {sr.grid.dims} ({total:.2f} s of solves)")
     return 0
 
 
-def _print_eval_summary(report: EvalReport, methods) -> None:
-    print(f"{'method':<12}{'mean PSNR (dB)':>16}{'mean MRE (%)':>14}")
-    for method in methods:
-        print(
-            f"{method:<12}{report.mean(method, 'psnr_db'):>16.3f}"
-            f"{report.mean(method, 'mre_percent'):>14.3f}"
-        )
+def _summary_lines(report: EvalReport, methods) -> list[str]:
+    """The mean PSNR/MRE table that ``eval`` prints and ``pipeline`` writes to its summary."""
+    return [f"{'method':<12}{'mean PSNR (dB)':>16}{'mean MRE (%)':>14}"] + [
+        f"{method:<12}{report.mean(method, 'psnr_db'):>16.3f}"
+        f"{report.mean(method, 'mre_percent'):>14.3f}"
+        for method in methods
+    ]
 
 
 def cmd_eval(args) -> int:
@@ -205,7 +194,7 @@ def cmd_eval(args) -> int:
     )
     _write_text(args.out, report.to_csv())
     methods = [args.sr_label] + ([args.baseline_label] if baseline is not None else [])
-    _print_eval_summary(report, methods)
+    print("\n".join(_summary_lines(report, methods)))
     print(f"wrote {args.out}: {len(report.records)} records")
     return 0
 
@@ -272,38 +261,22 @@ def cmd_oracle_check(args) -> int:
 
 
 def _apply_overrides(rc: RunConfig, args) -> RunConfig:
-    overrides = {}
-    for key in (
-        "phantom",
-        "dims",
-        "frames",
-        "venc",
-        "vmax",
-        "radius",
-        "axis",
-        "factor",
-        "kernel",
-        "kernel_fwhm",
-        "seed",
-        "tau",
-        "prior",
-        "baseline",
-        "mask_threshold",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if args.noise_psnr is not None:
-        overrides["noise_psnr"] = None if args.noise_psnr <= 0 else args.noise_psnr
+    """``rc`` with every RunConfig field the flags set; ``--noise-psnr <= 0`` means noiseless."""
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(RunConfig)
+        if getattr(args, f.name, None) is not None
+    }
+    if overrides.get("noise_psnr", 1) <= 0:
+        overrides["noise_psnr"] = None
     return dataclasses.replace(rc, **overrides)
 
 
 def cmd_pipeline(args) -> int:
+    rc = RunConfig()
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             rc = parse_config_text(fh.read())
-    else:
-        rc = RunConfig()
     rc = _apply_overrides(rc, args)
 
     out_dir = args.out_dir
@@ -313,25 +286,8 @@ def cmd_pipeline(args) -> int:
 
     hr = _make_phantom(rc)
     save_dataset(hr, path("hr.flw4"))
-
-    dcfg = DegradationConfig(
-        d=rc.factor,
-        kernel=rc.kernel,
-        gaussian_fwhm_bins=rc.kernel_fwhm,
-        noise_psnr_db=rc.noise_psnr,
-        rng_seed=rc.seed,
-    )
-    lr, cal = degrade_dataset(hr, dcfg)
-    save_dataset(lr, path("lr.flw4"))
-    _write_text(path("lr.flw4.cal"), _calibration_text(cal, dcfg))
-
-    hr_grid = lr.grid.scaled(rc.factor)
-    kernel = _build_kernel(hr_grid, rc.kernel, rc.factor, rc.kernel_fwhm)
-    scfg = SolverConfig(tau=rc.tau, kernel=kernel, d=rc.factor, prior=rc.prior)
-    reports: list = []
-    sr_fsr = superresolve_dataset(lr, scfg, hr_grid, reports=reports)
-    save_dataset(sr_fsr, path("sr_fsr.flw4"))
-    _write_text(path("solve_reports.csv"), _solve_report_csv(reports))
+    lr, _ = _degrade(hr, rc, path("lr.flw4"), path("lr.flw4.cal"))
+    sr_fsr, _ = _fsr(lr, rc, path("sr_fsr.flw4"), path("solve_reports.csv"))
 
     sr_base = upsample_dataset(lr, rc.factor, rc.baseline)
     save_dataset(sr_base, path(f"sr_{rc.baseline}.flw4"))
@@ -363,13 +319,8 @@ def cmd_pipeline(args) -> int:
     lines = [
         f"phantom={rc.phantom} dims={rc.dims} factor={rc.factor} "
         f"noise_psnr={rc.noise_psnr} seed={rc.seed} tau={rc.tau:g}",
-        f"{'method':<12}{'mean PSNR (dB)':>16}{'mean MRE (%)':>14}",
+        *_summary_lines(report, ("fsr", rc.baseline)),
     ]
-    for method in ("fsr", rc.baseline):
-        lines.append(
-            f"{method:<12}{report.mean(method, 'psnr_db'):>16.3f}"
-            f"{report.mean(method, 'mre_percent'):>14.3f}"
-        )
     lines.append(f"fsr beats {rc.baseline} on every frame/channel PSNR: {'yes' if psnr_wins else 'NO'}")
     lines.append(f"fsr beats {rc.baseline} on every frame MRE: {'yes' if mre_wins else 'NO'}")
     lines.append(f"elapsed: {elapsed:.1f} s")
@@ -389,16 +340,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("simulate", help="generate an analytic phantom dataset")
-    p.add_argument("--phantom", choices=PHANTOMS, default="poiseuille")
-    p.add_argument("--dims", type=_triple(int, 1), default=(64, 64, 64), metavar="M,N,S")
-    p.add_argument("--frames", type=int, default=5)
-    p.add_argument("--venc", type=_positive_float, default=150.0, help="cm/s")
-    p.add_argument("--vmax", type=_positive_float, default=120.0, help="peak speed, cm/s")
-    p.add_argument("--radius", type=float, default=0.0, help="tube radius in voxels (0 = auto)")
-    p.add_argument("--axis", choices=("x", "y", "z"), default="z")
-    p.add_argument("--magnitude-in", type=float, default=1.0)
-    p.add_argument("--magnitude-out", type=float, default=0.0)
-    p.add_argument("--spacing", type=_triple(float), default=(1.0, 1.0, 1.0), metavar="X,Y,Z")
+    p.add_argument("--phantom", choices=PHANTOMS)
+    p.add_argument("--dims", type=_triple(int, 1), metavar="M,N,S")
+    p.add_argument("--frames", type=int)
+    p.add_argument("--venc", type=_positive_float, help="cm/s")
+    p.add_argument("--vmax", type=_positive_float, help="peak speed, cm/s")
+    p.add_argument("--radius", type=float, help="tube radius in voxels (0 = auto)")
+    p.add_argument("--axis", choices=("x", "y", "z"))
+    p.add_argument("--magnitude-in", type=float)
+    p.add_argument("--magnitude-out", type=float)
+    p.add_argument("--spacing", type=_triple(float), metavar="X,Y,Z")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 

@@ -23,6 +23,7 @@ from .errors import CalibrationError, GridMismatchError, ParameterError
 from .spectral import (
     KernelSpectrum,
     _check_divisible,
+    _check_rates,
     adjoint_spectrum,
     fftn_unitary,
     gaussian_spectrum,
@@ -71,10 +72,7 @@ class DegradationConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        d = tuple(int(v) for v in self.d)
-        if len(d) != 3 or min(d) < 1:
-            raise ParameterError(f"decimation rates must be 3 ints >= 1, got {self.d}")
-        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "d", _check_rates(self.d))
         if self.kernel not in KERNEL_KINDS:
             raise ParameterError(f"kernel must be one of {KERNEL_KINDS}, got {self.kernel!r}")
         if self.noise_psnr_db is not None and not np.isfinite(self.noise_psnr_db):

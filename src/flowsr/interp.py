@@ -26,6 +26,7 @@ import numpy as np
 from scipy.ndimage import map_coordinates
 
 from .errors import ParameterError
+from .spectral import _check_rates
 from .volume import ScalarVolume, VelocityDataset, VelocityFrame
 
 __all__ = ["METHODS", "upsample_array", "upsample_velocity", "upsample_dataset"]
@@ -50,9 +51,7 @@ def upsample_array(a: np.ndarray, d: tuple[int, int, int], method: str = "trilin
     """Interpolate a raw (m, n, s) array, real or complex, onto the d-times-finer lattice."""
     if method not in _ORDERS:
         raise ParameterError(f"method must be one of {sorted(_ORDERS)}, got {method!r}")
-    d = tuple(int(v) for v in d)
-    if min(d) < 1:
-        raise ParameterError(f"upsampling factors must be >= 1, got {d}")
+    d = _check_rates(d)
     if d == (1, 1, 1):
         return a.copy()
     out = a

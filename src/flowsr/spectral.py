@@ -99,10 +99,15 @@ class FoldedSpectrum:
     gram: np.ndarray = field(repr=False)  # (ml, nl, sl) real
 
 
-def _check_divisible(hr: Grid3, d: tuple[int, int, int]) -> tuple[int, int, int]:
+def _check_rates(d) -> tuple[int, int, int]:
     d = tuple(int(v) for v in d)
     if len(d) != 3 or min(d) < 1:
         raise ParameterError(f"decimation rates must be 3 ints >= 1, got {d}")
+    return d
+
+
+def _check_divisible(hr: Grid3, d: tuple[int, int, int]) -> tuple[int, int, int]:
+    d = _check_rates(d)
     for dim, rate, axis in zip(hr.dims, d, "xyz"):
         if dim % rate:
             raise GridMismatchError(

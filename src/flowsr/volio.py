@@ -20,11 +20,13 @@ offset size   field
 ====== ====== =======================================================
 
 Writes are atomic (temp file in the target directory, then rename), so an
-interrupted run never leaves a truncated file that parses.
+interrupted run never leaves a truncated file that parses.  :func:`atomic_write`
+is the one writer behind this and every other file the command line writes.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 import tempfile
@@ -40,7 +42,7 @@ from .volume import (
     VelocityFrame,
 )
 
-__all__ = ["MAGIC", "VERSION", "HEADER_SIZE", "save_dataset", "load_dataset"]
+__all__ = ["MAGIC", "VERSION", "HEADER_SIZE", "atomic_write", "save_dataset", "load_dataset"]
 
 MAGIC = b"FLW4"
 VERSION = 1
@@ -52,6 +54,27 @@ _CHANNELS = ("magnitude", "u", "v", "w")
 
 def _channel_bytes(vol) -> bytes:
     return np.asarray(vol.data, dtype="<f4").ravel(order="F").tobytes()
+
+
+def atomic_write(path, chunks) -> None:
+    """Write the byte strings of ``chunks`` to ``path``, all or nothing.
+
+    The bytes go to a temp file in the target directory, which replaces
+    ``path`` only once the last chunk is written; on any failure the temp
+    file is removed and ``path`` keeps what it had.  ``chunks`` is consumed
+    lazily and each chunk is released before the next is made, so a
+    generator keeps one chunk in memory at a time.
+    """
+    path = os.fspath(path)
+    fd, tmp_path = tempfile.mkstemp(prefix=".flowsr-", dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp_path, path)
+    except BaseException:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+        raise
 
 
 def save_dataset(ds: VelocityDataset, path) -> None:
@@ -71,20 +94,8 @@ def save_dataset(ds: VelocityDataset, path) -> None:
         ds.params.venc,
         *grid.spacing,
     )
-    path = os.fspath(path)
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp_path = tempfile.mkstemp(prefix=".flw4-", dir=directory)
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            for frame in ds.frames:
-                for ch in _CHANNELS:
-                    fh.write(_channel_bytes(getattr(frame, ch)))
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    channels = (_channel_bytes(getattr(frame, ch)) for frame in ds.frames for ch in _CHANNELS)
+    atomic_write(path, itertools.chain([header], channels))
 
 
 def load_dataset(path) -> VelocityDataset:

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import flowsr.cli
 from flowsr import EvalReport, load_dataset
 from flowsr.cli import main
+from flowsr.volio import atomic_write
 
 
 def run(*argv):
@@ -66,6 +68,13 @@ class TestSimulate:
         with pytest.raises(SystemExit) as excinfo:
             run("simulate", "--dims", "8,8", "--out", "x.flw4")
         assert excinfo.value.code == 2
+
+    def test_defaults_are_the_pipeline_defaults(self, tmp_path):
+        alone = tmp_path / "hr.flw4"
+        assert run("simulate", "--dims", "16,16,16", "--frames", "2", "--out", str(alone)) == 0
+        assert run("pipeline", "--out-dir", str(tmp_path / "run"), "--dims", "16,16,16",
+                   "--frames", "2", "--factor", "2,2,2") == 0
+        assert alone.read_bytes() == (tmp_path / "run" / "hr.flw4").read_bytes()
 
 
 class TestDegrade:
@@ -138,6 +147,24 @@ class TestEval:
         assert all(r.value == 0.0 for r in report.records if r.metric == "mre_percent")
         assert all(r.value == np.inf for r in report.records if r.metric == "psnr_db")
 
+    def test_failed_write_keeps_the_old_file(self, tmp_path, hr_file, monkeypatch, capsys):
+        out = tmp_path / "metrics.csv"
+        out.write_text("old metrics\n")
+        before = sorted(p.name for p in tmp_path.iterdir())
+
+        def full_disk(path, chunks):
+            def failing():
+                yield from chunks
+                raise OSError("no space left on device")
+
+            atomic_write(path, failing())
+
+        monkeypatch.setattr(flowsr.cli, "atomic_write", full_disk)
+        assert run("eval", "--sr", str(hr_file), "--ref", str(hr_file), "--out", str(out)) == 1
+        assert "no space" in capsys.readouterr().err
+        assert out.read_text() == "old metrics\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
     def test_row_counts_with_baseline(self, tmp_path, hr_file, lr_file):
         sr = tmp_path / "sr.flw4"
         base = tmp_path / "base.flw4"
@@ -203,3 +230,10 @@ class TestPipeline:
         assert run("pipeline", "--out-dir", str(out2), "--config", str(out1 / "effective.cfg")) == 0
         for name in ("hr.flw4", "lr.flw4", "sr_fsr.flw4", "sr_trilinear.flw4", "metrics.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_nonpositive_noise_psnr_means_noiseless(self, tmp_path):
+        out = tmp_path / "run"
+        assert run("pipeline", "--out-dir", str(out), "--dims", "16,16,16", "--frames", "1",
+                   "--factor", "2,2,2", "--noise-psnr", "0") == 0
+        assert "noise_psnr = none\n" in (out / "effective.cfg").read_text()
+        assert (out / "lr.flw4.cal").read_text().startswith("sigma = 0.0\n")

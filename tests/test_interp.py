@@ -83,8 +83,10 @@ class TestUpsampleArray:
             upsample_array(rng.standard_normal((2, 2, 2)), (2, 2, 2), "sinc")
 
     def test_bad_rates(self, rng):
-        with pytest.raises(ParameterError):
-            upsample_array(rng.standard_normal((2, 2, 2)), (0, 1, 1))
+        # a zero rate, and two or four rates for a 3-D array
+        for shape, d in [((2, 2, 2), (0, 1, 1)), ((2, 3, 4), (2, 2)), ((2, 3, 4), (2, 2, 2, 2))]:
+            with pytest.raises(ParameterError):
+                upsample_array(rng.standard_normal(shape), d)
 
 
 class TestSeparableWeights:

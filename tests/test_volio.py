@@ -1,10 +1,12 @@
 import struct
+import weakref
 
 import numpy as np
 import pytest
 
+import flowsr.volio
 from flowsr import FormatError, Grid3, load_dataset, poiseuille_phantom, save_dataset
-from flowsr.volio import HEADER_SIZE, MAGIC, VERSION
+from flowsr.volio import HEADER_SIZE, MAGIC, VERSION, atomic_write
 
 
 @pytest.fixture
@@ -51,6 +53,70 @@ class TestRoundTrip:
         path = tmp_path / "ds.flw4"
         save_dataset(dataset, path)
         assert load_dataset(path).params.venc == 130.0
+
+
+def _failing_chunks(count):
+    """Yield ``count`` chunks, then raise as a full disk would."""
+    for i in range(count):
+        yield b"new chunk %d\n" % i
+    raise OSError("no space left on device")
+
+
+class _Chunk(bytearray):
+    """A bytes-like chunk that a weak reference can watch."""
+
+
+class TestAtomicWrite:
+    def test_failure_keeps_the_old_bytes(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old contents")
+        with pytest.raises(OSError, match="no space"):
+            atomic_write(path, _failing_chunks(2))
+        assert path.read_bytes() == b"old contents"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    def test_failure_creates_no_new_file(self, tmp_path):
+        with pytest.raises(OSError, match="no space"):
+            atomic_write(tmp_path / "out.txt", _failing_chunks(2))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_each_chunk_is_released_before_the_next_is_made(self, tmp_path):
+        refs = []
+
+        def chunks():
+            for i in range(4):
+                assert all(ref() is None for ref in refs), "an earlier chunk is still held"
+                chunk = _Chunk(b"%d" % i)
+                refs.append(weakref.ref(chunk))
+                yield chunk
+                del chunk
+
+        atomic_write(tmp_path / "out.bin", chunks())
+        assert (tmp_path / "out.bin").read_bytes() == b"0123"
+
+    def test_save_dataset_failing_midway_keeps_the_old_file(self, tmp_path, dataset, monkeypatch):
+        path = tmp_path / "ds.flw4"
+        save_dataset(dataset, path)
+        old = path.read_bytes()
+        calls = []
+        real = flowsr.volio._channel_bytes
+
+        def fail_on_third(vol):
+            calls.append(vol)
+            if len(calls) == 3:
+                raise OSError("no space left on device")
+            return real(vol)
+
+        monkeypatch.setattr(flowsr.volio, "_channel_bytes", fail_on_third)
+        with pytest.raises(OSError, match="no space"):
+            save_dataset(dataset, path)
+        assert len(calls) == 3
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.flw4"]
+        calls.clear()
+        with pytest.raises(OSError, match="no space"):
+            save_dataset(dataset, tmp_path / "new.flw4")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.flw4"]
 
 
 def _header(magic=MAGIC, version=VERSION, layout=1, dims=(2, 2, 2), frames=1,
