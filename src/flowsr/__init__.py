@@ -40,7 +40,7 @@ from .metrics import (
 )
 from .oracle import DenseOperators, build_dense, dense_solve
 from .phantom import helix_phantom, poiseuille_phantom, pulsatile_profile
-from .solver import SolverConfig, SolveReport, build_prior, compute_k, fsr_solve, superresolve_dataset
+from .solver import SolverConfig, SolveReport, build_prior, fsr_solve, superresolve_dataset
 from .spectral import (
     FoldedSpectrum,
     KernelSpectrum,
@@ -100,7 +100,6 @@ __all__ = [
     "build_dense",
     "build_prior",
     "calibrate_noise",
-    "compute_k",
     "crop_kspace",
     "degrade_dataset",
     "dense_solve",

@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from .config import RunConfig, format_config_text, parse_config_text
+from .config import RunConfig, _parse_triple, format_config_text, parse_config_text
 from .degrade import KERNEL_KINDS, DegradationConfig, degrade_dataset
 from .errors import FlowSRError
 from .interp import METHODS, upsample_dataset
@@ -26,7 +26,6 @@ from .solver import PRIOR_MODES, SolverConfig, fsr_solve, superresolve_dataset
 from .solver import _per_bin_solve, _rhs_spectrum
 from .spectral import (
     KernelSpectrum,
-    fold_spectrum,
     gaussian_spectrum,
     ideal_lowpass_spectrum,
     ifftn_unitary,
@@ -44,10 +43,7 @@ ORACLE_TOLERANCE = 1e-8
 
 def _triple(kind, minimum=None):
     def parse(text: str):
-        parts = [p for p in text.replace(",", " ").split() if p]
-        if len(parts) != 3:
-            raise ValueError(f"expected 3 comma-separated values, got {text!r}")
-        values = tuple(kind(p) for p in parts)
+        values = _parse_triple(text, kind)
         if minimum is not None and min(values) < minimum:
             raise ValueError(f"values must be >= {minimum}, got {text!r}")
         return values
@@ -232,7 +228,7 @@ def cmd_oracle_check(args) -> int:
                 # negative control: drops the d factor from the per-bin
                 # denominator, the constant the derivation pins down
                 k_spec = _rhs_spectrum(y.data, prior.data, cfg)
-                x_spec = _per_bin_solve(k_spec, fold_spectrum(kernel, factor), tau, 1)
+                x_spec = _per_bin_solve(k_spec, cfg.folded, tau, 1)
                 x_fast = ComplexVolume(hr, ifftn_unitary(x_spec))
             else:
                 x_fast, _ = fsr_solve(y, cfg, prior=prior)
@@ -357,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--factor", type=_triple(int, 1), required=True, metavar="DR,DC,DS")
-    p.add_argument("--noise-psnr", type=float, default=None, help="target PSNR in dB (omit for noiseless)")
+    p.add_argument("--noise-psnr", type=float, default=None, help="target PSNR in dB, 0 included (omit for noiseless)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kernel", choices=KERNEL_KINDS, default="ideal")
     p.add_argument("--kernel-fwhm", type=_triple(float), default=None, metavar="FX,FY,FZ")

@@ -7,6 +7,7 @@ comments and blank lines ignored, keys unordered, unknown keys rejected.
 
 from __future__ import annotations
 
+import typing
 from dataclasses import dataclass, fields
 
 from .degrade import KERNEL_KINDS
@@ -18,14 +19,12 @@ from .solver import PRIOR_MODES
 __all__ = ["RunConfig", "parse_config_text", "format_config_text"]
 
 
-def _parse_triple(text: str, kind, key: str):
-    parts = [p.strip() for p in text.replace(",", " ").split()]
+def _parse_triple(text: str, kind) -> tuple:
+    """Three ``kind`` values separated by commas or blanks; ``ValueError`` otherwise."""
+    parts = text.replace(",", " ").split()
     if len(parts) != 3:
-        raise ConfigError(f"{key}: expected 3 comma-separated values, got {text!r}")
-    try:
-        return tuple(kind(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+        raise ValueError(f"expected 3 comma-separated values, got {text!r}")
+    return tuple(kind(p) for p in parts)
 
 
 @dataclass(frozen=True)
@@ -86,16 +85,23 @@ class RunConfig:
         return 0.35 * min(trans)
 
 
-_TRIPLE_INT = {"dims", "factor"}
-_TRIPLE_FLOAT = {"spacing", "kernel_fwhm"}
-_OPTIONAL = {"kernel_fwhm", "noise_psnr"}
-_INT = {"frames", "seed"}
-_FLOAT = {"venc", "vmax", "radius", "magnitude_in", "magnitude_out", "noise_psnr", "tau", "mask_threshold"}
+def _convert(raw: str, hint):
+    # the field's annotation says how to read it: ``X | None`` also takes
+    # ``none``, ``tuple[T, T, T]`` takes three values, anything else is T(raw)
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if raw.lower() == "none":
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+        args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return _parse_triple(raw, args[0])
+    return hint(raw)
 
 
 def parse_config_text(text: str) -> RunConfig:
     """Parse a key=value config document into a validated RunConfig."""
-    known = {f.name for f in fields(RunConfig)}
+    hints = typing.get_type_hints(RunConfig)
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -106,28 +112,14 @@ def parse_config_text(text: str) -> RunConfig:
         key, _, raw = stripped.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if key not in known:
+        if key not in hints:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        if key in _OPTIONAL and raw.lower() == "none":
-            values[key] = None
-        elif key in _TRIPLE_INT:
-            values[key] = _parse_triple(raw, int, key)
-        elif key in _TRIPLE_FLOAT:
-            values[key] = _parse_triple(raw, float, key)
-        elif key in _INT:
-            try:
-                values[key] = int(raw)
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: {key}: {exc}") from exc
-        elif key in _FLOAT:
-            try:
-                values[key] = float(raw)
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: {key}: {exc}") from exc
-        else:
-            values[key] = raw
+        try:
+            values[key] = _convert(raw, hints[key])
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {key}: {exc}") from exc
     return RunConfig(**values)
 
 

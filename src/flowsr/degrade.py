@@ -22,6 +22,7 @@ import numpy as np
 from .errors import CalibrationError, GridMismatchError, ParameterError
 from .spectral import (
     KernelSpectrum,
+    _box,
     _check_divisible,
     _check_rates,
     adjoint_spectrum,
@@ -30,7 +31,6 @@ from .spectral import (
     ideal_lowpass_spectrum,
     ifftn_unitary,
     inverse_fft,
-    retained_axis_indices,
 )
 from .volume import (
     CHANNELS,
@@ -202,7 +202,7 @@ def degrade_dataset(
     # the ideal kernel at rate 1 is the identity: a transform round trip would
     # turn zero-magnitude voxels into numerical junk with arbitrary phase
     identity = kernel is None and lr_grid.dims == hr.grid.dims
-    box = np.ix_(*(retained_axis_indices(h, l) for h, l in zip(hr.grid.dims, lr_grid.dims)))
+    box = _box(hr.grid.dims, lr_grid.dims)
 
     def clean_channel(frame: VelocityFrame, ch: str) -> ComplexVolume:
         # the noiseless LR result: the retained k-space box for the ideal

@@ -26,7 +26,7 @@ in the test suite.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -60,7 +60,6 @@ __all__ = [
     "SolverConfig",
     "SolveReport",
     "build_prior",
-    "compute_k",
     "fsr_solve",
     "superresolve_dataset",
 ]
@@ -70,12 +69,18 @@ PRIOR_MODES = ("trilinear", "zero-fill")
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Regularization weight, kernel spectrum, decimation rates, prior mode."""
+    """Regularization weight, kernel spectrum, decimation rates, prior mode.
+
+    ``folded`` holds the kernel's alias blocks for the rates ``d``.  They
+    depend on nothing else, so they are built once per config (and again by
+    ``dataclasses.replace``), and every solve under the config shares them.
+    """
 
     tau: float
     kernel: KernelSpectrum
     d: tuple[int, int, int]
     prior: str = "trilinear"
+    folded: FoldedSpectrum = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.tau > 0:
@@ -83,6 +88,7 @@ class SolverConfig:
         object.__setattr__(self, "d", _check_divisible(self.kernel.grid, self.d))
         if self.prior not in PRIOR_MODES:
             raise ParameterError(f"prior must be one of {PRIOR_MODES}, got {self.prior!r}")
+        object.__setattr__(self, "folded", fold_spectrum(self.kernel, self.d))
 
     @property
     def hr_grid(self) -> Grid3:
@@ -124,18 +130,6 @@ def build_prior(y: ComplexVolume, d: tuple[int, int, int], mode: str = "trilinea
     return ComplexVolume(hr_grid, np.sqrt(np.prod(d)) * inverse_fft(padded).data)
 
 
-def compute_k(y: ComplexVolume, prior: ComplexVolume, cfg: SolverConfig) -> ComplexVolume:
-    """Right-hand side of the normal equations: ``H^H S^H y + 2 tau * prior``."""
-    if y.grid.dims != cfg.lr_grid.dims:
-        raise GridMismatchError(f"data grid {y.grid.dims} != config LR grid {cfg.lr_grid.dims}")
-    if prior.grid.dims != cfg.hr_grid.dims:
-        raise GridMismatchError(
-            f"prior grid {prior.grid.dims} != config HR grid {cfg.hr_grid.dims}"
-        )
-    spec = _rhs_spectrum(y.data, prior.data, cfg)
-    return ComplexVolume(prior.grid, ifftn_unitary(spec))
-
-
 def _rhs_spectrum(y_data: np.ndarray, prior_data: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     # H^H S^H y is built in the spectral domain, avoiding a round trip
     # through image space; the prior term is added in place
@@ -162,7 +156,6 @@ def fsr_solve(
     y: ComplexVolume,
     cfg: SolverConfig,
     prior: ComplexVolume | None = None,
-    folded: FoldedSpectrum | None = None,
 ) -> tuple[ComplexVolume, SolveReport]:
     """Exact minimizer of the penalized reconstruction for one complex volume.
 
@@ -171,12 +164,10 @@ def fsr_solve(
     y : ComplexVolume
         Low-resolution complex data.
     cfg : SolverConfig
-        Weight, kernel (on the target high-res grid), rates, prior mode.
+        Weight, kernel (on the target high-res grid), rates, prior mode, and
+        the kernel's alias blocks, built once when the config is made.
     prior : ComplexVolume, optional
         Explicit high-res prior; built per ``cfg.prior`` when omitted.
-    folded : FoldedSpectrum, optional
-        Precomputed alias blocks of ``cfg.kernel``; pass when solving many
-        volumes under one config.
 
     Returns
     -------
@@ -192,12 +183,10 @@ def fsr_solve(
         raise GridMismatchError(
             f"prior grid {prior.grid.dims} != config HR grid {cfg.hr_grid.dims}"
         )
-    if folded is None:
-        folded = fold_spectrum(cfg.kernel, cfg.d)
 
     tau = cfg.tau
     k_spec = _rhs_spectrum(y.data, prior.data, cfg)
-    x_spec = _per_bin_solve(k_spec, folded, tau, float(np.prod(cfg.d)))
+    x_spec = _per_bin_solve(k_spec, cfg.folded, tau, float(np.prod(cfg.d)))
     x_hat = ComplexVolume(y.grid.scaled(cfg.d), ifftn_unitary(x_spec))
 
     residual = apply_SH(x_hat, cfg.kernel, cfg.d).data - y.data
@@ -229,15 +218,10 @@ def superresolve_dataset(
     ``reports`` (when given) collects ``(frame_index, channel, SolveReport)``
     tuples for every solve.
     """
-    if hr_grid.dims != tuple(dim * rate for dim, rate in zip(lr.grid.dims, cfg.d)):
-        raise GridMismatchError(
-            f"hr grid {hr_grid.dims} is not LR grid {lr.grid.dims} scaled by {cfg.d}"
-        )
     if cfg.hr_grid.dims != hr_grid.dims:
         raise GridMismatchError(
             f"solver kernel grid {cfg.hr_grid.dims} does not match hr grid {hr_grid.dims}"
         )
-    folded = fold_spectrum(cfg.kernel, cfg.d)
     venc = lr.params.venc
 
     def sr_channel(f_idx: int, frame: VelocityFrame, ch: str):
@@ -246,7 +230,7 @@ def superresolve_dataset(
         # without the ground-truth aliasing guard
         phase = np.pi * frame.channel(ch).data / venc
         y = ComplexVolume(frame.grid, frame.magnitude.data * np.exp(1j * phase))
-        x_hat, rep = fsr_solve(y, cfg, folded=folded)
+        x_hat, rep = fsr_solve(y, cfg)
         if reports is not None:
             reports.append((f_idx, ch, rep))
         return extract_velocity(x_hat, venc)

@@ -129,17 +129,19 @@ def retained_axis_indices(hr_dim: int, lr_dim: int) -> np.ndarray:
     return np.concatenate([np.arange(lo), np.arange(hr_dim - hi, hr_dim)])
 
 
-def _box_indices(hr: Grid3, lr: Grid3):
-    return tuple(retained_axis_indices(h, l) for h, l in zip(hr.dims, lr.dims))
+def _box(hr_dims, lr_dims):
+    """``np.ix_`` index of the retained box of an ``hr_dims`` spectrum cropped to ``lr_dims``.
+
+    Raises ``ParameterError`` when ``lr_dims`` exceeds ``hr_dims`` on an axis.
+    """
+    return np.ix_(*(retained_axis_indices(h, l) for h, l in zip(hr_dims, lr_dims)))
 
 
 def ideal_lowpass_spectrum(hr: Grid3, d: tuple[int, int, int]) -> KernelSpectrum:
     """0/1 spectrum keeping exactly the retained low-frequency box for rate ``d``."""
     d = _check_divisible(hr, d)
-    lr_dims = tuple(dim // rate for dim, rate in zip(hr.dims, d))
     values = np.zeros(hr.dims)
-    ix, iy, iz = (retained_axis_indices(h, l) for h, l in zip(hr.dims, lr_dims))
-    values[np.ix_(ix, iy, iz)] = 1.0
+    values[_box(hr.dims, hr.decimated(d).dims)] = 1.0
     return KernelSpectrum(hr, values)
 
 
@@ -163,21 +165,13 @@ def gaussian_spectrum(hr: Grid3, fwhm_bins: tuple[float, float, float]) -> Kerne
 
 def crop_kspace(X: ComplexVolume, lr: Grid3) -> ComplexVolume:
     """Copy the retained low-frequency box of a spectrum into an LR-sized spectrum."""
-    for h, l, axis in zip(X.grid.dims, lr.dims, "xyz"):
-        if l > h:
-            raise ParameterError(f"crop target exceeds source on axis {axis}: {l} > {h}")
-    ix, iy, iz = _box_indices(X.grid, lr)
-    return ComplexVolume(lr, X.data[np.ix_(ix, iy, iz)])
+    return ComplexVolume(lr, X.data[_box(X.grid.dims, lr.dims)])
 
 
 def zero_pad_kspace(X: ComplexVolume, hr: Grid3) -> ComplexVolume:
     """Adjoint of :func:`crop_kspace`: place the box back, zeros elsewhere."""
-    for h, l, axis in zip(hr.dims, X.grid.dims, "xyz"):
-        if l > h:
-            raise ParameterError(f"pad target smaller than source on axis {axis}: {h} < {l}")
     out = np.zeros(hr.dims, dtype=np.complex128)
-    ix, iy, iz = _box_indices(hr, X.grid)
-    out[np.ix_(ix, iy, iz)] = X.data
+    out[_box(hr.dims, X.grid.dims)] = X.data
     return ComplexVolume(hr, out)
 
 

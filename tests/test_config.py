@@ -15,6 +15,35 @@ class TestRunConfig:
         rc = RunConfig(dims=(32, 32, 16), factor=(2, 2, 2), noise_psnr=None, tau=0.5)
         assert parse_config_text(format_config_text(rc)) == rc
 
+    def test_round_trip_of_every_field(self):
+        defaults = RunConfig()
+        rc = RunConfig(
+            phantom="helix",
+            dims=(30, 24, 12),
+            frames=3,
+            venc=90.5,
+            vmax=-60.25,
+            radius=4.5,
+            axis="y",
+            magnitude_in=0.75,
+            magnitude_out=0.125,
+            spacing=(1.5, 2.0, 0.5),
+            factor=(3, 2, 1),
+            kernel="gaussian",
+            kernel_fwhm=(7.5, 6.0, 11.0),
+            noise_psnr=None,
+            seed=99,
+            tau=0.3,
+            prior="zero-fill",
+            baseline="tricubic",
+            mask_threshold=0.25,
+        )
+        for f in dataclasses.fields(RunConfig):
+            assert getattr(rc, f.name) != getattr(defaults, f.name), f.name
+        back = parse_config_text(format_config_text(rc))
+        assert back == rc
+        assert repr(back) == repr(rc)  # 30 and 30.0 compare equal; the types must match too
+
     def test_round_trip_preserves_float_precision(self):
         rc = RunConfig(tau=1.0 / 3.0, vmax=119.99999999999)
         assert parse_config_text(format_config_text(rc)) == rc
@@ -65,8 +94,9 @@ class TestParsing:
             parse_config_text("tau 0.5\n")
 
     def test_bad_triple(self):
-        with pytest.raises(ConfigError):
-            parse_config_text("dims = 4,4\n")
+        for line in ("dims = 4,4", "factor = 2,x,2"):
+            with pytest.raises(ConfigError, match="line 2"):
+                parse_config_text(f"tau = 0.5\n{line}\n")
 
     def test_bad_number(self):
         with pytest.raises(ConfigError, match="tau"):

@@ -1,3 +1,4 @@
+import dataclasses
 import sys
 import threading
 
@@ -16,10 +17,10 @@ from flowsr import (
     apply_SH_adjoint,
     build_dense,
     build_prior,
-    compute_k,
     degrade_dataset,
     dense_solve,
     extract_velocity,
+    fold_spectrum,
     fsr_solve,
     gaussian_spectrum,
     helix_phantom,
@@ -63,6 +64,35 @@ class TestSolverConfig:
         with pytest.raises(GridMismatchError):
             SolverConfig(tau=0.1, kernel=kernel, d=(3, 2, 2))
 
+    def test_alias_blocks_are_the_kernels_fold(self):
+        cfg = _cfg((8, 6, 4), (2, 3, 1), "gaussian")
+        ref = fold_spectrum(cfg.kernel, cfg.d)
+        assert np.array_equal(cfg.folded.blocks, ref.blocks)
+        assert np.array_equal(cfg.folded.gram, ref.gram)
+        assert cfg.folded.d == cfg.d
+        for arr in (cfg.folded.blocks, cfg.folded.gram):
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 0
+
+    def test_replace_rebuilds_the_alias_blocks(self):
+        cfg = _cfg((8, 8, 8), (2, 2, 2), "ideal")
+        gauss = gaussian_spectrum(cfg.hr_grid, (3.0, 4.0, 5.0))
+        swapped = dataclasses.replace(cfg, kernel=gauss)
+        ref = fold_spectrum(gauss, cfg.d)
+        assert np.array_equal(swapped.folded.blocks, ref.blocks)
+        assert np.array_equal(swapped.folded.gram, ref.gram)
+        assert not np.array_equal(swapped.folded.blocks, cfg.folded.blocks)
+
+    def test_alias_blocks_are_not_an_argument(self, rng):
+        # the blocks follow from the kernel and rates alone; a solve cannot be
+        # handed blocks of another kernel or other rates
+        cfg = _cfg((8, 8, 8), (2, 2, 2))
+        y = random_complex(cfg.lr_grid, rng)
+        with pytest.raises(TypeError):
+            fsr_solve(y, cfg, folded=cfg.folded)
+        with pytest.raises(TypeError):
+            SolverConfig(tau=0.1, kernel=cfg.kernel, d=cfg.d, folded=cfg.folded)
+
 
 class TestBuildPrior:
     @pytest.mark.parametrize("mode", ["trilinear", "zero-fill"])
@@ -98,36 +128,6 @@ class TestBuildPrior:
         y = ComplexVolume(lr, rng.standard_normal(lr.dims) + 0j)
         prior = build_prior(y, (2, 2, 2), "trilinear")
         assert np.all(prior.data.imag == 0)
-
-
-class TestComputeK:
-    def test_zero_data_gives_scaled_prior(self, rng):
-        cfg = _cfg((4, 4, 4), (2, 2, 2), tau=0.3)
-        lr = Grid3(2, 2, 2)
-        prior = random_complex(Grid3(4, 4, 4), rng)
-        zero = ComplexVolume(lr, np.zeros(lr.dims, complex))
-        k = compute_k(zero, prior, cfg)
-        assert rel_err(k.data, 2 * 0.3 * prior.data) < 1e-12
-
-    def test_zero_prior_gives_adjoint_of_data(self, rng):
-        cfg = _cfg((4, 4, 4), (2, 2, 2))
-        lr, hr = Grid3(2, 2, 2), Grid3(4, 4, 4)
-        y = random_complex(lr, rng)
-        zero = ComplexVolume(hr, np.zeros(hr.dims, complex))
-        k = compute_k(y, zero, cfg)
-        assert rel_err(k.data, apply_SH_adjoint(y, cfg.kernel, cfg.d).data) < 1e-12
-
-    def test_joint_linearity(self, rng):
-        cfg = _cfg((4, 4, 4), (2, 2, 2), tau=0.07)
-        lr, hr = Grid3(2, 2, 2), Grid3(4, 4, 4)
-        y1, y2 = random_complex(lr, rng), random_complex(lr, rng)
-        p1, p2 = random_complex(hr, rng), random_complex(hr, rng)
-        a = 0.9 - 0.4j
-        combined = compute_k(
-            ComplexVolume(lr, a * y1.data + y2.data), ComplexVolume(hr, a * p1.data + p2.data), cfg
-        )
-        split = a * compute_k(y1, p1, cfg).data + compute_k(y2, p2, cfg).data
-        assert rel_err(combined.data, split) < 1e-12
 
 
 ORACLE_CASES = [
@@ -229,15 +229,62 @@ class TestFsrSolve:
                 prior=random_complex(Grid3(2, 2, 2), rng),
             )
 
-    def test_shared_folded_spectrum_gives_same_answer(self, rng):
-        from flowsr import fold_spectrum
+INVARIANT_CASES = [
+    ((8, 6, 4), (2, 2, 2)),
+    ((6, 6, 6), (2, 3, 1)),
+    ((2, 4, 6), (2, 1, 3)),  # a single-voxel LR axis
+    ((6, 10, 4), (3, 5, 2)),
+    ((4, 4, 4), (1, 1, 1)),
+]
+AXES = (0, 1, 2)
 
-        cfg = _cfg((8, 4, 4), (2, 2, 2))
-        y = random_complex(Grid3(4, 2, 2), rng)
-        folded = fold_spectrum(cfg.kernel, cfg.d)
-        x1, _ = fsr_solve(y, cfg)
-        x2, _ = fsr_solve(y, cfg, folded=folded)
-        assert np.array_equal(x1.data, x2.data)
+
+def _solve(cfg, y, prior):
+    x, _ = fsr_solve(ComplexVolume(cfg.lr_grid, y), cfg, prior=ComplexVolume(cfg.hr_grid, prior))
+    return x.data
+
+
+@pytest.mark.parametrize("kind", ["ideal", "gaussian"])
+@pytest.mark.parametrize("dims,d", INVARIANT_CASES)
+class TestFsrSolveInvariants:
+    """Symmetries of the exact minimizer on even, odd and single-voxel LR axes."""
+
+    def _inputs(self, dims, d, kind, rng):
+        cfg = _cfg(dims, d, kind, tau=0.05)
+        return cfg, random_complex(cfg.lr_grid, rng).data, random_complex(cfg.hr_grid, rng).data
+
+    def test_joint_linearity(self, dims, d, kind, rng):
+        cfg, y1, p1 = self._inputs(dims, d, kind, rng)
+        _, y2, p2 = self._inputs(dims, d, kind, rng)
+        a = 0.9 - 0.4j
+        combined = _solve(cfg, a * y1 + y2, a * p1 + p2)
+        assert rel_err(combined, a * _solve(cfg, y1, p1) + _solve(cfg, y2, p2)) < 1e-12
+
+    def test_shift(self, dims, d, kind, rng):
+        # H is circular, so moving the data by s LR voxels moves the
+        # solution by s * d HR voxels when the prior moves with it
+        cfg, y, prior = self._inputs(dims, d, kind, rng)
+        s = (1, -1, 1)
+        hr_shift = tuple(si * di for si, di in zip(s, d))
+        x = _solve(cfg, y, prior)
+        moved = _solve(cfg, np.roll(y, s, AXES), np.roll(prior, hr_shift, AXES))
+        assert rel_err(moved, np.roll(x, hr_shift, AXES)) < 1e-12
+
+    def test_conjugation(self, dims, d, kind, rng):
+        # conj(H x) is H' conj(x) for the kernel K'(f) = conj(K(-f))
+        cfg, y, prior = self._inputs(dims, d, kind, rng)
+        mirrored = np.roll(np.flip(cfg.kernel.values, AXES), 1, AXES)  # K(-f), DC-first
+        cfg_conj = dataclasses.replace(cfg, kernel=KernelSpectrum(cfg.hr_grid, np.conj(mirrored)))
+        x = _solve(cfg, y, prior)
+        assert rel_err(_solve(cfg_conj, np.conj(y), np.conj(prior)), np.conj(x)) < 1e-12
+
+    def test_matches_dense_oracle(self, dims, d, kind, rng):
+        cfg, y, prior = self._inputs(dims, d, kind, rng)
+        ops = build_dense(cfg.hr_grid, cfg)
+        x_ref = dense_solve(
+            ComplexVolume(cfg.lr_grid, y), ComplexVolume(cfg.hr_grid, prior), ops, cfg.tau
+        )
+        assert rel_err(_solve(cfg, y, prior), x_ref.data) < 1e-8
 
 
 class TestSuperresolveDataset:

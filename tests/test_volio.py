@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -93,6 +94,20 @@ class TestAtomicWrite:
 
         atomic_write(tmp_path / "out.bin", chunks())
         assert (tmp_path / "out.bin").read_bytes() == b"0123"
+
+    def test_save_holds_one_float32_copy_of_a_channel(self, tmp_path):
+        ds = poiseuille_phantom(
+            Grid3(32, 32, 32), radius_voxels=10, vmax_per_frame=[80.0, 50.0], venc=130.0
+        )
+        channel_bytes = 4 * ds.grid.voxel_count
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            save_dataset(ds, tmp_path / "ds.flw4")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 1.5 * channel_bytes
 
     def test_save_dataset_failing_midway_keeps_the_old_file(self, tmp_path, dataset, monkeypatch):
         path = tmp_path / "ds.flw4"
