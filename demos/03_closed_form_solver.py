@@ -1,8 +1,8 @@
 """The closed-form solve, checked against dense linear algebra.
 
 The penalized reconstruction has an exact solution: the normal equations
-decouple per low-res frequency bin into rank-one-plus-identity systems once
-the spectrum is folded into its decimation alias blocks.  On grids small
+decouple per low-res frequency bin into rank-one-plus-identity systems over
+the spectrum's decimation alias blocks.  On grids small
 enough to materialize S and H explicitly, the fast path and a direct dense
 solve must agree to rounding; this script shows that, the solve cost at a
 realistic size, and the regularization limits.
@@ -55,4 +55,5 @@ fsr_solve(y64, cfg64)  # warm up
 t0 = time.perf_counter()
 _, rep = fsr_solve(y64, cfg64)
 print(f"\n64^3 x4 solve: {(time.perf_counter() - t0) * 1e3:.0f} ms "
-      "(two high-res 3D FFTs for the solve, two for its diagnostics, plus pointwise work)")
+      "(two high-res 3D FFTs for the solve, one high-res and one low-res for its "
+      "diagnostics, plus pointwise work)")

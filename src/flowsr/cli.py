@@ -23,12 +23,10 @@ from .metrics import EvalReport, evaluate
 from .oracle import build_dense, dense_solve
 from .phantom import PHANTOMS, helix_phantom, poiseuille_phantom, pulsatile_profile
 from .solver import PRIOR_MODES, SolverConfig, fsr_solve, superresolve_dataset
-from .solver import _per_bin_solve, _rhs_spectrum
 from .spectral import (
     KernelSpectrum,
     gaussian_spectrum,
     ideal_lowpass_spectrum,
-    ifftn_unitary,
 )
 from .volio import atomic_write, load_dataset, save_dataset
 from .volume import ComplexVolume, Grid3
@@ -224,14 +222,7 @@ def cmd_oracle_check(args) -> int:
             if ops is None:
                 ops = build_dense(hr, cfg)
             x_ref = dense_solve(y, prior, ops, tau)
-            if args.break_constant:
-                # negative control: drops the d factor from the per-bin
-                # denominator, the constant the derivation pins down
-                k_spec = _rhs_spectrum(y.data, prior.data, cfg)
-                x_spec = _per_bin_solve(k_spec, cfg.folded, tau, 1)
-                x_fast = ComplexVolume(hr, ifftn_unitary(x_spec))
-            else:
-                x_fast, _ = fsr_solve(y, cfg, prior=prior)
+            x_fast, _ = fsr_solve(y, cfg, prior=prior)
             rel = float(
                 np.linalg.norm(x_fast.data - x_ref.data) / np.linalg.norm(x_ref.data)
             )
@@ -392,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", choices=KERNEL_KINDS, default="ideal")
     p.add_argument("--tolerance", type=_positive_float, default=ORACLE_TOLERANCE)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--break-constant", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("pipeline", help="simulate, degrade, super-resolve and evaluate in one run")

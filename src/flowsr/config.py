@@ -52,6 +52,11 @@ class RunConfig:
     mask_threshold: float = 0.1
 
     def __post_init__(self):
+        for name, hint in typing.get_type_hints(RunConfig).items():
+            try:
+                object.__setattr__(self, name, _convert(getattr(self, name), hint))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"{name}: {exc}") from exc
         if self.phantom not in PHANTOMS:
             raise ConfigError(f"phantom must be one of {PHANTOMS}, got {self.phantom!r}")
         if self.kernel not in KERNEL_KINDS:
@@ -85,18 +90,27 @@ class RunConfig:
         return 0.35 * min(trans)
 
 
-def _convert(raw: str, hint):
-    # the field's annotation says how to read it: ``X | None`` also takes
-    # ``none``, ``tuple[T, T, T]`` takes three values, anything else is T(raw)
+def _convert(value, hint, text=False):
+    # the field's annotation says how to hold a value: ``X | None`` also takes
+    # None (``none`` in text), ``tuple[T, T, T]`` takes three values (comma-
+    # or blank-separated in text), anything else is T(value); a value given
+    # in code must equal T(value), so 32.0 becomes 32 while 32.5 and "32" fail
     args = typing.get_args(hint)
     if type(None) in args:
-        if raw.lower() == "none":
+        if value is None or text and value.lower() == "none":
             return None
         (hint,) = (a for a in args if a is not type(None))
         args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
-        return _parse_triple(raw, args[0])
-    return hint(raw)
+        if text:
+            return _parse_triple(value, args[0])
+        if len(value) != 3:
+            raise ValueError(f"expected 3 values, got {value!r}")
+        return tuple(_convert(v, args[0]) for v in value)
+    held = hint(value)
+    if not text and (held != value or isinstance(value, bool)):
+        raise ValueError(f"expected {hint.__name__}, got {value!r}")
+    return held
 
 
 def parse_config_text(text: str) -> RunConfig:
@@ -117,7 +131,7 @@ def parse_config_text(text: str) -> RunConfig:
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
-            values[key] = _convert(raw, hints[key])
+            values[key] = _convert(raw, hints[key], text=True)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {key}: {exc}") from exc
     return RunConfig(**values)

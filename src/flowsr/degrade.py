@@ -26,6 +26,7 @@ from .spectral import (
     _check_divisible,
     _check_rates,
     adjoint_spectrum,
+    alias_sum,
     fftn_unitary,
     gaussian_spectrum,
     ideal_lowpass_spectrum,
@@ -114,8 +115,9 @@ def _check_kernel_and_rates(x_grid: Grid3, kernel: KernelSpectrum, d) -> tuple[i
 def apply_SH(x: ComplexVolume, kernel: KernelSpectrum, d: tuple[int, int, int]) -> ComplexVolume:
     """Filter a high-res volume by the kernel, then keep every d-th voxel (offset 0)."""
     d = _check_kernel_and_rates(x.grid, kernel, d)
-    filtered = ifftn_unitary(kernel.values * fftn_unitary(x.data))
-    return ComplexVolume(x.grid.decimated(d), filtered[:: d[0], :: d[1], :: d[2]])
+    # the kept voxels' spectrum is the filtered one's alias sum over sqrt(d)
+    spec = alias_sum(kernel.values * fftn_unitary(x.data), d) / np.sqrt(np.prod(d))
+    return ComplexVolume(x.grid.decimated(d), ifftn_unitary(spec))
 
 
 def apply_SH_adjoint(
@@ -184,11 +186,11 @@ def degrade_dataset(
     The noise std is calibrated once against the global peak of the
     noiseless LR magnitudes over all frames and channels, so one noise level
     serves the whole dataset.  That calibration pass keeps each channel's
-    noiseless LR-sized result (the retained k-space box for the ideal
-    kernel, the image ``sqrt(d) S H x`` for a general one), and the noisy
-    pass adds noise to it, so every channel is synthesized and filtered
-    once.  The stored LR magnitude comes from the u channel (channel
-    magnitudes differ only through noise and ringing).
+    noiseless LR spectrum (the retained k-space box for the ideal kernel,
+    the filtered spectrum's alias sum, that of ``sqrt(d) S H x``, for a
+    general one), and the noisy pass adds noise to it, so every channel is
+    synthesized and transformed once.  The stored LR magnitude comes from
+    the u channel (channel magnitudes differ only through noise and ringing).
     Note the pipeline scales amplitudes by sqrt(d) relative to a bare
     ``S H``; velocities, living in the phase, are unaffected.
 
@@ -205,31 +207,30 @@ def degrade_dataset(
     box = _box(hr.grid.dims, lr_grid.dims)
 
     def clean_channel(frame: VelocityFrame, ch: str) -> ComplexVolume:
-        # the noiseless LR result: the retained k-space box for the ideal
-        # kernel (the signal itself where that kernel is the identity), the
-        # image sqrt(d) * S H x for a general kernel
+        # the noiseless LR spectrum (the signal itself where the kernel is
+        # the identity); the box gather equals the alias sum of the 0/1
+        # kernel's product bit for bit, at a fraction of its cost
         sig = synthesize_complex(frame.magnitude, frame.channel(ch), venc)
         if identity:
             return sig
-        if kernel is None:
-            return ComplexVolume(lr_grid, fftn_unitary(sig.data)[box])
-        return ComplexVolume(lr_grid, np.sqrt(np.prod(d)) * apply_SH(sig, kernel, d).data)
+        spec = fftn_unitary(sig.data)
+        spec = spec[box] if kernel is None else alias_sum(kernel.values * spec, d)
+        return ComplexVolume(lr_grid, spec)
 
     def clean_image(clean: ComplexVolume) -> ComplexVolume:
-        return inverse_fft(clean) if kernel is None and not identity else clean
+        return clean if identity else inverse_fft(clean)
 
     def noisy_image(clean: ComplexVolume, sigma: float, rng) -> ComplexVolume:
+        spec = fftn_unitary(clean.data) if identity else clean.data
         if kernel is None:
             # literal protocol: noise over the full HR k-space, then
             # truncation; cropping only selects, so adding the cropped draw
             # to the kept box equals cropping the noisy spectrum bit for bit
-            spec = fftn_unitary(clean.data) if identity else clean.data
             noise = _complex_noise(hr.grid.dims, sigma, rng)[box]
         else:
             # white noise on the LR k-space keeps the noise white per the
             # forward model (a subsample after the filter would otherwise
             # fold kernel-shaped noise)
-            spec = fftn_unitary(clean.data)
             noise = _complex_noise(lr_grid.dims, sigma, rng)
         return ComplexVolume(lr_grid, ifftn_unitary(spec + noise))
 

@@ -6,7 +6,7 @@ minimizer of
     0.5 * ||y - S H x||^2  +  tau * ||x - xbar||^2
 
 with xbar an interpolated rough estimate of x.  Because H diagonalizes in
-the unitary Fourier basis and decimation folds the spectrum into d alias
+the unitary Fourier basis and decimation sums the spectrum over its d alias
 blocks per low-res bin, the normal equations split into independent d x d
 rank-one-plus-identity systems, solved exactly per bin:
 
@@ -14,13 +14,13 @@ rank-one-plus-identity systems, solved exactly per bin:
     w(kappa)   = r(kappa) / (2 tau d + sum_b |lam_b(kappa)|^2)
     Xhat_b     = (K_b - conj(lam_b) * w) / (2 tau)
 
-where K is the unitary spectrum of ``H^H S^H y + 2 tau xbar``.  The solve
-itself costs one low-res FFT, the prior's high-res FFT, one high-res inverse
-FFT and pointwise work; no iterations and no large matrix is ever formed.
-The ``SolveReport`` diagnostics apply ``S H`` to the estimate, which adds a
-high-res FFT and a high-res inverse FFT, so a solve runs four high-res
-transforms in all.  Exactness is enforced against a dense brute-force solver
-in the test suite.
+where K is the unitary spectrum of ``H^H S^H y + 2 tau xbar`` and index b
+picks high-res bin ``kappa + b * L``.  The solve itself costs one low-res
+FFT, the prior's high-res FFT, one high-res inverse FFT and pointwise work;
+no iterations and no large matrix is ever formed.  The ``SolveReport``
+diagnostics apply ``S H`` to the estimate, which adds a high-res FFT and a
+low-res inverse FFT: three high-res and two low-res transforms in all.
+Exactness is enforced against a dense brute-force solver in the test suite.
 """
 
 from __future__ import annotations
@@ -37,13 +37,12 @@ from .spectral import (
     KernelSpectrum,
     _check_divisible,
     adjoint_spectrum,
+    alias_sum,
     fftn_unitary,
-    fold_blocks,
     fold_spectrum,
     forward_fft,
     ifftn_unitary,
     inverse_fft,
-    unfold_blocks,
     zero_pad_kspace,
 )
 from .degrade import apply_SH
@@ -71,9 +70,9 @@ PRIOR_MODES = ("trilinear", "zero-fill")
 class SolverConfig:
     """Regularization weight, kernel spectrum, decimation rates, prior mode.
 
-    ``folded`` holds the kernel's alias blocks for the rates ``d``.  They
-    depend on nothing else, so they are built once per config (and again by
-    ``dataclasses.replace``), and every solve under the config shares them.
+    ``folded`` holds the kernel's alias energy for the rates ``d``.  It
+    depends on nothing else, so it is built once per config (and again by
+    ``dataclasses.replace``), and every solve under the config shares it.
     """
 
     tau: float
@@ -138,18 +137,13 @@ def _rhs_spectrum(y_data: np.ndarray, prior_data: np.ndarray, cfg: SolverConfig)
     return rhs
 
 
-def _per_bin_solve(
-    k_spec: np.ndarray, folded: FoldedSpectrum, tau: float, alias_count: float
-) -> np.ndarray:
+def _per_bin_solve(k_spec: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     # the d x d Woodbury solve of every low-res bin, from the right-hand
-    # side's spectrum to the minimizer's; alias_count is the number of alias
-    # blocks d (the oracle check's negative control passes 1)
-    k_blocks = fold_blocks(k_spec, folded.d)
-    lam = folded.blocks
-    reduced = (lam * k_blocks).sum(axis=(0, 1, 2))
-    weights = reduced / (2.0 * tau * alias_count + folded.gram)
-    x_blocks = (k_blocks - np.conj(lam) * weights) / (2.0 * tau)
-    return unfold_blocks(x_blocks)
+    # side's spectrum to the minimizer's, both in high-res bin order
+    lam = cfg.kernel.values
+    weights = alias_sum(lam * k_spec, cfg.d)
+    weights /= 2.0 * cfg.tau * np.prod(cfg.d) + cfg.folded.gram
+    return (k_spec - np.conj(lam) * np.tile(weights, cfg.d)) / (2.0 * cfg.tau)
 
 
 def fsr_solve(
@@ -165,7 +159,7 @@ def fsr_solve(
         Low-resolution complex data.
     cfg : SolverConfig
         Weight, kernel (on the target high-res grid), rates, prior mode, and
-        the kernel's alias blocks, built once when the config is made.
+        the kernel's alias energy, built once when the config is made.
     prior : ComplexVolume, optional
         Explicit high-res prior; built per ``cfg.prior`` when omitted.
 
@@ -186,7 +180,7 @@ def fsr_solve(
 
     tau = cfg.tau
     k_spec = _rhs_spectrum(y.data, prior.data, cfg)
-    x_spec = _per_bin_solve(k_spec, cfg.folded, tau, float(np.prod(cfg.d)))
+    x_spec = _per_bin_solve(k_spec, cfg)
     x_hat = ComplexVolume(y.grid.scaled(cfg.d), ifftn_unitary(x_spec))
 
     residual = apply_SH(x_hat, cfg.kernel, cfg.d).data - y.data

@@ -1,4 +1,4 @@
-"""Unitary 3D Fourier transforms, kernel spectra, k-space crop/pad, alias folding.
+"""Unitary 3D Fourier transforms, kernel spectra, k-space crop/pad, alias sums.
 
 Frequency conventions, fixed once here and reused by every other module:
 
@@ -10,8 +10,9 @@ Frequency conventions, fixed once here and reused by every other module:
   M - 1]``.  Signals are complex-valued, so no Hermitian symmetry is assumed
   or enforced.
 * Subsampling by rate ``d`` per axis keeps voxel index 0 of every block, and
-  folds the spectrum so that low-res bin ``kappa`` aliases high-res bins
-  ``kappa + b * L`` for block index ``b in [0, d)``.
+  sums the spectrum over its alias blocks (:func:`alias_sum`), scaled by
+  ``1/sqrt(d)``: low-res bin ``kappa`` collects high-res bins ``kappa + b * L``
+  for block index ``b in [0, d)``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "gaussian_spectrum",
     "crop_kspace",
     "zero_pad_kspace",
+    "alias_sum",
     "fold_spectrum",
     "adjoint_spectrum",
 ]
@@ -86,16 +88,14 @@ class KernelSpectrum:
 
 @dataclass(frozen=True, eq=False)
 class FoldedSpectrum:
-    """Aliased sub-blocks of a kernel spectrum under decimation.
+    """A kernel spectrum's alias energy under decimation.
 
-    ``blocks[bx, by, bz]`` is the low-res-sized volume of kernel values at
-    high-res bins ``(kx + bx*ml, ky + by*nl, kz + bz*sl)``; ``gram`` is the
-    per-low-res-bin sum of squared magnitudes over all blocks.
+    ``gram`` is the per-low-res-bin sum of the kernel's squared magnitudes
+    over its alias blocks.
     """
 
     lr_grid: Grid3
     d: tuple[int, int, int]
-    blocks: np.ndarray = field(repr=False)  # (dr, dc, ds, ml, nl, sl) complex
     gram: np.ndarray = field(repr=False)  # (ml, nl, sl) real
 
 
@@ -175,36 +175,24 @@ def zero_pad_kspace(X: ComplexVolume, hr: Grid3) -> ComplexVolume:
     return ComplexVolume(hr, out)
 
 
-def fold_blocks(values: np.ndarray, d: tuple[int, int, int]) -> np.ndarray:
-    """Rearrange an HR-shaped array into its (dr, dc, ds, ml, nl, sl) alias blocks."""
+def alias_sum(values: np.ndarray, d: tuple[int, int, int]) -> np.ndarray:
+    """Sum of an HR-shaped array over its alias blocks, LR-shaped.
+
+    Low-res bin ``kappa`` collects high-res bins ``kappa + b * L`` per axis,
+    ``b in [0, d)``.  The adjoint is ``np.tile`` over the blocks.
+    """
     dr, dc, ds = d
     mh, nh, sh = values.shape
-    ml, nl, sl = mh // dr, nh // dc, sh // ds
     # axis split f -> (b, kappa) with f = b * L + kappa
-    return values.reshape(dr, ml, dc, nl, ds, sl).transpose(0, 2, 4, 1, 3, 5)
-
-
-def unfold_blocks(blocks: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`fold_blocks`."""
-    dr, dc, ds, ml, nl, sl = blocks.shape
-    return blocks.transpose(0, 3, 1, 4, 2, 5).reshape(dr * ml, dc * nl, ds * sl)
+    return values.reshape(dr, mh // dr, dc, nh // dc, ds, sh // ds).sum(axis=(0, 2, 4))
 
 
 def fold_spectrum(spec: KernelSpectrum, d: tuple[int, int, int]) -> FoldedSpectrum:
-    """Partition a kernel spectrum into its decimation alias blocks.
-
-    Block ``b`` holds the kernel value at high-res bin ``kappa + b * L`` per
-    axis for every low-res bin ``kappa`` (a pure re-indexing of the spectrum),
-    and ``gram`` accumulates ``sum_b |block_b|^2``.
-    """
+    """The alias energy ``gram = sum_b |K(kappa + b * L)|^2`` of a kernel spectrum."""
     d = _check_divisible(spec.grid, d)
-    lr = spec.grid.decimated(d)
-    blocks = np.ascontiguousarray(fold_blocks(spec.values, d))
-    gram = np.abs(blocks) ** 2
-    gram = gram.sum(axis=(0, 1, 2))
-    blocks.setflags(write=False)
+    gram = alias_sum(np.abs(spec.values) ** 2, d)
     gram.setflags(write=False)
-    return FoldedSpectrum(lr, d, blocks, gram)
+    return FoldedSpectrum(spec.grid.decimated(d), d, gram)
 
 
 def adjoint_spectrum(y_spec: np.ndarray, kernel: KernelSpectrum, d: tuple[int, int, int]) -> np.ndarray:

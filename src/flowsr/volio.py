@@ -33,7 +33,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, ParameterError
 from .volume import (
     AcquisitionParams,
     Grid3,
@@ -52,9 +52,13 @@ HEADER_SIZE = _HEADER.size  # 56
 _CHANNELS = ("magnitude", "u", "v", "w")
 
 
-def _channel_bytes(vol) -> np.ndarray:
+def _channel_bytes(frame: VelocityFrame, f_idx: int, channel: str) -> np.ndarray:
     # one float32 copy in file order; the flat view of it is the chunk's buffer
-    return np.asfortranarray(vol.data, dtype="<f4").ravel(order="F")
+    with np.errstate(over="ignore"):  # overflow is reported below, by channel
+        data = np.asfortranarray(getattr(frame, channel).data, dtype="<f4").ravel(order="F")
+    if not np.isfinite(data).all():
+        raise ParameterError(f"frame {f_idx} channel {channel} overflows float32")
+    return data
 
 
 def atomic_write(path, chunks) -> None:
@@ -81,7 +85,8 @@ def atomic_write(path, chunks) -> None:
 def save_dataset(ds: VelocityDataset, path) -> None:
     """Write a dataset to ``path`` atomically in the version-1 format.
 
-    Samples are stored as float32; values must survive that cast finitely.
+    Samples are stored as float32; a channel with values beyond its range
+    raises ``ParameterError`` and leaves ``path`` as it was.
     """
     grid = ds.grid
     header = _HEADER.pack(
@@ -95,7 +100,7 @@ def save_dataset(ds: VelocityDataset, path) -> None:
         ds.params.venc,
         *grid.spacing,
     )
-    channels = (_channel_bytes(getattr(frame, ch)) for frame in ds.frames for ch in _CHANNELS)
+    channels = (_channel_bytes(f, i, ch) for i, f in enumerate(ds.frames) for ch in _CHANNELS)
     atomic_write(path, itertools.chain([header], channels))
 
 

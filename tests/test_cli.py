@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import flowsr.cli
+import flowsr.solver
 from flowsr import EvalReport, load_dataset
 from flowsr.cli import main
+from flowsr.spectral import alias_sum
 from flowsr.volio import atomic_write
 
 
@@ -190,8 +192,16 @@ class TestOracleCheck:
         assert run("oracle-check", "--dims", "6,6,6", "--factor", "2,2,1",
                    "--kernel", "gaussian", "--tau", "0.001") == 0
 
-    def test_break_constant_fails_loudly(self, capsys):
-        code = run("oracle-check", "--dims", "8,8,8", "--factor", "2,2,2", "--break-constant")
+    def test_break_constant_fails_loudly(self, capsys, monkeypatch):
+        # negative control: a per-bin solve that drops the prod(d) factor from
+        # its denominator, the constant the derivation pins down
+        def broken(k_spec, cfg):
+            lam = cfg.kernel.values
+            weights = alias_sum(lam * k_spec, cfg.d) / (2.0 * cfg.tau + cfg.folded.gram)
+            return (k_spec - np.conj(lam) * np.tile(weights, cfg.d)) / (2.0 * cfg.tau)
+
+        monkeypatch.setattr(flowsr.solver, "_per_bin_solve", broken)
+        code = run("oracle-check", "--dims", "8,8,8", "--factor", "2,2,2")
         assert code == 1
         captured = capsys.readouterr()
         assert "FAIL" in captured.out + captured.err

@@ -63,6 +63,32 @@ class TestRunConfig:
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
 
+    def test_integral_floats_become_ints(self):
+        rc = RunConfig(dims=(32.0, 32.0, 32.0), frames=2.0, factor=[2, 2, 2], venc=150)
+        assert rc.dims == (32, 32, 32) and rc.factor == (2, 2, 2)
+        assert type(rc.frames) is int and type(rc.venc) is float
+        back = parse_config_text(format_config_text(rc))
+        assert back == rc
+        assert repr(back) == repr(rc)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"dims": (32.5, 32, 32)},
+            {"frames": 2.5},
+            {"frames": "2"},
+            {"tau": "0.5"},
+            {"dims": "32,32,32"},
+            {"noise_psnr": "none"},
+            {"phantom": 1},
+            {"frames": True},
+            {"kernel_fwhm": (1.0, 2.0)},
+        ],
+    )
+    def test_fields_hold_to_their_annotations(self, kwargs):
+        with pytest.raises(ConfigError, match=next(iter(kwargs))):
+            RunConfig(**kwargs)
+
     def test_effective_radius_auto(self):
         # smallest transverse dim: for axis z that is min(m, n)
         rc = RunConfig(dims=(64, 32, 16), axis="z", factor=(1, 1, 1))

@@ -23,6 +23,7 @@ from flowsr import (
     poiseuille_phantom,
     synthesize_complex,
 )
+from flowsr.spectral import alias_sum
 
 from conftest import random_complex, rel_err
 
@@ -62,6 +63,19 @@ class TestApplySH:
         combo = apply_SH(ComplexVolume(g, a * x.data + b * y.data), kernel, d)
         split = a * apply_SH(x, kernel, d).data + b * apply_SH(y, kernel, d).data
         assert rel_err(combo.data, split) < 1e-12
+
+    @pytest.mark.parametrize(
+        "hr,d", [((6, 10, 4), (3, 5, 2)), ((5, 7, 3), (1, 1, 1)), ((8, 6, 4), (2, 3, 1))]
+    )
+    def test_matches_filter_then_subsample(self, hr, d, rng):
+        # the operator by its definition: filter in image space, keep voxel 0
+        # of every d-block
+        grid = Grid3(*hr)
+        x = random_complex(grid, rng)
+        for kernel in _kernels(hr, d):
+            filtered = np.fft.ifftn(kernel.values * np.fft.fftn(x.data, norm="ortho"), norm="ortho")
+            literal = filtered[:: d[0], :: d[1], :: d[2]]
+            assert rel_err(apply_SH(x, kernel, d).data, literal) < 1e-12
 
     @pytest.mark.parametrize("hr,d", SH_CONFIGS)
     def test_crop_pipeline_equals_sqrt_d_times_sh(self, hr, d, rng):
@@ -207,8 +221,8 @@ class TestDegradeDataset:
                 if kernel_kind == "ideal":
                     spec = forward_fft(sig)  # noise over the full HR k-space
                 else:
-                    clean = apply_SH(sig, cfg.kernel_spectrum(hr.grid), d).data
-                    spec = forward_fft(ComplexVolume(lr_grid, np.sqrt(np.prod(d)) * clean))
+                    kernel = cfg.kernel_spectrum(hr.grid).values
+                    spec = ComplexVolume(lr_grid, alias_sum(kernel * forward_fft(sig).data, d))
                 shape = spec.grid.dims
                 noise = cal.sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
                 noisy = crop_kspace(ComplexVolume(spec.grid, spec.data + noise), lr_grid)
@@ -216,6 +230,32 @@ class TestDegradeDataset:
                 assert np.array_equal(f_lr.channel(ch).data, vel.data)
                 if ch == "u":
                     assert np.array_equal(f_lr.magnitude.data, mag.data)
+
+    def test_gaussian_matches_the_image_domain_sequence(self):
+        # filter and subsample in image space, rescale by sqrt(d), transform,
+        # add LR k-space noise, transform back
+        hr = helix_phantom(
+            Grid3(8, 8, 4), radius_voxels=3, vmax_per_frame=[90.0, 60.0], venc=150.0,
+            magnitude_out=0.2, frame_interval=0.04,
+        )
+        d = (2, 2, 1)
+        cfg = DegradationConfig(d=d, kernel="gaussian", noise_psnr_db=15.0, rng_seed=7)
+        lr, cal = degrade_dataset(hr, cfg)
+        kernel = cfg.kernel_spectrum(hr.grid).values
+        for f_idx, (f_hr, f_lr) in enumerate(zip(hr.frames, lr.frames)):
+            for c_idx, ch in enumerate(("u", "v", "w")):
+                rng = np.random.default_rng([cfg.rng_seed, f_idx, c_idx])
+                sig = _frame_signal(f_hr, ch, hr.params.venc).data
+                filtered = np.fft.ifftn(kernel * np.fft.fftn(sig, norm="ortho"), norm="ortho")
+                clean = np.sqrt(np.prod(d)) * filtered[:: d[0], :: d[1], :: d[2]]
+                shape = clean.shape
+                noise = cal.sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                noisy = np.fft.ifftn(np.fft.fftn(clean, norm="ortho") + noise, norm="ortho")
+                expected = ComplexVolume(lr.grid, noisy)
+                mag, vel = extract_velocity(expected, hr.params.venc)
+                assert rel_err(f_lr.channel(ch).data, vel.data) < 1e-12
+                if ch == "u":
+                    assert rel_err(f_lr.magnitude.data, mag.data) < 1e-12
 
     @pytest.mark.parametrize("kernel_kind", ["ideal", "gaussian"])
     def test_noisy_run_synthesizes_each_channel_once(self, kernel_kind, monkeypatch):

@@ -1,9 +1,11 @@
+import collections
 import dataclasses
 import sys
 import threading
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from flowsr import (
     ComplexVolume,
@@ -67,25 +69,22 @@ class TestSolverConfig:
     def test_alias_blocks_are_the_kernels_fold(self):
         cfg = _cfg((8, 6, 4), (2, 3, 1), "gaussian")
         ref = fold_spectrum(cfg.kernel, cfg.d)
-        assert np.array_equal(cfg.folded.blocks, ref.blocks)
         assert np.array_equal(cfg.folded.gram, ref.gram)
         assert cfg.folded.d == cfg.d
-        for arr in (cfg.folded.blocks, cfg.folded.gram):
-            with pytest.raises(ValueError):
-                arr[(0,) * arr.ndim] = 0
+        with pytest.raises(ValueError):
+            cfg.folded.gram[0, 0, 0] = 0
 
     def test_replace_rebuilds_the_alias_blocks(self):
         cfg = _cfg((8, 8, 8), (2, 2, 2), "ideal")
         gauss = gaussian_spectrum(cfg.hr_grid, (3.0, 4.0, 5.0))
         swapped = dataclasses.replace(cfg, kernel=gauss)
         ref = fold_spectrum(gauss, cfg.d)
-        assert np.array_equal(swapped.folded.blocks, ref.blocks)
         assert np.array_equal(swapped.folded.gram, ref.gram)
-        assert not np.array_equal(swapped.folded.blocks, cfg.folded.blocks)
+        assert not np.array_equal(swapped.folded.gram, cfg.folded.gram)
 
     def test_alias_blocks_are_not_an_argument(self, rng):
-        # the blocks follow from the kernel and rates alone; a solve cannot be
-        # handed blocks of another kernel or other rates
+        # the alias energy follows from the kernel and rates alone; a solve
+        # cannot be handed that of another kernel or other rates
         cfg = _cfg((8, 8, 8), (2, 2, 2))
         y = random_complex(cfg.lr_grid, rng)
         with pytest.raises(TypeError):
@@ -285,6 +284,42 @@ class TestFsrSolveInvariants:
             ComplexVolume(cfg.lr_grid, y), ComplexVolume(cfg.hr_grid, prior), ops, cfg.tau
         )
         assert rel_err(_solve(cfg, y, prior), x_ref.data) < 1e-8
+
+
+class TestFftBudget:
+    """Transforms per solve and per degraded channel, counted by array shape.
+
+    ``flowsr.spectral`` calls ``scipy.fft.fftn``/``ifftn`` through the module,
+    so patching the module attributes sees every transform.
+    """
+
+    @pytest.fixture
+    def fft_shapes(self, monkeypatch):
+        shapes = collections.Counter()
+        for name in ("fftn", "ifftn"):
+            def counting(a, *args, _original=getattr(scipy.fft, name), **kwargs):
+                shapes[np.shape(a)] += 1
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(scipy.fft, name, counting)
+        return shapes
+
+    @pytest.mark.parametrize(
+        "prior, hr_count, lr_count", [("trilinear", 3, 2), ("zero-fill", 4, 3)]
+    )
+    def test_solve(self, fft_shapes, prior, hr_count, lr_count, rng):
+        cfg = _cfg((8, 6, 4), (2, 3, 1), "gaussian", prior=prior)
+        fsr_solve(random_complex(cfg.lr_grid, rng), cfg)
+        assert fft_shapes == {cfg.hr_grid.dims: hr_count, cfg.lr_grid.dims: lr_count}
+
+    def test_noisy_gaussian_degrade(self, fft_shapes):
+        hr = helix_phantom(Grid3(8, 8, 4), radius_voxels=3, vmax_per_frame=[90.0, 60.0], venc=150.0)
+        cfg = DegradationConfig(d=(2, 2, 1), kernel="gaussian", noise_psnr_db=15.0)
+        degrade_dataset(hr, cfg)
+        channels = len(hr.frames) * 3
+        # one HR transform per channel; the calibration and noisy passes each
+        # take one LR inverse transform
+        assert fft_shapes == {(8, 8, 4): channels, (4, 4, 4): 2 * channels}
 
 
 class TestSuperresolveDataset:

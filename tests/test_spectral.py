@@ -15,7 +15,7 @@ from flowsr import (
     inverse_fft,
     zero_pad_kspace,
 )
-from flowsr.spectral import fold_blocks, retained_axis_indices, unfold_blocks
+from flowsr.spectral import alias_sum, retained_axis_indices
 
 from conftest import random_complex, rel_err
 
@@ -188,51 +188,57 @@ class TestCropPad:
             zero_pad_kspace(X, Grid3(2, 4, 4))
 
 
+class TestAliasSum:
+    def test_against_enumeration(self, rng):
+        # LR bin kappa collects the HR bins kappa + b*L of every block b
+        g = Grid3(8, 4, 6)
+        d = (2, 2, 3)
+        values = rng.standard_normal(g.dims) + 1j * rng.standard_normal(g.dims)
+        ml, nl, sl = 4, 2, 2
+        got = alias_sum(values, d)
+        assert got.shape == (ml, nl, sl)
+        for kx in range(ml):
+            for ky in range(nl):
+                for kz in range(sl):
+                    ref = sum(
+                        values[kx + bx * ml, ky + by * nl, kz + bz * sl]
+                        for bx in range(d[0])
+                        for by in range(d[1])
+                        for bz in range(d[2])
+                    )
+                    assert abs(got[kx, ky, kz] - ref) <= 1e-12 * abs(ref)
+
+    @pytest.mark.parametrize(
+        "dims, d",
+        [
+            ((9, 5, 7), (3, 5, 7)),
+            ((6, 10, 4), (3, 5, 2)),
+            ((15, 3, 5), (5, 1, 1)),
+            ((5, 7, 3), (1, 1, 1)),
+        ],
+    )
+    def test_adjoint_is_tiling(self, dims, d, rng):
+        a = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+        lr = tuple(n // r for n, r in zip(dims, d))
+        b = rng.standard_normal(lr) + 1j * rng.standard_normal(lr)
+        lhs = np.vdot(alias_sum(a, d), b)
+        rhs = np.vdot(a, np.tile(b, d))
+        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+
 class TestFolding:
     def test_identity_spectrum_1d_example(self):
         spec = KernelSpectrum(Grid3(4, 1, 1), np.ones((4, 1, 1)))
         folded = fold_spectrum(spec, (2, 1, 1))
-        assert folded.blocks.shape == (2, 1, 1, 2, 1, 1)
-        assert np.all(folded.blocks == 1.0)
+        assert folded.gram.shape == (2, 1, 1)
         assert np.all(folded.gram == 2.0)
 
     def test_no_decimation_single_block(self, rng):
         g = Grid3(4, 3, 2)
         values = rng.standard_normal(g.dims) + 1j * rng.standard_normal(g.dims)
         folded = fold_spectrum(KernelSpectrum(g, values), (1, 1, 1))
-        assert folded.blocks.shape == (1, 1, 1) + g.dims
-        assert np.allclose(folded.blocks[0, 0, 0], values)
+        assert folded.gram.shape == g.dims
         assert np.allclose(folded.gram, np.abs(values) ** 2)
-
-    def test_block_indexing_against_enumeration(self, rng):
-        # block b at LR bin kappa must hold the value at HR bin kappa + b*L
-        g = Grid3(8, 4, 6)
-        d = (2, 2, 3)
-        values = rng.standard_normal(g.dims) + 1j * rng.standard_normal(g.dims)
-        folded = fold_spectrum(KernelSpectrum(g, values), d)
-        ml, nl, sl = 4, 2, 2
-        for bx in range(d[0]):
-            for by in range(d[1]):
-                for bz in range(d[2]):
-                    for kx in range(ml):
-                        for ky in range(nl):
-                            for kz in range(sl):
-                                assert (
-                                    folded.blocks[bx, by, bz, kx, ky, kz]
-                                    == values[kx + bx * ml, ky + by * nl, kz + bz * sl]
-                                )
-
-    def test_fold_is_bijective_reindexing(self, rng):
-        g = Grid3(8, 6, 4)
-        values = rng.standard_normal(g.dims) + 1j * rng.standard_normal(g.dims)
-        folded = fold_spectrum(KernelSpectrum(g, values), (2, 3, 2))
-        assert np.array_equal(
-            np.sort_complex(folded.blocks.ravel()), np.sort_complex(values.ravel())
-        )
-
-    def test_unfold_inverts_fold(self, rng):
-        a = rng.standard_normal((8, 6, 4)) + 1j * rng.standard_normal((8, 6, 4))
-        assert np.array_equal(unfold_blocks(fold_blocks(a, (2, 3, 2))), a)
 
     def test_ideal_lowpass_gram_is_one_everywhere(self):
         # brute-force: every LR bin retains exactly one alias of the box
@@ -255,7 +261,15 @@ class TestFolding:
 
     def test_gram_matches_blocks(self, rng):
         g = Grid3(6, 6, 4)
+        d = (3, 2, 2)
         values = rng.standard_normal(g.dims) + 1j * rng.standard_normal(g.dims)
-        folded = fold_spectrum(KernelSpectrum(g, values), (3, 2, 2))
-        assert rel_err(folded.gram, (np.abs(folded.blocks) ** 2).sum(axis=(0, 1, 2))) < 1e-12
+        folded = fold_spectrum(KernelSpectrum(g, values), d)
+        ml, nl, sl = 2, 3, 2
+        ref = sum(
+            np.abs(values[bx * ml:(bx + 1) * ml, by * nl:(by + 1) * nl, bz * sl:(bz + 1) * sl]) ** 2
+            for bx in range(d[0])
+            for by in range(d[1])
+            for bz in range(d[2])
+        )
+        assert rel_err(folded.gram, ref) < 1e-12
         assert np.all(folded.gram >= 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 import tracemalloc
 import weakref
@@ -6,7 +7,15 @@ import numpy as np
 import pytest
 
 import flowsr.volio
-from flowsr import FormatError, Grid3, load_dataset, poiseuille_phantom, save_dataset
+from flowsr import (
+    FormatError,
+    Grid3,
+    ParameterError,
+    ScalarVolume,
+    load_dataset,
+    poiseuille_phantom,
+    save_dataset,
+)
 from flowsr.volio import HEADER_SIZE, MAGIC, VERSION, atomic_write
 
 
@@ -109,6 +118,21 @@ class TestAtomicWrite:
             tracemalloc.stop()
         assert peak - base <= 1.5 * channel_bytes
 
+    def test_save_refuses_samples_beyond_float32(self, tmp_path, dataset):
+        # a channel that overflows float32 would write a file that
+        # load_dataset rejects as non-finite
+        path = tmp_path / "ds.flw4"
+        save_dataset(dataset, path)
+        old = path.read_bytes()
+        frames = list(dataset.frames)
+        huge = ScalarVolume(dataset.grid, np.full(dataset.grid.dims, 1e39))
+        frames[1] = dataclasses.replace(frames[1], v=huge)
+        bad = dataclasses.replace(dataset, frames=tuple(frames))
+        with pytest.raises(ParameterError, match="frame 1 channel v"):
+            save_dataset(bad, path)
+        assert path.read_bytes() == old
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.flw4"]
+
     def test_save_dataset_failing_midway_keeps_the_old_file(self, tmp_path, dataset, monkeypatch):
         path = tmp_path / "ds.flw4"
         save_dataset(dataset, path)
@@ -116,11 +140,11 @@ class TestAtomicWrite:
         calls = []
         real = flowsr.volio._channel_bytes
 
-        def fail_on_third(vol):
-            calls.append(vol)
+        def fail_on_third(*args):
+            calls.append(args)
             if len(calls) == 3:
                 raise OSError("no space left on device")
-            return real(vol)
+            return real(*args)
 
         monkeypatch.setattr(flowsr.volio, "_channel_bytes", fail_on_third)
         with pytest.raises(OSError, match="no space"):
