@@ -55,5 +55,5 @@ fsr_solve(y64, cfg64)  # warm up
 t0 = time.perf_counter()
 _, rep = fsr_solve(y64, cfg64)
 print(f"\n64^3 x4 solve: {(time.perf_counter() - t0) * 1e3:.0f} ms "
-      "(two high-res 3D FFTs for the solve, one high-res and one low-res for its "
-      "diagnostics, plus pointwise work)")
+      "(one low-res and two high-res 3D FFTs, one of them the prior's, plus "
+      "pointwise work; the report adds no transform)")

@@ -42,7 +42,6 @@ from .oracle import DenseOperators, build_dense, dense_solve
 from .phantom import helix_phantom, poiseuille_phantom, pulsatile_profile
 from .solver import SolverConfig, SolveReport, build_prior, fsr_solve, superresolve_dataset
 from .spectral import (
-    FoldedSpectrum,
     KernelSpectrum,
     crop_kspace,
     fold_spectrum,
@@ -50,7 +49,6 @@ from .spectral import (
     gaussian_spectrum,
     ideal_lowpass_spectrum,
     inverse_fft,
-    zero_pad_kspace,
 )
 from .volio import load_dataset, save_dataset
 from .volume import (
@@ -80,7 +78,6 @@ __all__ = [
     "EvalReport",
     "FlowMask",
     "FlowSRError",
-    "FoldedSpectrum",
     "FormatError",
     "Grid3",
     "GridMismatchError",
@@ -127,5 +124,4 @@ __all__ = [
     "upsample_dataset",
     "upsample_velocity",
     "velocity_to_phase",
-    "zero_pad_kspace",
 ]

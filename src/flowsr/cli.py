@@ -51,8 +51,8 @@ def _triple(kind, minimum=None):
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise ValueError(f"must be > 0, got {text!r}")
+    if not 0 < value < np.inf:
+        raise ValueError(f"must be finite and > 0, got {text!r}")
     return value
 
 

@@ -74,12 +74,12 @@ class RunConfig:
                 raise ConfigError(f"factor {self.factor} does not divide dims {self.dims}")
         if self.frames < 1:
             raise ConfigError(f"frames must be >= 1, got {self.frames}")
-        if not self.venc > 0:
-            raise ConfigError(f"venc must be > 0, got {self.venc}")
+        if not 0 < self.venc < float("inf"):
+            raise ConfigError(f"venc must be finite and > 0, got {self.venc}")
         if not 0 < abs(self.vmax) < self.venc:
             raise ConfigError(f"vmax must satisfy 0 < |vmax| < venc, got {self.vmax}")
-        if not self.tau > 0:
-            raise ConfigError(f"tau must be > 0, got {self.tau}")
+        if not 0 < self.tau < float("inf"):
+            raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
         if not 0 < self.mask_threshold < 1:
             raise ConfigError(f"mask_threshold must be in (0, 1), got {self.mask_threshold}")
 

@@ -15,12 +15,13 @@ rank-one-plus-identity systems, solved exactly per bin:
     Xhat_b     = (K_b - conj(lam_b) * w) / (2 tau)
 
 where K is the unitary spectrum of ``H^H S^H y + 2 tau xbar`` and index b
-picks high-res bin ``kappa + b * L``.  The solve itself costs one low-res
-FFT, the prior's high-res FFT, one high-res inverse FFT and pointwise work;
-no iterations and no large matrix is ever formed.  The ``SolveReport``
-diagnostics apply ``S H`` to the estimate, which adds a high-res FFT and a
-low-res inverse FFT: three high-res and two low-res transforms in all.
-Exactness is enforced against a dense brute-force solver in the test suite.
+picks high-res bin ``kappa + b * L``.  No iterations and no large matrix:
+a trilinear solve takes one low-res FFT, one high-res FFT (of the prior)
+and one high-res inverse FFT; a zero-fill solve, whose prior spectrum is
+the data's spectrum in the retained box, skips the high-res FFT.  The
+``SolveReport`` diagnostics come from the same spectra by Parseval and add
+no transform.  Exactness is enforced against a dense brute-force solver in
+the test suite.
 """
 
 from __future__ import annotations
@@ -33,19 +34,16 @@ import numpy as np
 from .errors import GridMismatchError, ParameterError
 from .interp import upsample_array
 from .spectral import (
-    FoldedSpectrum,
     KernelSpectrum,
+    _box,
     _check_divisible,
     adjoint_spectrum,
     alias_sum,
     fftn_unitary,
     fold_spectrum,
-    forward_fft,
     ifftn_unitary,
-    inverse_fft,
-    zero_pad_kspace,
 )
-from .degrade import apply_SH
+from .degrade import apply_SH  # noqa: F401  unused, but perfbench traces solver.apply_SH
 from .volume import (
     ComplexVolume,
     Grid3,
@@ -70,7 +68,7 @@ PRIOR_MODES = ("trilinear", "zero-fill")
 class SolverConfig:
     """Regularization weight, kernel spectrum, decimation rates, prior mode.
 
-    ``folded`` holds the kernel's alias energy for the rates ``d``.  It
+    ``gram`` holds the kernel's alias energy for the rates ``d``.  It
     depends on nothing else, so it is built once per config (and again by
     ``dataclasses.replace``), and every solve under the config shares it.
     """
@@ -79,15 +77,15 @@ class SolverConfig:
     kernel: KernelSpectrum
     d: tuple[int, int, int]
     prior: str = "trilinear"
-    folded: FoldedSpectrum = field(init=False, repr=False, compare=False)
+    gram: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ParameterError(f"tau must be > 0, got {self.tau}")
+        if not 0 < self.tau < np.inf:
+            raise ParameterError(f"tau must be finite and > 0, got {self.tau}")
         object.__setattr__(self, "d", _check_divisible(self.kernel.grid, self.d))
         if self.prior not in PRIOR_MODES:
             raise ParameterError(f"prior must be one of {PRIOR_MODES}, got {self.prior!r}")
-        object.__setattr__(self, "folded", fold_spectrum(self.kernel, self.d))
+        object.__setattr__(self, "gram", fold_spectrum(self.kernel, self.d))
 
     @property
     def hr_grid(self) -> Grid3:
@@ -125,16 +123,16 @@ def build_prior(y: ComplexVolume, d: tuple[int, int, int], mode: str = "trilinea
     hr_grid = y.grid.scaled(d)
     if mode == "trilinear":
         return ComplexVolume(hr_grid, upsample_array(y.data, d))
-    padded = zero_pad_kspace(forward_fft(y), hr_grid)
-    return ComplexVolume(hr_grid, np.sqrt(np.prod(d)) * inverse_fft(padded).data)
+    return ComplexVolume(hr_grid, ifftn_unitary(_zero_fill_spectrum(fftn_unitary(y.data), d)))
 
 
-def _rhs_spectrum(y_data: np.ndarray, prior_data: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    # H^H S^H y is built in the spectral domain, avoiding a round trip
-    # through image space; the prior term is added in place
-    rhs = adjoint_spectrum(fftn_unitary(y_data), cfg.kernel, cfg.d)
-    rhs += 2.0 * cfg.tau * fftn_unitary(prior_data)
-    return rhs
+def _zero_fill_spectrum(y_spec: np.ndarray, d: tuple[int, int, int]) -> np.ndarray:
+    # the zero-fill prior's spectrum: sqrt(d) times the low-res spectrum in
+    # the retained box of an otherwise zero high-res spectrum
+    hr_dims = tuple(n * rate for n, rate in zip(y_spec.shape, d))
+    spec = np.zeros(hr_dims, dtype=np.complex128)
+    spec[_box(hr_dims, y_spec.shape)] = np.sqrt(np.prod(d)) * y_spec
+    return spec
 
 
 def _per_bin_solve(k_spec: np.ndarray, cfg: SolverConfig) -> np.ndarray:
@@ -142,7 +140,7 @@ def _per_bin_solve(k_spec: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     # side's spectrum to the minimizer's, both in high-res bin order
     lam = cfg.kernel.values
     weights = alias_sum(lam * k_spec, cfg.d)
-    weights /= 2.0 * cfg.tau * np.prod(cfg.d) + cfg.folded.gram
+    weights /= 2.0 * cfg.tau * np.prod(cfg.d) + cfg.gram
     return (k_spec - np.conj(lam) * np.tile(weights, cfg.d)) / (2.0 * cfg.tau)
 
 
@@ -171,26 +169,35 @@ def fsr_solve(
     t0 = time.perf_counter()
     if y.grid.dims != cfg.lr_grid.dims:
         raise GridMismatchError(f"data grid {y.grid.dims} != config LR grid {cfg.lr_grid.dims}")
-    if prior is None:
-        prior = build_prior(y, cfg.d, cfg.prior)
-    elif prior.grid.dims != cfg.hr_grid.dims:
+    if prior is not None and prior.grid.dims != cfg.hr_grid.dims:
         raise GridMismatchError(
             f"prior grid {prior.grid.dims} != config HR grid {cfg.hr_grid.dims}"
         )
 
-    tau = cfg.tau
-    k_spec = _rhs_spectrum(y.data, prior.data, cfg)
+    y_spec = fftn_unitary(y.data)
+    if prior is None and cfg.prior == "zero-fill":
+        prior_spec = _zero_fill_spectrum(y_spec, cfg.d)
+    else:
+        if prior is None:
+            prior = build_prior(y, cfg.d, cfg.prior)
+        prior_spec = fftn_unitary(prior.data)
+        del prior
+    k_spec = adjoint_spectrum(y_spec, cfg.kernel, cfg.d)
+    k_spec += 2.0 * cfg.tau * prior_spec
     x_spec = _per_bin_solve(k_spec, cfg)
+    del k_spec
     x_hat = ComplexVolume(y.grid.scaled(cfg.d), ifftn_unitary(x_spec))
 
-    residual = apply_SH(x_hat, cfg.kernel, cfg.d).data - y.data
-    residual_norm = float(np.linalg.norm(residual))
-    prior_distance = float(np.linalg.norm(x_hat.data - prior.data))
-    objective = 0.5 * residual_norm**2 + tau * prior_distance**2
+    # Parseval: the norms of the LR residual and of the distance to the
+    # prior are those of their unitary spectra, S H x being the alias sum
+    residual = alias_sum(cfg.kernel.values * x_spec, cfg.d) / np.sqrt(np.prod(cfg.d))
+    residual_norm = float(np.linalg.norm(residual - y_spec))
+    prior_spec -= x_spec
+    prior_distance = float(np.linalg.norm(prior_spec))
     report = SolveReport(
         residual_norm=residual_norm,
         prior_distance=prior_distance,
-        objective=objective,
+        objective=0.5 * residual_norm**2 + cfg.tau * prior_distance**2,
         wall_time_s=time.perf_counter() - t0,
     )
     return x_hat, report

@@ -1,4 +1,4 @@
-"""Unitary 3D Fourier transforms, kernel spectra, k-space crop/pad, alias sums.
+"""Unitary 3D Fourier transforms, kernel spectra, k-space crop, alias sums.
 
 Frequency conventions, fixed once here and reused by every other module:
 
@@ -27,7 +27,6 @@ from .volume import ComplexVolume, Grid3
 
 __all__ = [
     "KernelSpectrum",
-    "FoldedSpectrum",
     "forward_fft",
     "inverse_fft",
     "fftn_unitary",
@@ -36,7 +35,6 @@ __all__ = [
     "ideal_lowpass_spectrum",
     "gaussian_spectrum",
     "crop_kspace",
-    "zero_pad_kspace",
     "alias_sum",
     "fold_spectrum",
     "adjoint_spectrum",
@@ -84,19 +82,6 @@ class KernelSpectrum:
             raise ParameterError("kernel spectrum must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-
-@dataclass(frozen=True, eq=False)
-class FoldedSpectrum:
-    """A kernel spectrum's alias energy under decimation.
-
-    ``gram`` is the per-low-res-bin sum of the kernel's squared magnitudes
-    over its alias blocks.
-    """
-
-    lr_grid: Grid3
-    d: tuple[int, int, int]
-    gram: np.ndarray = field(repr=False)  # (ml, nl, sl) real
 
 
 def _check_rates(d) -> tuple[int, int, int]:
@@ -168,13 +153,6 @@ def crop_kspace(X: ComplexVolume, lr: Grid3) -> ComplexVolume:
     return ComplexVolume(lr, X.data[_box(X.grid.dims, lr.dims)])
 
 
-def zero_pad_kspace(X: ComplexVolume, hr: Grid3) -> ComplexVolume:
-    """Adjoint of :func:`crop_kspace`: place the box back, zeros elsewhere."""
-    out = np.zeros(hr.dims, dtype=np.complex128)
-    out[_box(hr.dims, X.grid.dims)] = X.data
-    return ComplexVolume(hr, out)
-
-
 def alias_sum(values: np.ndarray, d: tuple[int, int, int]) -> np.ndarray:
     """Sum of an HR-shaped array over its alias blocks, LR-shaped.
 
@@ -187,12 +165,15 @@ def alias_sum(values: np.ndarray, d: tuple[int, int, int]) -> np.ndarray:
     return values.reshape(dr, mh // dr, dc, nh // dc, ds, sh // ds).sum(axis=(0, 2, 4))
 
 
-def fold_spectrum(spec: KernelSpectrum, d: tuple[int, int, int]) -> FoldedSpectrum:
-    """The alias energy ``gram = sum_b |K(kappa + b * L)|^2`` of a kernel spectrum."""
+def fold_spectrum(spec: KernelSpectrum, d: tuple[int, int, int]) -> np.ndarray:
+    """The alias energy ``gram = sum_b |K(kappa + b * L)|^2`` of a kernel spectrum.
+
+    LR-shaped, real and read-only.
+    """
     d = _check_divisible(spec.grid, d)
     gram = alias_sum(np.abs(spec.values) ** 2, d)
     gram.setflags(write=False)
-    return FoldedSpectrum(spec.grid.decimated(d), d, gram)
+    return gram
 
 
 def adjoint_spectrum(y_spec: np.ndarray, kernel: KernelSpectrum, d: tuple[int, int, int]) -> np.ndarray:

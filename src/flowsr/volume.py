@@ -137,8 +137,8 @@ class AcquisitionParams:
     frame_interval: float = 0.0
 
     def __post_init__(self):
-        if not self.venc > 0:
-            raise ParameterError(f"venc must be > 0, got {self.venc}")
+        if not 0 < self.venc < np.inf:
+            raise ParameterError(f"venc must be finite and > 0, got {self.venc}")
         if self.frame_count < 1:
             raise ParameterError(f"frame_count must be >= 1, got {self.frame_count}")
 
@@ -203,8 +203,8 @@ def unravel_lex(vec: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:
 
 def _check_venc(venc: float) -> float:
     venc = float(venc)
-    if not venc > 0:
-        raise ParameterError(f"venc must be > 0, got {venc}")
+    if not 0 < venc < np.inf:
+        raise ParameterError(f"venc must be finite and > 0, got {venc}")
     return venc
 
 

@@ -140,6 +140,11 @@ class TestSr:
             run("sr", "--in", str(lr_file), "--out", "x", "--factor", "2,2,2", "--tau", "0")
         assert excinfo.value.code == 2
 
+    def test_infinite_tau_is_usage_error(self, lr_file):
+        with pytest.raises(SystemExit) as excinfo:
+            run("sr", "--in", str(lr_file), "--out", "x", "--factor", "2,2,2", "--tau", "inf")
+        assert excinfo.value.code == 2
+
 
 class TestEval:
     def test_identical_inputs_zero_error(self, tmp_path, hr_file):
@@ -197,7 +202,7 @@ class TestOracleCheck:
         # its denominator, the constant the derivation pins down
         def broken(k_spec, cfg):
             lam = cfg.kernel.values
-            weights = alias_sum(lam * k_spec, cfg.d) / (2.0 * cfg.tau + cfg.folded.gram)
+            weights = alias_sum(lam * k_spec, cfg.d) / (2.0 * cfg.tau + cfg.gram)
             return (k_spec - np.conj(lam) * np.tile(weights, cfg.d)) / (2.0 * cfg.tau)
 
         monkeypatch.setattr(flowsr.solver, "_per_bin_solve", broken)
@@ -247,3 +252,8 @@ class TestPipeline:
                    "--factor", "2,2,2", "--noise-psnr", "0") == 0
         assert "noise_psnr = none\n" in (out / "effective.cfg").read_text()
         assert (out / "lr.flw4.cal").read_text().startswith("sigma = 0.0\n")
+
+    def test_infinite_venc_is_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            run("pipeline", "--out-dir", str(tmp_path / "run"), "--venc", "inf")
+        assert excinfo.value.code == 2

@@ -57,6 +57,8 @@ class TestRunConfig:
             {"vmax": 200.0},  # >= venc
             {"mask_threshold": 1.5},
             {"frames": 0},
+            {"venc": float("inf")},
+            {"tau": float("inf")},
         ],
     )
     def test_validation(self, kwargs):

@@ -56,6 +56,11 @@ class TestSolverConfig:
         with pytest.raises(ParameterError):
             SolverConfig(tau=0.0, kernel=kernel, d=(2, 2, 2))
 
+    def test_rejects_infinite_tau(self):
+        kernel = ideal_lowpass_spectrum(Grid3(4, 4, 4), (2, 2, 2))
+        with pytest.raises(ParameterError, match="finite"):
+            SolverConfig(tau=np.inf, kernel=kernel, d=(2, 2, 2))
+
     def test_rejects_unknown_prior(self):
         kernel = ideal_lowpass_spectrum(Grid3(4, 4, 4), (2, 2, 2))
         with pytest.raises(ParameterError):
@@ -68,19 +73,17 @@ class TestSolverConfig:
 
     def test_alias_blocks_are_the_kernels_fold(self):
         cfg = _cfg((8, 6, 4), (2, 3, 1), "gaussian")
-        ref = fold_spectrum(cfg.kernel, cfg.d)
-        assert np.array_equal(cfg.folded.gram, ref.gram)
-        assert cfg.folded.d == cfg.d
+        assert np.array_equal(cfg.gram, fold_spectrum(cfg.kernel, cfg.d))
+        assert cfg.gram.shape == cfg.lr_grid.dims
         with pytest.raises(ValueError):
-            cfg.folded.gram[0, 0, 0] = 0
+            cfg.gram[0, 0, 0] = 0
 
     def test_replace_rebuilds_the_alias_blocks(self):
         cfg = _cfg((8, 8, 8), (2, 2, 2), "ideal")
         gauss = gaussian_spectrum(cfg.hr_grid, (3.0, 4.0, 5.0))
         swapped = dataclasses.replace(cfg, kernel=gauss)
-        ref = fold_spectrum(gauss, cfg.d)
-        assert np.array_equal(swapped.folded.gram, ref.gram)
-        assert not np.array_equal(swapped.folded.gram, cfg.folded.gram)
+        assert np.array_equal(swapped.gram, fold_spectrum(gauss, cfg.d))
+        assert not np.array_equal(swapped.gram, cfg.gram)
 
     def test_alias_blocks_are_not_an_argument(self, rng):
         # the alias energy follows from the kernel and rates alone; a solve
@@ -88,9 +91,9 @@ class TestSolverConfig:
         cfg = _cfg((8, 8, 8), (2, 2, 2))
         y = random_complex(cfg.lr_grid, rng)
         with pytest.raises(TypeError):
-            fsr_solve(y, cfg, folded=cfg.folded)
+            fsr_solve(y, cfg, gram=cfg.gram)
         with pytest.raises(TypeError):
-            SolverConfig(tau=0.1, kernel=cfg.kernel, d=cfg.d, folded=cfg.folded)
+            SolverConfig(tau=0.1, kernel=cfg.kernel, d=cfg.d, gram=cfg.gram)
 
 
 class TestBuildPrior:
@@ -209,13 +212,32 @@ class TestFsrSolve:
         assert obj_x <= _objective(y, tri, tri, cfg) + 1e-12
         assert obj_x <= _objective(y, zf, tri, cfg) + 1e-12
 
-    def test_report_matches_recomputation(self, rng):
-        cfg = _cfg((8, 4, 4), (2, 2, 2), tau=0.05)
+    @pytest.mark.parametrize("kind", ["ideal", "gaussian"])
+    @pytest.mark.parametrize("prior_mode", ["trilinear", "zero-fill"])
+    def test_report_matches_recomputation(self, prior_mode, kind, rng):
+        # the report is read off the spectra; recompute it in image space
+        cfg = _cfg((8, 4, 4), (2, 2, 2), kind, tau=0.05, prior=prior_mode)
         y = random_complex(Grid3(4, 2, 2), rng)
-        prior = build_prior(y, cfg.d, cfg.prior)
+        prior = build_prior(y, cfg.d, prior_mode)
         x, report = fsr_solve(y, cfg)
-        assert abs(report.objective - _objective(y, x, prior, cfg)) < 1e-10
-        assert abs(report.prior_distance - np.linalg.norm(x.data - prior.data)) < 1e-12
+        residual = np.linalg.norm(apply_SH(x, cfg.kernel, cfg.d).data - y.data)
+        distance = np.linalg.norm(x.data - prior.data)
+        if kind == "ideal" and prior_mode == "zero-fill":
+            # this prior already fits the data, so it is the minimizer and
+            # both norms are round-off
+            bound = 1e-14 * np.linalg.norm(y.data)
+            assert max(report.residual_norm, residual, report.prior_distance, distance) <= bound
+            return
+        assert report.residual_norm == pytest.approx(residual, rel=1e-12, abs=0)
+        assert report.prior_distance == pytest.approx(distance, rel=1e-12, abs=0)
+        assert report.objective == pytest.approx(_objective(y, x, prior, cfg), rel=1e-12, abs=0)
+
+    def test_default_zero_fill_matches_its_explicit_prior(self, rng):
+        cfg = _cfg((8, 6, 4), (2, 3, 1), "gaussian", prior="zero-fill")
+        y = random_complex(cfg.lr_grid, rng)
+        x, _ = fsr_solve(y, cfg)
+        explicit, _ = fsr_solve(y, cfg, prior=build_prior(y, cfg.d, "zero-fill"))
+        assert rel_err(x.data, explicit.data) < 1e-12
 
     def test_grid_mismatch_rejected(self, rng):
         cfg = _cfg((4, 4, 4), (2, 2, 2))
@@ -305,7 +327,7 @@ class TestFftBudget:
         return shapes
 
     @pytest.mark.parametrize(
-        "prior, hr_count, lr_count", [("trilinear", 3, 2), ("zero-fill", 4, 3)]
+        "prior, hr_count, lr_count", [("trilinear", 2, 1), ("zero-fill", 1, 1)]
     )
     def test_solve(self, fft_shapes, prior, hr_count, lr_count, rng):
         cfg = _cfg((8, 6, 4), (2, 3, 1), "gaussian", prior=prior)

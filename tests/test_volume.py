@@ -92,6 +92,10 @@ class TestDatasetInvariants:
         with pytest.raises(ParameterError):
             AcquisitionParams(venc=100.0, frame_count=0)
 
+    def test_acquisition_params_reject_infinite_venc(self):
+        with pytest.raises(ParameterError, match="finite"):
+            AcquisitionParams(venc=float("inf"))
+
     def _frame(self, grid):
         zero = ScalarVolume(grid, np.zeros(grid.dims))
         return VelocityFrame(magnitude=zero, u=zero, v=zero, w=zero)
@@ -154,6 +158,13 @@ class TestPhaseVelocity:
             velocity_to_phase(vol, venc)
         with pytest.raises(ParameterError):
             phase_to_velocity(vol, venc)
+
+    def test_infinite_venc_rejected(self):
+        vol = ScalarVolume(Grid3(1, 1, 1), [0.0])
+        with pytest.raises(ParameterError, match="finite"):
+            velocity_to_phase(vol, np.inf)
+        with pytest.raises(ParameterError, match="finite"):
+            phase_to_velocity(vol, np.inf)
 
 
 class TestComplexSynthesis:
