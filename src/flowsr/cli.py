@@ -39,20 +39,27 @@ ORACLE_TAUS = [1e-3, 0.05, 1.0]
 ORACLE_TOLERANCE = 1e-8
 
 
+# argparse reports an ArgumentTypeError's message; a ValueError only names the parser
 def _triple(kind, minimum=None):
     def parse(text: str):
-        values = _parse_triple(text, kind)
+        try:
+            values = _parse_triple(text, kind)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
         if minimum is not None and min(values) < minimum:
-            raise ValueError(f"values must be >= {minimum}, got {text!r}")
+            raise argparse.ArgumentTypeError(f"values must be >= {minimum}, got {text!r}")
         return values
 
     return parse
 
 
 def _positive_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
     if not 0 < value < np.inf:
-        raise ValueError(f"must be finite and > 0, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
     return value
 
 

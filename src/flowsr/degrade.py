@@ -31,7 +31,6 @@ from .spectral import (
     gaussian_spectrum,
     ideal_lowpass_spectrum,
     ifftn_unitary,
-    inverse_fft,
 )
 from .volume import (
     CHANNELS,
@@ -186,10 +185,11 @@ def degrade_dataset(
     The noise std is calibrated once against the global peak of the
     noiseless LR magnitudes over all frames and channels, so one noise level
     serves the whole dataset.  That calibration pass keeps each channel's
-    noiseless LR spectrum (the retained k-space box for the ideal kernel,
-    the filtered spectrum's alias sum, that of ``sqrt(d) S H x``, for a
-    general one), and the noisy pass adds noise to it, so every channel is
-    synthesized and transformed once.  The stored LR magnitude comes from
+    noiseless LR spectrum as a plain array (the retained k-space box for the
+    ideal kernel, the filtered spectrum's alias sum, that of ``sqrt(d) S H x``,
+    for a general one), and the noisy pass adds noise to it, so every channel
+    is synthesized and transformed once and wrapped only as the LR signal
+    whose velocity is extracted.  The stored LR magnitude comes from
     the u channel (channel magnitudes differ only through noise and ringing).
     Note the pipeline scales amplitudes by sqrt(d) relative to a bare
     ``S H``; velocities, living in the phase, are unaffected.
@@ -206,33 +206,15 @@ def degrade_dataset(
     identity = kernel is None and lr_grid.dims == hr.grid.dims
     box = _box(hr.grid.dims, lr_grid.dims)
 
-    def clean_channel(frame: VelocityFrame, ch: str) -> ComplexVolume:
+    def clean_channel(frame: VelocityFrame, ch: str) -> np.ndarray:
         # the noiseless LR spectrum (the signal itself where the kernel is
         # the identity); the box gather equals the alias sum of the 0/1
         # kernel's product bit for bit, at a fraction of its cost
-        sig = synthesize_complex(frame.magnitude, frame.channel(ch), venc)
+        sig = synthesize_complex(frame.magnitude, frame.channel(ch), venc).data
         if identity:
             return sig
-        spec = fftn_unitary(sig.data)
-        spec = spec[box] if kernel is None else alias_sum(kernel.values * spec, d)
-        return ComplexVolume(lr_grid, spec)
-
-    def clean_image(clean: ComplexVolume) -> ComplexVolume:
-        return clean if identity else inverse_fft(clean)
-
-    def noisy_image(clean: ComplexVolume, sigma: float, rng) -> ComplexVolume:
-        spec = fftn_unitary(clean.data) if identity else clean.data
-        if kernel is None:
-            # literal protocol: noise over the full HR k-space, then
-            # truncation; cropping only selects, so adding the cropped draw
-            # to the kept box equals cropping the noisy spectrum bit for bit
-            noise = _complex_noise(hr.grid.dims, sigma, rng)[box]
-        else:
-            # white noise on the LR k-space keeps the noise white per the
-            # forward model (a subsample after the filter would otherwise
-            # fold kernel-shaped noise)
-            noise = _complex_noise(lr_grid.dims, sigma, rng)
-        return ComplexVolume(lr_grid, ifftn_unitary(spec + noise))
+        spec = fftn_unitary(sig)
+        return spec[box] if kernel is None else alias_sum(kernel.values * spec, d)
 
     cleans = None
     if cfg.noise_psnr_db is None:
@@ -244,7 +226,7 @@ def degrade_dataset(
         for f_idx, frame in enumerate(hr.frames):
             for ch in CHANNELS:
                 cleans[f_idx, ch] = clean = clean_channel(frame, ch)
-                clean_mag = np.abs(clean_image(clean).data)
+                clean_mag = np.abs(clean if identity else ifftn_unitary(clean))
                 if float(clean_mag.max()) > peak:
                     peak = float(clean_mag.max())
                     peak_volume = clean_mag
@@ -257,10 +239,20 @@ def degrade_dataset(
     def lr_channel(f_idx: int, frame: VelocityFrame, ch: str):
         clean = clean_channel(frame, ch) if cleans is None else cleans.pop((f_idx, ch))
         if cal.sigma == 0:
-            signal = clean_image(clean)
+            signal = clean if identity else ifftn_unitary(clean)
         else:
             rng = _channel_rng(cfg.rng_seed, f_idx, CHANNELS.index(ch))
-            signal = noisy_image(clean, cal.sigma, rng)
-        return extract_velocity(signal, venc)
+            if kernel is None:
+                # literal protocol: noise over the full HR k-space, then
+                # truncation; cropping only selects, so adding the cropped draw
+                # to the kept box equals cropping the noisy spectrum bit for bit
+                noise = _complex_noise(hr.grid.dims, cal.sigma, rng)[box]
+            else:
+                # white noise on the LR k-space keeps the noise white per the
+                # forward model (a subsample after the filter would otherwise
+                # fold kernel-shaped noise)
+                noise = _complex_noise(lr_grid.dims, cal.sigma, rng)
+            signal = ifftn_unitary((fftn_unitary(clean) if identity else clean) + noise)
+        return extract_velocity(ComplexVolume(lr_grid, signal), venc)
 
     return map_channels(hr, lr_channel), cal

@@ -4,7 +4,8 @@ Both phantoms put flow inside a straight circular tube aligned with a grid
 axis and zero velocity outside, with per-frame peak speeds strictly below
 the encoding limit by construction.  Being analytic, they can be sampled on
 the high-resolution grid directly, which makes them exact references for
-end-to-end experiments.
+end-to-end experiments.  Volumes are immutable, so all frames share one
+magnitude volume, and channels that are zero throughout share one zero volume.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ def _tube_geometry(grid: Grid3, axis: str, radius_voxels: float):
     ax = _AXES[axis]
     trans = [i for i in range(3) if i != ax]
     dims = grid.dims
-    if radius_voxels <= 0:
-        raise ParameterError(f"radius must be > 0, got {radius_voxels}")
+    if not 0 < radius_voxels < np.inf:
+        raise ParameterError(f"radius must be finite and > 0, got {radius_voxels}")
     for t in trans:
         if 2 * radius_voxels > dims[t]:
             raise ParameterError(
@@ -54,10 +55,22 @@ def _tube_geometry(grid: Grid3, axis: str, radius_voxels: float):
     b = coords[trans[1]] - centers[trans[1]]
     r2 = a * a + b * b
     inside = r2 < radius_voxels**2
-    return ax, trans, a, b, r2, inside
+    parabola = np.where(inside, 1.0 - r2 / radius_voxels**2, 0.0)
+    return ax, trans, a, b, inside, parabola
 
 
-def _check_vmax(vmax_per_frame: Sequence[float], venc: float) -> tuple[float, ...]:
+def _tube_dataset(
+    profiles, grid, radius_voxels, vmax_per_frame, venc, axis, magnitude_in, magnitude_out,
+    frame_interval,
+) -> VelocityDataset:
+    """Check a tube phantom's settings and assemble its frames.
+
+    ``profiles(*geometry)`` maps a channel index to ``(factor, shape)``: at
+    peak speed ``v`` that channel is ``factor * v * shape``.  A channel
+    missing from the map is the zero volume shared by all frames.
+    """
+    if magnitude_in < 0 or magnitude_out < 0:
+        raise ParameterError("magnitudes must be nonnegative")
     vmax = tuple(float(v) for v in vmax_per_frame)
     if not vmax:
         raise ParameterError("need at least one frame")
@@ -66,7 +79,20 @@ def _check_vmax(vmax_per_frame: Sequence[float], venc: float) -> tuple[float, ..
             f"peak speed {max(abs(v) for v in vmax):g} reaches venc {venc:g}; "
             "encoding would alias"
         )
-    return vmax
+    geometry = _tube_geometry(grid, axis, radius_voxels)
+    shapes = profiles(*geometry)
+    magnitude = ScalarVolume(grid, np.where(geometry[4], magnitude_in, magnitude_out))
+    zero = ScalarVolume(grid, np.zeros(grid.dims)) if len(shapes) < 3 else None
+
+    frames = []
+    for v_peak in vmax:
+        u, v, w = (
+            ScalarVolume(grid, shapes[c][0] * v_peak * shapes[c][1]) if c in shapes else zero
+            for c in range(3)
+        )
+        frames.append(VelocityFrame(magnitude=magnitude, u=u, v=v, w=w))
+    params = AcquisitionParams(venc=venc, frame_count=len(vmax), frame_interval=frame_interval)
+    return VelocityDataset(params, tuple(frames))
 
 
 def poiseuille_phantom(
@@ -86,28 +112,11 @@ def poiseuille_phantom(
     inside and ``magnitude_out`` outside, so a magnitude threshold recovers
     the tube exactly when the outside value is smaller.
     """
-    if magnitude_in < 0 or magnitude_out < 0:
-        raise ParameterError("magnitudes must be nonnegative")
-    vmax = _check_vmax(vmax_per_frame, venc)
-    ax, _, _, _, r2, inside = _tube_geometry(grid, axis, radius_voxels)
-    profile = np.where(inside, 1.0 - r2 / radius_voxels**2, 0.0)
-    magnitude = np.where(inside, magnitude_in, magnitude_out)
-    zero = np.zeros(grid.dims)
-
-    frames = []
-    for v_peak in vmax:
-        components = [zero, zero, zero]
-        components[ax] = v_peak * profile
-        frames.append(
-            VelocityFrame(
-                magnitude=ScalarVolume(grid, magnitude),
-                u=ScalarVolume(grid, components[0]),
-                v=ScalarVolume(grid, components[1]),
-                w=ScalarVolume(grid, components[2]),
-            )
-        )
-    params = AcquisitionParams(venc=venc, frame_count=len(vmax), frame_interval=frame_interval)
-    return VelocityDataset(params, tuple(frames))
+    return _tube_dataset(
+        lambda ax, trans, a, b, inside, parabola: {ax: (1.0, parabola)},
+        grid, radius_voxels, vmax_per_frame, venc, axis, magnitude_in, magnitude_out,
+        frame_interval,
+    )
 
 
 def helix_phantom(
@@ -132,29 +141,16 @@ def helix_phantom(
     """
     if not 0 < axial_fraction < 1:
         raise ParameterError(f"axial_fraction must be in (0, 1), got {axial_fraction}")
-    if magnitude_in < 0 or magnitude_out < 0:
-        raise ParameterError("magnitudes must be nonnegative")
-    vmax = _check_vmax(vmax_per_frame, venc)
-    ax, trans, a, b, r2, inside = _tube_geometry(grid, axis, radius_voxels)
-    swirl_scale = np.sqrt(1.0 - axial_fraction**2) / radius_voxels
-    axial_profile = np.where(inside, 1.0 - r2 / radius_voxels**2, 0.0)
-    swirl_a = np.where(inside, -b * swirl_scale, 0.0)  # -omega * second transverse coord
-    swirl_b = np.where(inside, a * swirl_scale, 0.0)
-    magnitude = np.where(inside, magnitude_in, magnitude_out)
 
-    frames = []
-    for v_peak in vmax:
-        components = [np.zeros(grid.dims) for _ in range(3)]
-        components[trans[0]] = v_peak * swirl_a
-        components[trans[1]] = v_peak * swirl_b
-        components[ax] = axial_fraction * v_peak * axial_profile
-        frames.append(
-            VelocityFrame(
-                magnitude=ScalarVolume(grid, magnitude),
-                u=ScalarVolume(grid, components[0]),
-                v=ScalarVolume(grid, components[1]),
-                w=ScalarVolume(grid, components[2]),
-            )
-        )
-    params = AcquisitionParams(venc=venc, frame_count=len(vmax), frame_interval=frame_interval)
-    return VelocityDataset(params, tuple(frames))
+    def profiles(ax, trans, a, b, inside, parabola):
+        swirl_scale = np.sqrt(1.0 - axial_fraction**2) / radius_voxels
+        return {
+            trans[0]: (1.0, np.where(inside, -b * swirl_scale, 0.0)),  # -omega * second coord
+            trans[1]: (1.0, np.where(inside, a * swirl_scale, 0.0)),
+            ax: (axial_fraction, parabola),
+        }
+
+    return _tube_dataset(
+        profiles, grid, radius_voxels, vmax_per_frame, venc, axis, magnitude_in, magnitude_out,
+        frame_interval,
+    )

@@ -54,8 +54,8 @@ class Grid3:
         if min(self.m, self.n, self.s) < 1:
             raise ParameterError(f"grid dims must be >= 1, got {self.dims}")
         sp = tuple(float(v) for v in self.spacing)
-        if len(sp) != 3 or min(sp) <= 0:
-            raise ParameterError(f"grid spacing must be 3 positive values, got {self.spacing}")
+        if len(sp) != 3 or not all(0 < v < np.inf for v in sp):
+            raise ParameterError(f"grid spacing must be 3 finite values > 0, got {self.spacing}")
         object.__setattr__(self, "spacing", sp)
 
     @property

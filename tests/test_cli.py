@@ -71,6 +71,13 @@ class TestSimulate:
             run("simulate", "--dims", "8,8", "--out", "x.flw4")
         assert excinfo.value.code == 2
 
+    def test_infinite_spacing_is_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "s.flw4"
+        assert run("simulate", "--dims", "8,8,8", "--frames", "1", "--spacing", "inf,1,1",
+                   "--out", str(out)) == 1
+        assert "spacing" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_defaults_are_the_pipeline_defaults(self, tmp_path):
         alone = tmp_path / "hr.flw4"
         assert run("simulate", "--dims", "16,16,16", "--frames", "2", "--out", str(alone)) == 0
@@ -140,10 +147,17 @@ class TestSr:
             run("sr", "--in", str(lr_file), "--out", "x", "--factor", "2,2,2", "--tau", "0")
         assert excinfo.value.code == 2
 
-    def test_infinite_tau_is_usage_error(self, lr_file):
+    def test_infinite_tau_is_usage_error(self, lr_file, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run("sr", "--in", str(lr_file), "--out", "x", "--factor", "2,2,2", "--tau", "inf")
         assert excinfo.value.code == 2
+        assert "must be finite and > 0" in capsys.readouterr().err
+
+    def test_factor_below_one_is_usage_error(self, lr_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run("sr", "--in", str(lr_file), "--out", "x", "--factor", "0,1,1")
+        assert excinfo.value.code == 2
+        assert ">= 1" in capsys.readouterr().err
 
 
 class TestEval:

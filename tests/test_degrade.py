@@ -200,15 +200,21 @@ class TestDegradeDataset:
                     got = np.abs(expected) * np.exp(1j * np.pi * f_lr.channel(ch).data / venc)
                 assert rel_err(got, expected) < 1e-9
 
-    @pytest.mark.parametrize("kernel_kind", ["ideal", "gaussian"])
-    def test_matches_explicit_frame_channel_loop(self, kernel_kind):
+    @pytest.mark.parametrize(
+        "kernel_kind, d",
+        [
+            pytest.param("ideal", (2, 2, 1), id="ideal"),
+            pytest.param("gaussian", (2, 2, 1), id="gaussian"),
+            pytest.param("ideal", (1, 1, 1), id="ideal-identity"),
+        ],
+    )
+    def test_matches_explicit_frame_channel_loop(self, kernel_kind, d):
         # pins the (seed, frame, channel) noise stream of every channel and
         # the rule that the stored magnitude is the u channel's
         hr = helix_phantom(
             Grid3(8, 8, 4), radius_voxels=3, vmax_per_frame=[90.0, 60.0], venc=150.0,
             magnitude_out=0.2, frame_interval=0.04,
         )
-        d = (2, 2, 1)
         cfg = DegradationConfig(d=d, kernel=kernel_kind, noise_psnr_db=15.0, rng_seed=7)
         lr, cal = degrade_dataset(hr, cfg)
         assert lr.params == hr.params

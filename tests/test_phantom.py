@@ -74,6 +74,20 @@ class TestPoiseuille:
         with pytest.raises(ParameterError):
             poiseuille_phantom(Grid3(8, 8, 4), 5.0, [50.0], 100.0)
 
+    def test_frames_share_magnitude_and_zero_volumes(self):
+        ds = poiseuille_phantom(Grid3(8, 8, 4), 3, [50.0, 40.0, 30.0], 100.0)
+        first = ds.frames[0]
+        for f in ds.frames:
+            assert f.magnitude is first.magnitude
+            assert f.u is first.u and f.v is first.u
+        assert not first.u.data.any()
+        assert len({id(f.w) for f in ds.frames}) == 3
+
+    @pytest.mark.parametrize("phantom", [poiseuille_phantom, helix_phantom])
+    def test_rejects_nan_radius(self, phantom):
+        with pytest.raises(ParameterError, match="radius must be finite and > 0"):
+            phantom(Grid3(8, 8, 8), float("nan"), [50.0], 150.0)
+
     def test_deterministic(self):
         g = Grid3(8, 8, 4)
         a = poiseuille_phantom(g, 3, [50.0], 100.0)
@@ -124,6 +138,10 @@ class TestHelix:
     def test_venc_enforced(self):
         with pytest.raises(ParameterError):
             helix_phantom(Grid3(16, 16, 8), 5, [150.0], 150.0)
+
+    def test_frames_share_magnitude(self):
+        ds = helix_phantom(Grid3(16, 16, 8), 5, [90.0, 60.0, 30.0], 150.0)
+        assert all(f.magnitude is ds.frames[0].magnitude for f in ds.frames)
 
     def test_axial_fraction_domain(self):
         with pytest.raises(ParameterError):

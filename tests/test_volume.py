@@ -32,9 +32,10 @@ class TestGrid3:
         with pytest.raises(ParameterError):
             Grid3(*dims)
 
-    def test_rejects_bad_spacing(self):
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("inf"), float("nan")])
+    def test_rejects_bad_spacing(self, bad):
         with pytest.raises(ParameterError):
-            Grid3(4, 4, 4, (1.0, 0.0, 1.0))
+            Grid3(4, 4, 4, (1.0, bad, 1.0))
 
     def test_scaled_and_decimated(self):
         g = Grid3(4, 6, 8, (2.0, 2.0, 2.0))
