@@ -78,6 +78,8 @@ class RunConfig:
             raise ConfigError(f"venc must be finite and > 0, got {self.venc}")
         if not 0 < abs(self.vmax) < self.venc:
             raise ConfigError(f"vmax must satisfy 0 < |vmax| < venc, got {self.vmax}")
+        if not 0 <= self.radius < float("inf"):
+            raise ConfigError(f"radius must be finite and >= 0 (0 = auto), got {self.radius}")
         if not 0 < self.tau < float("inf"):
             raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
         if not 0 < self.mask_threshold < 1:

@@ -129,7 +129,7 @@ def apply_SH_adjoint(
     """
     hr_grid = y.grid.scaled(d)
     d = _check_kernel_and_rates(hr_grid, kernel, d)
-    out = ifftn_unitary(adjoint_spectrum(fftn_unitary(y.data), kernel, d))
+    out = ifftn_unitary(adjoint_spectrum(fftn_unitary(y.data), np.conj(kernel.values), d))
     return ComplexVolume(hr_grid, out)
 
 

@@ -22,6 +22,13 @@ the data's spectrum in the retained box, skips the high-res FFT.  The
 ``SolveReport`` diagnostics come from the same spectra by Parseval and add
 no transform.  Exactness is enforced against a dense brute-force solver in
 the test suite.
+
+Memory: a solve holds at most three high-res complex arrays at once, the
+right-hand side's spectrum K (overwritten in place by the solution's), the
+prior's spectrum and one scratch array for the per-bin step, plus low-res
+ones.  The diagnostics reuse the prior's array, which is freed before the
+inverse FFT allocates the output; the output volume adopts that array
+without a copy.  The trilinear prior's interpolation peaks below that.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .spectral import (
     KernelSpectrum,
     _box,
     _check_divisible,
+    _tile_into,
     adjoint_spectrum,
     alias_sum,
     fftn_unitary,
@@ -49,6 +57,8 @@ from .volume import (
     Grid3,
     VelocityDataset,
     VelocityFrame,
+    _adopt,
+    _check_finite,
     extract_velocity,
     map_channels,
 )
@@ -68,9 +78,10 @@ PRIOR_MODES = ("trilinear", "zero-fill")
 class SolverConfig:
     """Regularization weight, kernel spectrum, decimation rates, prior mode.
 
-    ``gram`` holds the kernel's alias energy for the rates ``d``.  It
-    depends on nothing else, so it is built once per config (and again by
-    ``dataclasses.replace``), and every solve under the config shares it.
+    ``gram`` holds the kernel's alias energy for the rates ``d`` and
+    ``kernel_conj`` the conjugate of the kernel's values.  They depend on
+    nothing else, so they are built once per config (and again by
+    ``dataclasses.replace``), and every solve under the config shares them.
     """
 
     tau: float
@@ -78,6 +89,7 @@ class SolverConfig:
     d: tuple[int, int, int]
     prior: str = "trilinear"
     gram: np.ndarray = field(init=False, repr=False, compare=False)
+    kernel_conj: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.tau < np.inf:
@@ -86,6 +98,9 @@ class SolverConfig:
         if self.prior not in PRIOR_MODES:
             raise ParameterError(f"prior must be one of {PRIOR_MODES}, got {self.prior!r}")
         object.__setattr__(self, "gram", fold_spectrum(self.kernel, self.d))
+        kernel_conj = np.conj(self.kernel.values)
+        kernel_conj.setflags(write=False)
+        object.__setattr__(self, "kernel_conj", kernel_conj)
 
     @property
     def hr_grid(self) -> Grid3:
@@ -122,8 +137,11 @@ def build_prior(y: ComplexVolume, d: tuple[int, int, int], mode: str = "trilinea
     d = tuple(int(v) for v in d)
     hr_grid = y.grid.scaled(d)
     if mode == "trilinear":
-        return ComplexVolume(hr_grid, upsample_array(y.data, d))
-    return ComplexVolume(hr_grid, ifftn_unitary(_zero_fill_spectrum(fftn_unitary(y.data), d)))
+        data = upsample_array(y.data, d)
+    else:
+        data = ifftn_unitary(_zero_fill_spectrum(fftn_unitary(y.data), d))
+    _check_finite(data)
+    return _adopt(ComplexVolume, hr_grid, data)
 
 
 def _zero_fill_spectrum(y_spec: np.ndarray, d: tuple[int, int, int]) -> np.ndarray:
@@ -137,11 +155,16 @@ def _zero_fill_spectrum(y_spec: np.ndarray, d: tuple[int, int, int]) -> np.ndarr
 
 def _per_bin_solve(k_spec: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     # the d x d Woodbury solve of every low-res bin, from the right-hand
-    # side's spectrum to the minimizer's, both in high-res bin order
-    lam = cfg.kernel.values
-    weights = alias_sum(lam * k_spec, cfg.d)
+    # side's spectrum to the minimizer's, both in high-res bin order; it
+    # overwrites k_spec and returns it, with one HR scratch array
+    scratch = np.multiply(cfg.kernel.values, k_spec, out=np.empty(k_spec.shape, np.complex128))
+    weights = alias_sum(scratch, cfg.d)
     weights /= 2.0 * cfg.tau * np.prod(cfg.d) + cfg.gram
-    return (k_spec - np.conj(lam) * np.tile(weights, cfg.d)) / (2.0 * cfg.tau)
+    np.multiply(cfg.kernel_conj, _tile_into(scratch, weights, cfg.d), out=scratch)
+    k_spec -= scratch
+    del scratch
+    k_spec /= 2.0 * cfg.tau
+    return k_spec
 
 
 def fsr_solve(
@@ -182,18 +205,29 @@ def fsr_solve(
             prior = build_prior(y, cfg.d, cfg.prior)
         prior_spec = fftn_unitary(prior.data)
         del prior
-    k_spec = adjoint_spectrum(y_spec, cfg.kernel, cfg.d)
-    k_spec += 2.0 * cfg.tau * prior_spec
+    k_spec = adjoint_spectrum(y_spec, cfg.kernel_conj, cfg.d)
+    scale = 2.0 * cfg.tau
+    for k_plane, prior_plane in zip(k_spec, prior_spec):
+        # plane by plane, so the scaled prior never takes a whole HR array
+        k_plane += scale * prior_plane
     x_spec = _per_bin_solve(k_spec, cfg)
     del k_spec
-    x_hat = ComplexVolume(y.grid.scaled(cfg.d), ifftn_unitary(x_spec))
 
     # Parseval: the norms of the LR residual and of the distance to the
-    # prior are those of their unitary spectra, S H x being the alias sum
-    residual = alias_sum(cfg.kernel.values * x_spec, cfg.d) / np.sqrt(np.prod(cfg.d))
-    residual_norm = float(np.linalg.norm(residual - y_spec))
+    # prior are those of their unitary spectra, S H x being the alias sum.
+    # Both are taken before the inverse transform, the residual's filtered
+    # spectrum in the prior's array once that is done with, so the prior's
+    # array is freed before the output is allocated.
     prior_spec -= x_spec
     prior_distance = float(np.linalg.norm(prior_spec))
+    filtered = np.multiply(cfg.kernel.values, x_spec, out=prior_spec)
+    residual = alias_sum(filtered, cfg.d) / np.sqrt(np.prod(cfg.d))
+    del prior_spec, filtered
+    residual_norm = float(np.linalg.norm(residual - y_spec))
+    x = ifftn_unitary(x_spec)
+    del x_spec
+    _check_finite(x)
+    x_hat = _adopt(ComplexVolume, y.grid.scaled(cfg.d), x)
     report = SolveReport(
         residual_norm=residual_norm,
         prior_distance=prior_distance,

@@ -176,11 +176,27 @@ def fold_spectrum(spec: KernelSpectrum, d: tuple[int, int, int]) -> np.ndarray:
     return gram
 
 
-def adjoint_spectrum(y_spec: np.ndarray, kernel: KernelSpectrum, d: tuple[int, int, int]) -> np.ndarray:
+def _tile_into(out: np.ndarray, values: np.ndarray, d: tuple[int, int, int]) -> np.ndarray:
+    """Write ``np.tile(values, d)`` into the HR-shaped array ``out``.
+
+    ``out`` must be C-contiguous, so that its ``(d0, L0, d1, L1, d2, L2)``
+    reshape is a view: each alias block gets a copy of the LR-shaped
+    ``values`` with no intermediate array.
+    """
+    dr, dc, ds = d
+    lr, lc, ls = values.shape
+    out.reshape(dr, lr, dc, lc, ds, ls)[...] = values[None, :, None, :, None, :]
+    return out
+
+
+def adjoint_spectrum(y_spec: np.ndarray, kernel_conj: np.ndarray, d: tuple[int, int, int]) -> np.ndarray:
     """Unitary spectrum of ``H^H S^H y`` from the unitary spectrum of low-res ``y``.
 
-    Zero-insertion upsampling tiles the low-res spectrum over the alias
-    blocks, scaled by 1/sqrt(d); the conjugate kernel filters it in place.
+    ``kernel_conj`` is the conjugate of the kernel's values.  Zero-insertion
+    upsampling tiles the low-res spectrum over the alias blocks, scaled by
+    1/sqrt(d); the conjugate kernel filters it.  The result is the one HR
+    array this allocates.
     """
-    spec = np.tile(y_spec, d) / np.sqrt(np.prod(d))
-    return np.multiply(np.conj(kernel.values), spec, out=spec)
+    spec = _tile_into(np.empty(kernel_conj.shape, dtype=np.complex128), y_spec, d)
+    spec /= np.sqrt(np.prod(d))
+    return np.multiply(kernel_conj, spec, out=spec)

@@ -40,6 +40,7 @@ from .volume import (
     ScalarVolume,
     VelocityDataset,
     VelocityFrame,
+    _adopt,
 )
 
 __all__ = ["MAGIC", "VERSION", "HEADER_SIZE", "atomic_write", "save_dataset", "load_dataset"]
@@ -105,60 +106,69 @@ def save_dataset(ds: VelocityDataset, path) -> None:
 
 
 def load_dataset(path) -> VelocityDataset:
-    """Read a version-1 volume file, validating header and payload strictly."""
+    """Read a version-1 volume file, validating header and payload strictly.
+
+    The header and the file size are checked before any sample is read.  The
+    samples are then read one channel at a time into one reusable float32
+    buffer, checked for finiteness there and converted to float64 once.
+    """
     with open(path, "rb") as fh:
-        raw = fh.read()
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(HEADER_SIZE)
+        if len(head) < HEADER_SIZE:
+            raise FormatError(
+                f"file truncated inside the {HEADER_SIZE}-byte header: only {len(head)} bytes"
+            )
+        magic, version, layout, m, n, s, frame_count, venc, sx, sy, sz = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise FormatError(f"bad magic {magic!r} at offset 0, expected {MAGIC!r}")
+        if version != VERSION:
+            raise FormatError(f"unsupported version {version} at offset 4, expected {VERSION}")
+        if layout != LAYOUT_MAG_UVW:
+            raise FormatError(f"unknown channel layout code {layout} at offset 6")
+        if min(m, n, s) < 1:
+            raise FormatError(f"invalid dims {(m, n, s)} at offset 8")
+        if frame_count < 1:
+            raise FormatError(f"invalid frame count {frame_count} at offset 20")
+        if not (np.isfinite(venc) and venc > 0):
+            raise FormatError(f"invalid venc {venc} at offset 24")
+        if not all(np.isfinite(v) and v > 0 for v in (sx, sy, sz)):
+            raise FormatError(f"invalid spacing {(sx, sy, sz)} at offset 32")
 
-    if len(raw) < HEADER_SIZE:
-        raise FormatError(
-            f"file truncated inside the {HEADER_SIZE}-byte header: only {len(raw)} bytes"
-        )
-    magic, version, layout, m, n, s, frame_count, venc, sx, sy, sz = _HEADER.unpack_from(raw, 0)
-    if magic != MAGIC:
-        raise FormatError(f"bad magic {magic!r} at offset 0, expected {MAGIC!r}")
-    if version != VERSION:
-        raise FormatError(f"unsupported version {version} at offset 4, expected {VERSION}")
-    if layout != LAYOUT_MAG_UVW:
-        raise FormatError(f"unknown channel layout code {layout} at offset 6")
-    if min(m, n, s) < 1:
-        raise FormatError(f"invalid dims {(m, n, s)} at offset 8")
-    if frame_count < 1:
-        raise FormatError(f"invalid frame count {frame_count} at offset 20")
-    if not (np.isfinite(venc) and venc > 0):
-        raise FormatError(f"invalid venc {venc} at offset 24")
-    if not all(np.isfinite(v) and v > 0 for v in (sx, sy, sz)):
-        raise FormatError(f"invalid spacing {(sx, sy, sz)} at offset 32")
+        voxels = m * n * s
+        expected = HEADER_SIZE + frame_count * len(_CHANNELS) * voxels * 4
+        if size < expected:
+            raise FormatError(
+                f"payload truncated: expected {expected} bytes, file ends at offset {size}"
+            )
+        if size > expected:
+            raise FormatError(
+                f"trailing data: expected {expected} bytes, file has {size} "
+                f"(extra starts at offset {expected})"
+            )
 
-    voxels = m * n * s
-    expected = HEADER_SIZE + frame_count * len(_CHANNELS) * voxels * 4
-    if len(raw) < expected:
-        raise FormatError(
-            f"payload truncated: expected {expected} bytes, file ends at offset {len(raw)}"
-        )
-    if len(raw) > expected:
-        raise FormatError(
-            f"trailing data: expected {expected} bytes, file has {len(raw)} "
-            f"(extra starts at offset {expected})"
-        )
-
-    grid = Grid3(m, n, s, (sx, sy, sz))
-    samples = np.frombuffer(raw, dtype="<f4", offset=HEADER_SIZE)
-    samples = samples.reshape(frame_count, len(_CHANNELS), voxels)
-
-    frames = []
-    for f_idx in range(frame_count):
-        vols = {}
-        for c_idx, ch in enumerate(_CHANNELS):
-            flat = samples[f_idx, c_idx]
-            if not np.isfinite(flat).all():
+        grid = Grid3(m, n, s, (sx, sy, sz))
+        buf = np.empty(voxels, dtype="<f4")
+        frames = []
+        for f_idx in range(frame_count):
+            vols = {}
+            for c_idx, ch in enumerate(_CHANNELS):
                 offset = HEADER_SIZE + (f_idx * len(_CHANNELS) + c_idx) * voxels * 4
-                raise FormatError(
-                    f"non-finite samples in frame {f_idx} channel {ch} "
-                    f"(payload block at offset {offset})"
-                )
-            # the volume's flat-input path makes the one float64 copy, x fastest
-            vols[ch] = ScalarVolume(grid, flat)
-        frames.append(VelocityFrame(**vols))
+                got = fh.readinto(buf)
+                if got != buf.nbytes:  # the file shrank after its size was read
+                    raise FormatError(
+                        f"payload truncated: expected {expected} bytes, "
+                        f"file ends at offset {offset + got}"
+                    )
+                if not np.isfinite(buf).all():
+                    raise FormatError(
+                        f"non-finite samples in frame {f_idx} channel {ch} "
+                        f"(payload block at offset {offset})"
+                    )
+                # finite float32 samples stay finite in float64; x fastest
+                data = buf.astype(np.float64).reshape(grid.dims, order="F")
+                vols[ch] = _adopt(ScalarVolume, grid, data)
+            frames.append(VelocityFrame(**vols))
 
     params = AcquisitionParams(venc=venc, frame_count=frame_count)
     return VelocityDataset(params, tuple(frames))

@@ -9,7 +9,10 @@ Conventions fixed here and relied on everywhere else:
   speeds at or beyond ``venc`` wrap and are rejected, not wrapped.
 
 All container types are immutable after construction (their arrays are
-marked read-only), so they can be shared freely across threads.
+marked read-only), so they can be shared freely across threads.  The public
+constructors copy and check the arrays callers pass in; arrays flowsr has
+just made and holds alone are adopted instead (:func:`_adopt`): marked
+read-only in place, with no copy.
 """
 
 from __future__ import annotations
@@ -100,10 +103,14 @@ def _freeze(grid: Grid3, data, dtype) -> np.ndarray:
             raise GridMismatchError(
                 f"data has {arr.size} samples, grid {grid.dims} needs {grid.voxel_count}"
             )
-    if not np.isfinite(arr).all():
-        raise ParameterError("volume samples must all be finite")
+    _check_finite(arr)
     arr.setflags(write=False)
     return arr
+
+
+def _check_finite(arr: np.ndarray) -> None:
+    if not np.isfinite(arr).all():
+        raise ParameterError("volume samples must all be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -126,6 +133,29 @@ class ComplexVolume:
 
     def __post_init__(self):
         object.__setattr__(self, "data", _freeze(self.grid, self.data, np.complex128))
+
+
+_DTYPES = {ScalarVolume: np.dtype(np.float64), ComplexVolume: np.dtype(np.complex128)}
+
+
+def _adopt(cls, grid: Grid3, data: np.ndarray):
+    """A ``cls`` volume that holds ``data`` itself, marked read-only in place.
+
+    For an array flowsr has just made, of the volume's dtype and shape, that
+    nothing else holds.  Nothing is copied and ``__post_init__`` does not
+    run, so the caller checks finiteness wherever the values could be
+    non-finite.
+    """
+    if data.dtype != _DTYPES[cls] or data.shape != grid.dims:
+        raise GridMismatchError(
+            f"cannot adopt a {data.dtype} array of shape {data.shape} as a "
+            f"{cls.__name__} on grid {grid.dims}"
+        )
+    data.setflags(write=False)
+    vol = object.__new__(cls)
+    object.__setattr__(vol, "grid", grid)
+    object.__setattr__(vol, "data", data)
+    return vol
 
 
 @dataclass(frozen=True)
@@ -254,13 +284,18 @@ def extract_velocity(signal: ComplexVolume, venc: float) -> tuple[ScalarVolume, 
     """Split a complex signal into (magnitude, velocity).
 
     The phase is taken in (-pi, pi]; zero voxels get velocity 0 (a zero
-    signal carries no flow information and must not produce NaN).
+    signal carries no flow information and must not produce NaN).  Both
+    outputs are adopted, not copied; the velocity is bounded by ``venc``,
+    and the magnitude is checked, as it overflows for samples near the
+    float limit.
     """
     venc = _check_venc(venc)
     magnitude = np.abs(signal.data)
-    phase = np.angle(signal.data)  # angle(0) == 0, matching the zero-voxel convention
-    vel = venc * phase / np.pi
-    return ScalarVolume(signal.grid, magnitude), ScalarVolume(signal.grid, vel)
+    _check_finite(magnitude)
+    vel = np.angle(signal.data)  # angle(0) == 0, matching the zero-voxel convention
+    vel *= venc
+    vel /= np.pi
+    return _adopt(ScalarVolume, signal.grid, magnitude), _adopt(ScalarVolume, signal.grid, vel)
 
 
 def map_channels(

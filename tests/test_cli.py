@@ -78,6 +78,14 @@ class TestSimulate:
         assert "spacing" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_radius_is_runtime_error(self, tmp_path, capsys):
+        # only 0 means the automatic radius
+        out = tmp_path / "r.flw4"
+        assert run("simulate", "--dims", "8,8,8", "--frames", "1", "--radius", "-3",
+                   "--out", str(out)) == 1
+        assert "radius" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_defaults_are_the_pipeline_defaults(self, tmp_path):
         alone = tmp_path / "hr.flw4"
         assert run("simulate", "--dims", "16,16,16", "--frames", "2", "--out", str(alone)) == 0
@@ -271,3 +279,10 @@ class TestPipeline:
         with pytest.raises(SystemExit) as excinfo:
             run("pipeline", "--out-dir", str(tmp_path / "run"), "--venc", "inf")
         assert excinfo.value.code == 2
+
+    def test_negative_radius_is_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("pipeline", "--out-dir", str(out), "--dims", "8,8,8", "--frames", "1",
+                   "--factor", "2,2,2", "--radius", "-3") == 1
+        assert "radius" in capsys.readouterr().err
+        assert not out.exists()

@@ -59,6 +59,8 @@ class TestRunConfig:
             {"frames": 0},
             {"venc": float("inf")},
             {"tau": float("inf")},
+            {"radius": -3.0},  # only 0 means the automatic radius
+            {"radius": float("inf")},
         ],
     )
     def test_validation(self, kwargs):

@@ -277,6 +277,37 @@ class TestEvaluate:
         with pytest.raises(GridMismatchError):
             evaluate(sr, short)
 
+    @pytest.mark.parametrize("explicit_masks", [False, True], ids=["threshold", "explicit"])
+    def test_records_equal_the_public_metrics(self, rng, explicit_masks):
+        # one pass per frame and method gives exactly what psnr (at the
+        # frame's peak masked reference speed) and mean_relative_error give
+        sr, ref, base = self._make(rng, frames=3)
+        if explicit_masks:
+            masks = [FlowMask(ref.grid, rng.random(ref.grid.dims) < 0.5) for _ in ref.frames]
+        else:
+            masks = [make_mask(f.magnitude) for f in ref.frames]
+        report = evaluate(sr, ref, baseline=base, masks=masks if explicit_masks else None)
+        expected = []
+        for f_idx, (ref_frame, mask) in enumerate(zip(ref.frames, masks)):
+            sel = mask.voxels
+            peak = float(np.sqrt(sum(ref_frame.channel(c).data[sel] ** 2 for c in "uvw")).max())
+            for method, ds in (("fsr", sr), ("trilinear", base)):
+                frame = ds.frames[f_idx]
+                for ch in "uvw":
+                    value = psnr(frame.channel(ch), ref_frame.channel(ch), mask, peak=peak)
+                    expected.append((f_idx, ch, method, "psnr_db", value))
+                value = mean_relative_error(frame, ref_frame, mask)
+                expected.append((f_idx, "all", method, "mre_percent", value))
+        got = [(r.frame, r.channel, r.method, r.metric, r.value) for r in report.records]
+        assert got == expected
+
+    def test_mask_on_another_grid(self, rng):
+        sr, ref, _ = self._make(rng)
+        other = Grid3(6, 6, 5)
+        masks = [FlowMask(other, np.ones(other.dims, bool))] * len(ref.frames)
+        with pytest.raises(GridMismatchError, match="mask 0"):
+            evaluate(sr, ref, masks=masks)
+
     def test_external_masks_respected(self, rng):
         sr, ref, _ = self._make(rng)
         g = ref.grid

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,9 @@ from flowsr import (
     poiseuille_phantom,
     superresolve_dataset,
 )
+
+from flowsr.solver import _per_bin_solve
+from flowsr.spectral import alias_sum
 
 from conftest import random_complex, rel_err
 
@@ -84,6 +88,17 @@ class TestSolverConfig:
         swapped = dataclasses.replace(cfg, kernel=gauss)
         assert np.array_equal(swapped.gram, fold_spectrum(gauss, cfg.d))
         assert not np.array_equal(swapped.gram, cfg.gram)
+
+    def test_conjugate_kernel_is_derived(self):
+        cfg = _cfg((8, 6, 4), (2, 3, 1), "gaussian")
+        assert np.array_equal(cfg.kernel_conj, np.conj(cfg.kernel.values))
+        with pytest.raises(ValueError):
+            cfg.kernel_conj[0, 0, 0] = 0
+        complex_kernel = KernelSpectrum(cfg.hr_grid, (1 - 2j) * cfg.kernel.values)
+        swapped = dataclasses.replace(cfg, kernel=complex_kernel)
+        assert np.array_equal(swapped.kernel_conj, np.conj(complex_kernel.values))
+        with pytest.raises(TypeError):
+            SolverConfig(tau=0.1, kernel=cfg.kernel, d=cfg.d, kernel_conj=cfg.kernel_conj)
 
     def test_alias_blocks_are_not_an_argument(self, rng):
         # the alias energy follows from the kernel and rates alone; a solve
@@ -342,6 +357,82 @@ class TestFftBudget:
         # one HR transform per channel; the calibration and noisy passes each
         # take one LR inverse transform
         assert fft_shapes == {(8, 8, 4): channels, (4, 4, 4): 2 * channels}
+
+
+def _solve_peak_hr_arrays(cfg, y):
+    # tracemalloc peak of one solve, in HR complex128 arrays
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fsr_solve(y, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / (16 * cfg.hr_grid.voxel_count)
+
+
+class TestMemoryBudget:
+    """HR arrays a solve holds at once, by tracemalloc on small grids.
+
+    The solve holds the right-hand side's spectrum, the prior's spectrum and
+    one scratch array at its peak (3.5-3.7 HR arrays with the LR ones on
+    these grids); one fresh HR temporary per pointwise step reads 5.3-5.4.
+    """
+
+    @pytest.mark.parametrize(
+        "dims, d, kind, prior",
+        [((16, 18, 8), (2, 3, 1), "gaussian", "trilinear"), ((16, 16, 16), (2, 2, 2), "ideal", "zero-fill")],
+        ids=["gaussian-trilinear", "ideal-zero-fill"],
+    )
+    def test_solve_peak(self, dims, d, kind, prior, rng):
+        cfg = _cfg(dims, d, kind, prior=prior)
+        y = random_complex(cfg.lr_grid, rng)
+        fsr_solve(y, cfg)  # first call pays one-time allocations (FFT plans)
+        assert _solve_peak_hr_arrays(cfg, y) <= 4.25
+
+    def test_per_bin_solve_is_in_place_and_matches_the_formula(self, rng):
+        cfg = _cfg((12, 9, 4), (3, 3, 1), "gaussian", tau=0.3)
+        k_spec = random_complex(cfg.hr_grid, rng).data.copy()
+        lam = cfg.kernel.values
+        weights = alias_sum(lam * k_spec, cfg.d)
+        weights /= 2.0 * cfg.tau * np.prod(cfg.d) + cfg.gram
+        expected = (k_spec - np.conj(lam) * np.tile(weights, cfg.d)) / (2.0 * cfg.tau)
+        out = _per_bin_solve(k_spec, cfg)
+        assert out is k_spec
+        assert np.array_equal(out, expected)
+
+
+class TestFreshOutputs:
+    """Arrays flowsr makes are adopted by their volumes, read-only, not copied."""
+
+    @pytest.mark.parametrize("prior", ["trilinear", "zero-fill"])
+    def test_solve_output_is_read_only(self, prior, rng):
+        cfg = _cfg((8, 6, 4), (2, 3, 1), "gaussian", prior=prior)
+        x, _ = fsr_solve(random_complex(cfg.lr_grid, rng), cfg)
+        with pytest.raises(ValueError):
+            x.data[0, 0, 0] = 0
+        prior_vol = build_prior(random_complex(cfg.lr_grid, rng), cfg.d, prior)
+        assert not prior_vol.data.flags.writeable
+
+    def test_solve_output_is_checked_for_finiteness(self, rng):
+        # finite data whose spectrum overflows: the output is checked once
+        cfg = _cfg((8, 8, 8), (2, 2, 2), "ideal")
+        y = ComplexVolume(cfg.lr_grid, np.full(cfg.lr_grid.dims, 1e308 + 0j))
+        with pytest.raises(ParameterError, match="finite"), np.errstate(all="ignore"):
+            fsr_solve(y, cfg)
+
+    def test_extracted_velocity_is_read_only(self, rng):
+        g = Grid3(4, 3, 2)
+        mag, vel = extract_velocity(random_complex(g, rng), 100.0)
+        for vol in (mag, vel):
+            with pytest.raises(ValueError):
+                vol.data[0, 0, 0] = 0
+
+    def test_extracted_magnitude_overflow_raises(self):
+        # |z| overflows float64 although both parts of z are finite
+        g = Grid3(1, 1, 1)
+        with pytest.raises(ParameterError, match="finite"), np.errstate(over="ignore"):
+            extract_velocity(ComplexVolume(g, [1.5e308 + 1.5e308j]), 100.0)
 
 
 class TestSuperresolveDataset:

@@ -1,6 +1,7 @@
 import dataclasses
 import struct
 import tracemalloc
+import types
 import weakref
 
 import numpy as np
@@ -63,6 +64,30 @@ class TestRoundTrip:
         path = tmp_path / "ds.flw4"
         save_dataset(dataset, path)
         assert load_dataset(path).params.venc == 130.0
+
+    def test_loaded_arrays_are_read_only(self, tmp_path, dataset):
+        path = tmp_path / "ds.flw4"
+        save_dataset(dataset, path)
+        for frame in load_dataset(path).frames:
+            for ch in ("magnitude", "u", "v", "w"):
+                with pytest.raises(ValueError):
+                    frame.channel(ch).data[0, 0, 0] = 1.0
+
+    def test_load_holds_one_float32_channel(self, tmp_path):
+        # the float64 dataset is twice the payload; one float32 channel
+        # buffer (a quarter of a one-frame payload) is all a load adds to it
+        ds = poiseuille_phantom(Grid3(32, 32, 32), radius_voxels=10, vmax_per_frame=[80.0], venc=130.0)
+        path = tmp_path / "ds.flw4"
+        save_dataset(ds, path)
+        payload = path.stat().st_size - HEADER_SIZE
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 2.3 * payload
 
 
 def _failing_chunks(count):
@@ -214,6 +239,14 @@ class TestCorruptFiles:
         expected_end = HEADER_SIZE + 4 * 8 * 4
         with pytest.raises(FormatError, match=f"ends at offset {expected_end - 8}"):
             load_dataset(_write(tmp_path, raw))
+
+    def test_file_shrinking_after_its_size_is_read(self, tmp_path, monkeypatch):
+        # the size check passes, then a channel read comes up short
+        path = _write(tmp_path, _header() + _payload()[:-8])
+        full = HEADER_SIZE + 4 * 8 * 4
+        monkeypatch.setattr(flowsr.volio.os, "fstat", lambda fd: types.SimpleNamespace(st_size=full))
+        with pytest.raises(FormatError, match=f"ends at offset {full - 8}"):
+            load_dataset(path)
 
     def test_trailing_garbage(self, tmp_path):
         raw = _header() + _payload() + b"xx"

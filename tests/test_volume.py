@@ -16,7 +16,7 @@ from flowsr import (
     synthesize_complex,
     velocity_to_phase,
 )
-from flowsr.volume import ravel_lex, unravel_lex
+from flowsr.volume import _adopt, ravel_lex, unravel_lex
 
 from conftest import random_scalar
 
@@ -72,6 +72,33 @@ class TestVolumes:
         vol = ScalarVolume(Grid3(2, 2, 2), data)
         data[0, 0, 0] = 7.0
         assert vol.data[0, 0, 0] == 0.0
+
+    @pytest.mark.parametrize("cls, dtype", [(ScalarVolume, float), (ComplexVolume, complex)])
+    def test_caller_arrays_are_copied_and_checked(self, cls, dtype):
+        data = np.zeros((2, 2, 2), dtype=dtype)
+        vol = cls(Grid3(2, 2, 2), data)
+        assert vol.data is not data and data.flags.writeable
+        data[0, 0, 0] = 7.0
+        assert vol.data[0, 0, 0] == 0.0
+        data[0, 0, 0] = np.inf
+        with pytest.raises(ParameterError, match="finite"):
+            cls(Grid3(2, 2, 2), data)
+
+    @pytest.mark.parametrize("cls, dtype", [(ScalarVolume, np.float64), (ComplexVolume, np.complex128)])
+    def test_adopt_takes_the_array_itself(self, cls, dtype, monkeypatch):
+        # the internal path for arrays flowsr has just made: no copy, no
+        # __post_init__, the array marked read-only in place
+        monkeypatch.setattr(cls, "__post_init__", lambda self: pytest.fail("__post_init__ ran"))
+        data = np.arange(8, dtype=dtype).reshape(2, 2, 2)
+        vol = _adopt(cls, Grid3(2, 2, 2), data)
+        assert vol.data is data and isinstance(vol, cls)
+        assert not data.flags.writeable
+
+    def test_adopt_rejects_another_dtype_or_shape(self):
+        with pytest.raises(GridMismatchError):
+            _adopt(ScalarVolume, Grid3(2, 2, 2), np.zeros((2, 2, 2), dtype=np.float32))
+        with pytest.raises(GridMismatchError):
+            _adopt(ComplexVolume, Grid3(2, 2, 2), np.zeros((2, 2, 3), dtype=np.complex128))
 
     def test_flat_data_uses_lexicographic_order(self):
         flat = np.arange(8.0)
