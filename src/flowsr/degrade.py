@@ -236,6 +236,9 @@ def degrade_dataset(
             ScalarVolume(lr_grid, peak_volume), cfg.noise_psnr_db, seed=cfg.rng_seed
         )
 
+    # one HR buffer that every channel's full-k-space draws go through
+    draws = np.empty(hr.grid.dims) if kernel is None and cal.sigma > 0 else None
+
     def lr_channel(f_idx: int, frame: VelocityFrame, ch: str):
         clean = clean_channel(frame, ch) if cleans is None else cleans.pop((f_idx, ch))
         if cal.sigma == 0:
@@ -244,9 +247,12 @@ def degrade_dataset(
             rng = _channel_rng(cfg.rng_seed, f_idx, CHANNELS.index(ch))
             if kernel is None:
                 # literal protocol: noise over the full HR k-space, then
-                # truncation; cropping only selects, so adding the cropped draw
-                # to the kept box equals cropping the noisy spectrum bit for bit
-                noise = _complex_noise(hr.grid.dims, cal.sigma, rng)[box]
+                # truncation.  Cropping only selects, so cropping each draw
+                # before the arithmetic gives the cropped noisy spectrum bit
+                # for bit, with the arithmetic at LR size
+                real = rng.standard_normal(out=draws)[box]
+                imag = rng.standard_normal(out=draws)[box]
+                noise = cal.sigma * (real + 1j * imag)
             else:
                 # white noise on the LR k-space keeps the noise white per the
                 # forward model (a subsample after the filter would otherwise

@@ -23,12 +23,26 @@ the data's spectrum in the retained box, skips the high-res FFT.  The
 no transform.  Exactness is enforced against a dense brute-force solver in
 the test suite.
 
-Memory: a solve holds at most three high-res complex arrays at once, the
-right-hand side's spectrum K (overwritten in place by the solution's), the
-prior's spectrum and one scratch array for the per-bin step, plus low-res
-ones.  The diagnostics reuse the prior's array, which is freed before the
-inverse FFT allocates the output; the output volume adopts that array
-without a copy.  The trilinear prior's interpolation peaks below that.
+The ideal low-pass kernel (the default) takes a shorter path.  Its spectrum
+is 1 on the retained box and 0 elsewhere, so every low-res bin has exactly
+one alias in the box: outside the box the minimizer's spectrum is the
+prior's, and inside it, with D = prod(d),
+
+    Xhat_box   = (Y / sqrt(D) + 2 tau P_box) * D / (2 tau D + 1)
+
+with Y the data's spectrum and P the prior's.  That update and both
+diagnostics are low-res arrays; the solve writes the box into its own prior
+spectrum and inverse-transforms that array in place.
+
+Memory: a general solve holds at most three high-res complex arrays at
+once, the right-hand side's spectrum K (overwritten in place by the
+solution's), the prior's spectrum and one scratch array for the per-bin
+step, plus low-res ones.  The diagnostics reuse the prior's array, which is
+freed before the inverse FFT allocates the output; the output volume adopts
+that array without a copy.  The trilinear prior's interpolation peaks below
+that.  A box solve holds the prior's spectrum, which becomes the output,
+plus low-res arrays; a trilinear one also the prior image while it is
+transformed, two high-res arrays in all.
 """
 
 from __future__ import annotations
@@ -78,10 +92,14 @@ PRIOR_MODES = ("trilinear", "zero-fill")
 class SolverConfig:
     """Regularization weight, kernel spectrum, decimation rates, prior mode.
 
-    ``gram`` holds the kernel's alias energy for the rates ``d`` and
-    ``kernel_conj`` the conjugate of the kernel's values.  They depend on
-    nothing else, so they are built once per config (and again by
-    ``dataclasses.replace``), and every solve under the config shares them.
+    ``gram`` holds the kernel's alias energy for the rates ``d``, and
+    ``ideal_lowpass`` whether the kernel is the ideal low-pass for ``d``
+    (exactly 1 on the retained box, 0 elsewhere), in which case a solve
+    works on that box alone.  ``kernel_conj``, the conjugate of the
+    kernel's values, is built for the general per-bin solve only and is
+    None otherwise.  They depend on nothing else, so they are built once
+    per config (and again by ``dataclasses.replace``), and every solve
+    under the config shares them.
     """
 
     tau: float
@@ -89,7 +107,8 @@ class SolverConfig:
     d: tuple[int, int, int]
     prior: str = "trilinear"
     gram: np.ndarray = field(init=False, repr=False, compare=False)
-    kernel_conj: np.ndarray = field(init=False, repr=False, compare=False)
+    ideal_lowpass: bool = field(init=False, repr=False, compare=False)
+    kernel_conj: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.tau < np.inf:
@@ -98,8 +117,19 @@ class SolverConfig:
         if self.prior not in PRIOR_MODES:
             raise ParameterError(f"prior must be one of {PRIOR_MODES}, got {self.prior!r}")
         object.__setattr__(self, "gram", fold_spectrum(self.kernel, self.d))
-        kernel_conj = np.conj(self.kernel.values)
-        kernel_conj.setflags(write=False)
+        values = self.kernel.values
+        # as many nonzeros as the box holds, and all of the box ones: nothing
+        # outside it is nonzero (a kernel with more nonzeros, such as a
+        # gaussian, is decided without the box gather)
+        ideal = bool(
+            np.count_nonzero(values) == self.lr_grid.voxel_count
+            and (values[_box(values.shape, self.lr_grid.dims)] == 1).all()
+        )
+        object.__setattr__(self, "ideal_lowpass", ideal)
+        kernel_conj = None
+        if not ideal:
+            kernel_conj = np.conj(values)
+            kernel_conj.setflags(write=False)
         object.__setattr__(self, "kernel_conj", kernel_conj)
 
     @property
@@ -167,6 +197,17 @@ def _per_bin_solve(k_spec: np.ndarray, cfg: SolverConfig) -> np.ndarray:
     return k_spec
 
 
+def _box_solve(y_spec: np.ndarray, prior_box: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+    # the minimizer's spectrum on the retained box under the ideal kernel,
+    # in LR bin order: each LR bin has one alias there, with lam = 1, so the
+    # per-bin solve reduces to (Y / sqrt(D) + 2 tau P) * D / (2 tau D + 1)
+    D = float(np.prod(cfg.d))
+    x_box = y_spec / np.sqrt(D)
+    x_box += 2.0 * cfg.tau * prior_box
+    x_box *= D / (2.0 * cfg.tau * D + 1.0)
+    return x_box
+
+
 def fsr_solve(
     y: ComplexVolume,
     cfg: SolverConfig,
@@ -205,27 +246,40 @@ def fsr_solve(
             prior = build_prior(y, cfg.d, cfg.prior)
         prior_spec = fftn_unitary(prior.data)
         del prior
-    k_spec = adjoint_spectrum(y_spec, cfg.kernel_conj, cfg.d)
-    scale = 2.0 * cfg.tau
-    for k_plane, prior_plane in zip(k_spec, prior_spec):
-        # plane by plane, so the scaled prior never takes a whole HR array
-        k_plane += scale * prior_plane
-    x_spec = _per_bin_solve(k_spec, cfg)
-    del k_spec
+    if cfg.ideal_lowpass:
+        # outside the retained box the minimizer's spectrum is the prior's,
+        # so only the box changes: an LR-sized update written into the
+        # solve's own prior spectrum, which the inverse FFT then overwrites
+        box = _box(prior_spec.shape, y_spec.shape)
+        prior_box = prior_spec[box]
+        x_box = _box_solve(y_spec, prior_box, cfg)
+        prior_distance = float(np.linalg.norm(x_box - prior_box))
+        residual_norm = float(np.linalg.norm(x_box / np.sqrt(np.prod(cfg.d)) - y_spec))
+        prior_spec[box] = x_box
+        x = ifftn_unitary(prior_spec, overwrite_x=True)
+        prior_spec.setflags(write=False)  # x is a view of it, adopted read-only below
+    else:
+        k_spec = adjoint_spectrum(y_spec, cfg.kernel_conj, cfg.d)
+        scale = 2.0 * cfg.tau
+        for k_plane, prior_plane in zip(k_spec, prior_spec):
+            # plane by plane, so the scaled prior never takes a whole HR array
+            k_plane += scale * prior_plane
+        x_spec = _per_bin_solve(k_spec, cfg)
+        del k_spec
 
-    # Parseval: the norms of the LR residual and of the distance to the
-    # prior are those of their unitary spectra, S H x being the alias sum.
-    # Both are taken before the inverse transform, the residual's filtered
-    # spectrum in the prior's array once that is done with, so the prior's
-    # array is freed before the output is allocated.
-    prior_spec -= x_spec
-    prior_distance = float(np.linalg.norm(prior_spec))
-    filtered = np.multiply(cfg.kernel.values, x_spec, out=prior_spec)
-    residual = alias_sum(filtered, cfg.d) / np.sqrt(np.prod(cfg.d))
-    del prior_spec, filtered
-    residual_norm = float(np.linalg.norm(residual - y_spec))
-    x = ifftn_unitary(x_spec)
-    del x_spec
+        # Parseval: the norms of the LR residual and of the distance to the
+        # prior are those of their unitary spectra, S H x being the alias
+        # sum.  Both are taken before the inverse transform, the residual's
+        # filtered spectrum in the prior's array once that is done with, so
+        # the prior's array is freed before the output is allocated.
+        prior_spec -= x_spec
+        prior_distance = float(np.linalg.norm(prior_spec))
+        filtered = np.multiply(cfg.kernel.values, x_spec, out=prior_spec)
+        residual = alias_sum(filtered, cfg.d) / np.sqrt(np.prod(cfg.d))
+        del prior_spec, filtered
+        residual_norm = float(np.linalg.norm(residual - y_spec))
+        x = ifftn_unitary(x_spec)
+        del x_spec
     _check_finite(x)
     x_hat = _adopt(ComplexVolume, y.grid.scaled(cfg.d), x)
     report = SolveReport(

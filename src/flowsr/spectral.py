@@ -46,9 +46,13 @@ def fftn_unitary(a: np.ndarray) -> np.ndarray:
     return scipy.fft.fftn(a, norm="ortho")
 
 
-def ifftn_unitary(a: np.ndarray) -> np.ndarray:
-    """Inverse unitary 3D DFT of a raw array."""
-    return scipy.fft.ifftn(a, norm="ortho")
+def ifftn_unitary(a: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    """Inverse unitary 3D DFT of a raw array.
+
+    With ``overwrite_x`` a C-contiguous complex128 ``a`` is transformed in
+    place, the result sharing its memory; the caller must own ``a``.
+    """
+    return scipy.fft.ifftn(a, norm="ortho", overwrite_x=overwrite_x)
 
 
 def forward_fft(x: ComplexVolume) -> ComplexVolume:

@@ -220,14 +220,28 @@ class TestOracleCheck:
                    "--kernel", "gaussian", "--tau", "0.001") == 0
 
     def test_break_constant_fails_loudly(self, capsys, monkeypatch):
-        # negative control: a per-bin solve that drops the prod(d) factor from
-        # its denominator, the constant the derivation pins down
+        # negative control of the general path: a per-bin solve that drops
+        # the prod(d) factor from its denominator, the constant the
+        # derivation pins down (the ideal kernel takes the box path instead)
         def broken(k_spec, cfg):
             lam = cfg.kernel.values
             weights = alias_sum(lam * k_spec, cfg.d) / (2.0 * cfg.tau + cfg.gram)
             return (k_spec - np.conj(lam) * np.tile(weights, cfg.d)) / (2.0 * cfg.tau)
 
         monkeypatch.setattr(flowsr.solver, "_per_bin_solve", broken)
+        code = run("oracle-check", "--dims", "8,8,8", "--factor", "2,2,2", "--kernel", "gaussian")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.out + captured.err
+
+    def test_box_constant_fails_loudly(self, capsys, monkeypatch):
+        # negative control of the ideal kernel's box path: an update that
+        # drops prod(d) from the denominator of D / (2 tau D + 1)
+        def broken(y_spec, prior_box, cfg):
+            D = np.prod(cfg.d)
+            return (y_spec / np.sqrt(D) + 2.0 * cfg.tau * prior_box) * D / (2.0 * cfg.tau + 1.0)
+
+        monkeypatch.setattr(flowsr.solver, "_box_solve", broken)
         code = run("oracle-check", "--dims", "8,8,8", "--factor", "2,2,2")
         assert code == 1
         captured = capsys.readouterr()

@@ -33,7 +33,7 @@ from flowsr import (
 )
 
 from flowsr.solver import _per_bin_solve
-from flowsr.spectral import alias_sum
+from flowsr.spectral import adjoint_spectrum, alias_sum, fftn_unitary, ifftn_unitary
 
 from conftest import random_complex, rel_err
 
@@ -109,6 +109,71 @@ class TestSolverConfig:
             fsr_solve(y, cfg, gram=cfg.gram)
         with pytest.raises(TypeError):
             SolverConfig(tau=0.1, kernel=cfg.kernel, d=cfg.d, gram=cfg.gram)
+
+
+def _hand_built_ideal(dims, d):
+    # 1 where the signed bin index lies in [-floor(L/2), ceil(L/2) - 1] on
+    # every axis, built from the signed frequencies rather than the box index
+    masks = []
+    for dim, rate in zip(dims, d):
+        lr = dim // rate
+        k = np.fft.fftfreq(dim, d=1.0 / dim)
+        masks.append(((k >= -(lr // 2)) & (k < (lr + 1) // 2)).astype(float))
+    return masks[0][:, None, None] * masks[1][None, :, None] * masks[2][None, None, :]
+
+
+# even and odd LR lengths, a single-voxel LR axis, and rate one
+BOX_CASES = [
+    ((8, 6, 4), (2, 2, 2)),
+    ((6, 6, 6), (2, 3, 1)),
+    ((2, 4, 6), (2, 1, 3)),
+    ((6, 10, 4), (3, 5, 2)),
+    ((10, 9, 4), (2, 3, 4)),
+    ((4, 4, 4), (1, 1, 1)),
+]
+
+
+class TestIdealLowpassDetection:
+    @pytest.mark.parametrize("dims,d", BOX_CASES)
+    def test_ideal_kernel_takes_the_box_path(self, dims, d):
+        cfg = _cfg(dims, d, "ideal")
+        assert cfg.ideal_lowpass is True
+        assert cfg.kernel_conj is None
+        by_hand = SolverConfig(tau=0.05, kernel=KernelSpectrum(cfg.hr_grid, _hand_built_ideal(dims, d)), d=d)
+        assert np.array_equal(by_hand.kernel.values, cfg.kernel.values)
+        assert by_hand.ideal_lowpass is True
+        assert by_hand.kernel_conj is None
+
+    @pytest.mark.parametrize("dims,d", BOX_CASES)
+    def test_other_kernels_take_the_general_path(self, dims, d):
+        gauss = _cfg(dims, d, "gaussian")
+        assert gauss.ideal_lowpass is False
+        assert np.array_equal(gauss.kernel_conj, np.conj(gauss.kernel.values))
+        ideal = _cfg(dims, d, "ideal")
+        values = ideal.kernel.values.copy()
+        values[0, 0, 0] = 0.5  # DC is always in the box
+        off = dataclasses.replace(ideal, kernel=KernelSpectrum(ideal.hr_grid, values))
+        assert off.ideal_lowpass is False
+        assert np.array_equal(off.kernel_conj, np.conj(values))
+        outside = np.argwhere(ideal.kernel.values == 0)
+        if len(outside):
+            values = ideal.kernel.values.copy()
+            values[tuple(outside[len(outside) // 2])] = 1.0
+            extra = dataclasses.replace(ideal, kernel=KernelSpectrum(ideal.hr_grid, values))
+            assert extra.ideal_lowpass is False
+            assert extra.kernel_conj is not None
+
+    def test_complex_unit_phase_is_not_ideal(self):
+        ideal = _cfg((8, 6, 4), (2, 2, 2), "ideal")
+        values = ideal.kernel.values.copy()
+        values[0, 0, 0] = 1j
+        swapped = dataclasses.replace(ideal, kernel=KernelSpectrum(ideal.hr_grid, values))
+        assert swapped.ideal_lowpass is False
+
+    def test_box_decision_is_not_an_argument(self):
+        cfg = _cfg((8, 8, 8), (2, 2, 2))
+        with pytest.raises(TypeError):
+            SolverConfig(tau=0.1, kernel=cfg.kernel, d=cfg.d, ideal_lowpass=False)
 
 
 class TestBuildPrior:
@@ -323,6 +388,51 @@ class TestFsrSolveInvariants:
         assert rel_err(_solve(cfg, y, prior), x_ref.data) < 1e-8
 
 
+def _general_formula(cfg, y_spec, prior_spec):
+    # the per-bin Woodbury solve and its Parseval report, on whole HR spectra
+    lam = cfg.kernel.values
+    D = np.prod(cfg.d)
+    k_spec = adjoint_spectrum(y_spec, np.conj(lam), cfg.d) + 2.0 * cfg.tau * prior_spec
+    weights = alias_sum(lam * k_spec, cfg.d) / (2.0 * cfg.tau * D + cfg.gram)
+    x_spec = (k_spec - np.conj(lam) * np.tile(weights, cfg.d)) / (2.0 * cfg.tau)
+    residual = alias_sum(lam * x_spec, cfg.d) / np.sqrt(D) - y_spec
+    return x_spec, np.linalg.norm(residual), np.linalg.norm(x_spec - prior_spec)
+
+
+@pytest.mark.parametrize("dims,d", INVARIANT_CASES)
+class TestBoxSolve:
+    """The ideal kernel's box path against the general per-bin formula."""
+
+    @pytest.mark.parametrize("prior_mode", ["trilinear", "zero-fill", "explicit"])
+    def test_matches_the_general_formula(self, dims, d, prior_mode, rng):
+        cfg = _cfg(dims, d, "ideal", tau=0.05, prior="trilinear" if prior_mode == "explicit" else prior_mode)
+        assert cfg.ideal_lowpass
+        y = random_complex(cfg.lr_grid, rng)
+        if prior_mode == "explicit":
+            prior = random_complex(cfg.hr_grid, rng)
+            x, report = fsr_solve(y, cfg, prior=prior)
+        else:
+            prior = build_prior(y, d, prior_mode)
+            x, report = fsr_solve(y, cfg)
+        x_spec, residual, distance = _general_formula(cfg, fftn_unitary(y.data), fftn_unitary(prior.data))
+        assert rel_err(x.data, ifftn_unitary(x_spec)) < 1e-12
+        # the zero-fill prior fits the data exactly, so there both norms are
+        # round-off and only the absolute term applies
+        floor = 1e-14 * np.linalg.norm(y.data)
+        assert report.residual_norm == pytest.approx(residual, rel=1e-12, abs=floor)
+        assert report.prior_distance == pytest.approx(distance, rel=1e-12, abs=floor)
+        expected_objective = 0.5 * report.residual_norm**2 + cfg.tau * report.prior_distance**2
+        assert report.objective == expected_objective
+
+    def test_explicit_prior_is_left_alone(self, dims, d, rng):
+        cfg = _cfg(dims, d, "ideal")
+        prior = random_complex(cfg.hr_grid, rng)
+        before = prior.data.copy()
+        x, _ = fsr_solve(random_complex(cfg.lr_grid, rng), cfg, prior=prior)
+        assert np.array_equal(prior.data, before)
+        assert not np.shares_memory(x.data, prior.data)
+
+
 class TestFftBudget:
     """Transforms per solve and per degraded channel, counted by array shape.
 
@@ -342,10 +452,16 @@ class TestFftBudget:
         return shapes
 
     @pytest.mark.parametrize(
-        "prior, hr_count, lr_count", [("trilinear", 2, 1), ("zero-fill", 1, 1)]
+        "kind, prior, hr_count, lr_count",
+        [
+            pytest.param("gaussian", "trilinear", 2, 1, id="trilinear-2-1"),
+            pytest.param("gaussian", "zero-fill", 1, 1, id="zero-fill-1-1"),
+            pytest.param("ideal", "trilinear", 2, 1, id="ideal-trilinear-2-1"),
+            pytest.param("ideal", "zero-fill", 1, 1, id="ideal-zero-fill-1-1"),
+        ],
     )
-    def test_solve(self, fft_shapes, prior, hr_count, lr_count, rng):
-        cfg = _cfg((8, 6, 4), (2, 3, 1), "gaussian", prior=prior)
+    def test_solve(self, fft_shapes, kind, prior, hr_count, lr_count, rng):
+        cfg = _cfg((8, 6, 4), (2, 3, 1), kind, prior=prior)
         fsr_solve(random_complex(cfg.lr_grid, rng), cfg)
         assert fft_shapes == {cfg.hr_grid.dims: hr_count, cfg.lr_grid.dims: lr_count}
 
@@ -374,21 +490,30 @@ def _solve_peak_hr_arrays(cfg, y):
 class TestMemoryBudget:
     """HR arrays a solve holds at once, by tracemalloc on small grids.
 
-    The solve holds the right-hand side's spectrum, the prior's spectrum and
-    one scratch array at its peak (3.5-3.7 HR arrays with the LR ones on
-    these grids); one fresh HR temporary per pointwise step reads 5.3-5.4.
+    A general solve holds the right-hand side's spectrum, the prior's
+    spectrum and one scratch array at its peak (3.5-3.7 HR arrays with the
+    LR ones on these grids); one fresh HR temporary per pointwise step reads
+    5.3-5.4.  A box solve (the ideal kernel) holds the prior's spectrum,
+    transformed in place into the output, plus LR arrays, and a trilinear
+    one also the prior image: about 1.6 and 2.2.  The general path reads
+    3.5 on the same grids, and a box solve whose inverse FFT allocates a
+    fresh output 2.5.
     """
 
     @pytest.mark.parametrize(
-        "dims, d, kind, prior",
-        [((16, 18, 8), (2, 3, 1), "gaussian", "trilinear"), ((16, 16, 16), (2, 2, 2), "ideal", "zero-fill")],
-        ids=["gaussian-trilinear", "ideal-zero-fill"],
+        "dims, d, kind, prior, bound",
+        [
+            ((16, 18, 8), (2, 3, 1), "gaussian", "trilinear", 4.25),
+            ((16, 16, 16), (2, 2, 2), "ideal", "zero-fill", 2.0),
+            ((16, 16, 16), (2, 2, 2), "ideal", "trilinear", 2.5),
+        ],
+        ids=["gaussian-trilinear", "ideal-zero-fill", "ideal-trilinear"],
     )
-    def test_solve_peak(self, dims, d, kind, prior, rng):
+    def test_solve_peak(self, dims, d, kind, prior, bound, rng):
         cfg = _cfg(dims, d, kind, prior=prior)
         y = random_complex(cfg.lr_grid, rng)
         fsr_solve(y, cfg)  # first call pays one-time allocations (FFT plans)
-        assert _solve_peak_hr_arrays(cfg, y) <= 4.25
+        assert _solve_peak_hr_arrays(cfg, y) <= bound
 
     def test_per_bin_solve_is_in_place_and_matches_the_formula(self, rng):
         cfg = _cfg((12, 9, 4), (3, 3, 1), "gaussian", tau=0.3)
@@ -405,12 +530,22 @@ class TestMemoryBudget:
 class TestFreshOutputs:
     """Arrays flowsr makes are adopted by their volumes, read-only, not copied."""
 
-    @pytest.mark.parametrize("prior", ["trilinear", "zero-fill"])
-    def test_solve_output_is_read_only(self, prior, rng):
-        cfg = _cfg((8, 6, 4), (2, 3, 1), "gaussian", prior=prior)
+    @pytest.mark.parametrize(
+        "kind, prior",
+        [
+            pytest.param("gaussian", "trilinear", id="trilinear"),
+            pytest.param("gaussian", "zero-fill", id="zero-fill"),
+            pytest.param("ideal", "trilinear", id="ideal-trilinear"),
+            pytest.param("ideal", "zero-fill", id="ideal-zero-fill"),
+        ],
+    )
+    def test_solve_output_is_read_only(self, kind, prior, rng):
+        cfg = _cfg((8, 6, 4), (2, 3, 1), kind, prior=prior)
         x, _ = fsr_solve(random_complex(cfg.lr_grid, rng), cfg)
         with pytest.raises(ValueError):
             x.data[0, 0, 0] = 0
+        # the box path's in-place inverse FFT returns a view of its spectrum
+        assert x.data.base is None or not x.data.base.flags.writeable
         prior_vol = build_prior(random_complex(cfg.lr_grid, rng), cfg.d, prior)
         assert not prior_vol.data.flags.writeable
 
