@@ -55,5 +55,6 @@ fsr_solve(y64, cfg64)  # warm up
 t0 = time.perf_counter()
 _, rep = fsr_solve(y64, cfg64)
 print(f"\n64^3 x4 solve: {(time.perf_counter() - t0) * 1e3:.0f} ms "
-      "(one low-res and two high-res 3D FFTs, one of them the prior's, plus "
-      "pointwise work; the report adds no transform)")
+      "(one low-res 3D FFT and one high-res inverse 3D FFT; the trilinear "
+      "prior's spectrum comes from per-axis matrix products, and the report "
+      "adds no transform)")

@@ -28,7 +28,7 @@ from .errors import (
     ParameterError,
     SizeGuardError,
 )
-from .interp import upsample_dataset, upsample_velocity
+from .interp import upsample_dataset
 from .metrics import (
     EvalRecord,
     EvalReport,
@@ -122,6 +122,5 @@ __all__ = [
     "superresolve_dataset",
     "synthesize_complex",
     "upsample_dataset",
-    "upsample_velocity",
     "velocity_to_phase",
 ]

@@ -16,12 +16,13 @@ rank-one-plus-identity systems, solved exactly per bin:
 
 where K is the unitary spectrum of ``H^H S^H y + 2 tau xbar`` and index b
 picks high-res bin ``kappa + b * L``.  No iterations and no large matrix:
-a trilinear solve takes one low-res FFT, one high-res FFT (of the prior)
-and one high-res inverse FFT; a zero-fill solve, whose prior spectrum is
-the data's spectrum in the retained box, skips the high-res FFT.  The
-``SolveReport`` diagnostics come from the same spectra by Parseval and add
-no transform.  Exactness is enforced against a dense brute-force solver in
-the test suite.
+a solve takes one low-res FFT and one high-res inverse FFT.  The trilinear
+prior's spectrum is a product of per-axis DFT'd weights and the low-res
+data (``interp.upsample_spectrum``), the zero-fill prior's the data's
+spectrum in the retained box; only an explicit prior takes a high-res FFT.
+The ``SolveReport`` diagnostics come from the same spectra by Parseval and
+add no transform.  Exactness is enforced against a dense brute-force
+solver in the test suite and by ``flowsr oracle-check``.
 
 The ideal low-pass kernel (the default) takes a shorter path.  Its spectrum
 is 1 on the retained box and 0 elsewhere, so every low-res bin has exactly
@@ -39,10 +40,9 @@ once, the right-hand side's spectrum K (overwritten in place by the
 solution's), the prior's spectrum and one scratch array for the per-bin
 step, plus low-res ones.  The diagnostics reuse the prior's array, which is
 freed before the inverse FFT allocates the output; the output volume adopts
-that array without a copy.  The trilinear prior's interpolation peaks below
-that.  A box solve holds the prior's spectrum, which becomes the output,
-plus low-res arrays; a trilinear one also the prior image while it is
-transformed, two high-res arrays in all.
+that array without a copy.  A box solve holds the prior's spectrum, which
+becomes the output, plus low-res arrays; the trilinear prior's last per-axis
+product holds its input, 1/d of a high-res array, beside it.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import GridMismatchError, ParameterError
-from .interp import upsample_array
+from .interp import upsample_array, upsample_spectrum
 from .spectral import (
     KernelSpectrum,
     _box,
@@ -239,13 +239,12 @@ def fsr_solve(
         )
 
     y_spec = fftn_unitary(y.data)
-    if prior is None and cfg.prior == "zero-fill":
+    if prior is not None:
+        prior_spec = fftn_unitary(prior.data)  # the caller's prior, never written
+    elif cfg.prior == "zero-fill":
         prior_spec = _zero_fill_spectrum(y_spec, cfg.d)
     else:
-        if prior is None:
-            prior = build_prior(y, cfg.d, cfg.prior)
-        prior_spec = fftn_unitary(prior.data)
-        del prior
+        prior_spec = upsample_spectrum(y.data, cfg.d)  # no HR image, no HR FFT
     if cfg.ideal_lowpass:
         # outside the retained box the minimizer's spectrum is the prior's,
         # so only the box changes: an LR-sized update written into the
@@ -256,8 +255,8 @@ def fsr_solve(
         prior_distance = float(np.linalg.norm(x_box - prior_box))
         residual_norm = float(np.linalg.norm(x_box / np.sqrt(np.prod(cfg.d)) - y_spec))
         prior_spec[box] = x_box
+        # x is a view of prior_spec; adopting it marks both read-only below
         x = ifftn_unitary(prior_spec, overwrite_x=True)
-        prior_spec.setflags(write=False)  # x is a view of it, adopted read-only below
     else:
         k_spec = adjoint_spectrum(y_spec, cfg.kernel_conj, cfg.d)
         scale = 2.0 * cfg.tau

@@ -144,7 +144,8 @@ def _adopt(cls, grid: Grid3, data: np.ndarray):
     For an array flowsr has just made, of the volume's dtype and shape, that
     nothing else holds.  Nothing is copied and ``__post_init__`` does not
     run, so the caller checks finiteness wherever the values could be
-    non-finite.
+    non-finite.  A view (a reshaped matrix product, an in-place transform)
+    has the array it views marked read-only too.
     """
     if data.dtype != _DTYPES[cls] or data.shape != grid.dims:
         raise GridMismatchError(
@@ -152,6 +153,8 @@ def _adopt(cls, grid: Grid3, data: np.ndarray):
             f"{cls.__name__} on grid {grid.dims}"
         )
     data.setflags(write=False)
+    if isinstance(data.base, np.ndarray):  # a view's base is the array owning the memory
+        data.base.setflags(write=False)
     vol = object.__new__(cls)
     object.__setattr__(vol, "grid", grid)
     object.__setattr__(vol, "data", data)

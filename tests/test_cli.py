@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 import flowsr.cli
+import flowsr.interp
 import flowsr.solver
 from flowsr import EvalReport, load_dataset
 from flowsr.cli import main
+from flowsr.interp import _axis_weights
 from flowsr.spectral import alias_sum
 from flowsr.volio import atomic_write
 
@@ -246,6 +249,21 @@ class TestOracleCheck:
         assert code == 1
         captured = capsys.readouterr()
         assert "FAIL" in captured.out + captured.err
+
+    def test_prior_spectrum_fails_loudly(self, capsys, monkeypatch):
+        # negative control of the built-in trilinear prior: its per-axis
+        # weight spectra without the unitary 1/sqrt(M) scaling
+        def broken(dim, rate, order):
+            return scipy.fft.fft(_axis_weights(dim, rate, order) if rate > 1 else np.eye(dim), axis=0)
+
+        monkeypatch.setattr(flowsr.interp, "_axis_spectra", broken)
+        code = run("oracle-check", "--dims", "8,8,8", "--factor", "2,2,2")
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.out + captured.err
+        lines = captured.out.splitlines()
+        assert [line for line in lines if line.startswith("[FAIL]") and "prior=trilinear" in line]
+        assert [line for line in lines if line.startswith("[ok]") and "prior=explicit" in line]
 
 
 class TestPipeline:

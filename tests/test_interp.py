@@ -9,13 +9,12 @@ from flowsr import (
     DegradationConfig,
     Grid3,
     ParameterError,
-    ScalarVolume,
     degrade_dataset,
     poiseuille_phantom,
     upsample_dataset,
-    upsample_velocity,
 )
-from flowsr.interp import _axis_weights, upsample_array
+from flowsr.interp import _axis_spectra, _axis_weights, upsample_array, upsample_spectrum
+from flowsr.spectral import fftn_unitary
 
 from conftest import rel_err
 
@@ -26,6 +25,57 @@ SEPARABLE_CASES = [
     ((5, 7, 3), (3, 2, 1)),
     ((1, 4, 2), (2, 3, 2)),
 ]
+
+# (LR shape, rates) with rate-1 axes in every position
+RATE_ONE_CASES = [
+    ((5, 7, 3), (3, 2, 1)),
+    ((4, 6, 5), (1, 2, 3)),
+    ((6, 4, 4), (2, 1, 2)),
+    ((8, 8, 8), (1, 3, 1)),
+]
+SPECTRUM_CASES = [
+    ((16, 16, 16), (4, 4, 4)),
+    ((32, 32, 32), (2, 2, 1)),
+    ((5, 7, 3), (2, 3, 1)),
+    ((1, 4, 3), (3, 1, 2)),
+    ((4, 3, 5), (1, 1, 1)),
+]
+
+
+def _moveaxis_upsample(a, d, method):
+    # the per-axis loop upsample_array used before it contracted axis 0
+    # each time: the new axis moved back into place after every product
+    out = a
+    for axis, rate in enumerate(d):
+        if rate > 1:
+            weights = _axis_weights(a.shape[axis], rate, _ORDERS[method])
+            out = np.moveaxis(np.tensordot(weights, out, axes=(1, axis)), 0, axis)
+    return np.ascontiguousarray(out)
+
+
+def _run_threads(work, count):
+    # count threads started together with a tiny switch interval; returns
+    # the exceptions they raised
+    errors = []
+
+    def guarded(i):
+        try:
+            work(i)
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(i,)) for i in range(count)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    return errors
 
 
 def _reference_upsample(a, d, method):
@@ -123,30 +173,60 @@ class TestSeparableWeights:
         serial = upsample_dataset(lr, (3, 3, 2), "tricubic")
         _axis_weights.cache_clear()
         results = [None] * 4
-        errors = []
 
         def work(i):
-            try:
-                results[i] = upsample_dataset(lr, (3, 3, 2), "tricubic")
-            except Exception as exc:  # reported by the main thread below
-                errors.append(exc)
+            results[i] = upsample_dataset(lr, (3, 3, 2), "tricubic")
 
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-                assert not t.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert errors == []
+        assert _run_threads(work, len(results)) == []
         for out in results:
             for f_out, f_serial in zip(out.frames, serial.frames):
                 for ch in ("magnitude", "u", "v", "w"):
                     assert np.array_equal(f_out.channel(ch).data, f_serial.channel(ch).data)
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    @pytest.mark.parametrize("method", ["trilinear", "tricubic"])
+    @pytest.mark.parametrize("shape,d", RATE_ONE_CASES)
+    def test_equals_the_moveaxis_loop(self, method, shape, d, dtype, layout, rng):
+        # contracting axis 0 each time gives the same bits; F order is how
+        # load_dataset returns its volumes
+        a = rng.standard_normal(shape).astype(dtype)
+        if dtype is np.complex128:
+            a += 1j * rng.standard_normal(shape)
+        a = np.asarray(a, order=layout)
+        out = upsample_array(a, d, method)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, _moveaxis_upsample(a, d, method))
+
+
+class TestUpsampleSpectrum:
+    @pytest.mark.parametrize("shape,d", SPECTRUM_CASES)
+    def test_matches_the_fft_of_the_upsampled_array(self, shape, d, rng):
+        y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        spec = upsample_spectrum(y, d)
+        assert spec.dtype == np.complex128 and spec.flags.c_contiguous
+        assert rel_err(spec, fftn_unitary(upsample_array(y, d))) < 1e-14
+
+    def test_cached_spectra_are_read_only(self):
+        for rate in (1, 2):
+            spectra = _axis_spectra(4, rate, 1)
+            assert spectra is _axis_spectra(4, rate, 1)
+            with pytest.raises(ValueError):
+                spectra[0, 0] = 1.0
+
+    def test_threads_on_a_cold_cache_match_serial(self, rng):
+        ys = [rng.standard_normal((6, 5, 4)) + 1j * rng.standard_normal((6, 5, 4)) for _ in range(4)]
+        serial = [upsample_spectrum(y, (3, 2, 1)) for y in ys]
+        _axis_weights.cache_clear()
+        _axis_spectra.cache_clear()
+        results = [None] * len(ys)
+
+        def work(i):
+            results[i] = upsample_spectrum(ys[i], (3, 2, 1))
+
+        assert _run_threads(work, len(results)) == []
+        for out, expected in zip(results, serial):
+            assert np.array_equal(out, expected)
 
 
 class TestUpsampleDataset:
@@ -171,8 +251,10 @@ class TestUpsampleDataset:
             for ch in ("magnitude", "u", "v", "w"):
                 assert np.allclose(f1.channel(ch).data, f2.channel(ch).data, atol=0)
 
-    def test_velocity_volume_grid_scaling(self, rng):
-        vel = ScalarVolume(Grid3(4, 4, 4, (2.0, 2.0, 2.0)), rng.standard_normal((4, 4, 4)))
-        up = upsample_velocity(vel, (2, 2, 2))
-        assert up.grid.dims == (8, 8, 8)
-        assert up.grid.spacing == (1.0, 1.0, 1.0)
+    def test_outputs_are_adopted_read_only(self):
+        up = upsample_dataset(self._lr(), (2, 2, 2), "tricubic")
+        for ch in ("magnitude", "u", "v", "w"):
+            data = up.frames[0].channel(ch).data
+            with pytest.raises(ValueError):
+                data[0, 0, 0] = 0.0
+            assert data.base is None or not data.base.flags.writeable
