@@ -1,11 +1,12 @@
 """The closed-form solve, checked against dense linear algebra.
 
 The penalized reconstruction has an exact solution: the normal equations
-decouple per low-res frequency bin into rank-one-plus-identity systems over
-the spectrum's decimation alias blocks.  On grids small
-enough to materialize S and H explicitly, the fast path and a direct dense
-solve must agree to rounding; this script shows that, the solve cost at a
-realistic size, and the regularization limits.
+decouple per low-res frequency bin, so the solution is the prior plus a
+correction computed by one division per low-res bin and spread over the
+spectrum's decimation alias blocks.  On grids small enough to materialize S
+and H explicitly, the fast path and a direct dense solve must agree to
+rounding; this script shows that, the solve cost at a realistic size, and
+the regularization limits.
 """
 
 import time

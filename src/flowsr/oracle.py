@@ -99,10 +99,17 @@ def dense_solve(
     smallest eigenvalue is at least 2 tau), so a direct factorization is
     exact up to rounding.
     """
+    return _dense_solve_priors(y, [prior], ops, tau)[0]
+
+
+def _dense_solve_priors(y: ComplexVolume, priors, ops: DenseOperators, tau: float) -> list[ComplexVolume]:
+    # dense_solve for each prior, every right-hand side against one
+    # factorization of the system matrix
     if tau <= 0:
         raise ParameterError(f"tau must be > 0 for a definite system, got {tau}")
     SH = ops.S @ ops.H
     A = SH.conj().T @ SH + 2.0 * tau * np.eye(ops.hr_grid.voxel_count)
-    b = SH.conj().T @ ravel_lex(y.data) + 2.0 * tau * ravel_lex(prior.data)
+    data_term = SH.conj().T @ ravel_lex(y.data)
+    b = np.stack([data_term + 2.0 * tau * ravel_lex(prior.data) for prior in priors], axis=1)
     x = scipy.linalg.solve(A, b, assume_a="pos")
-    return ComplexVolume(ops.hr_grid, unravel_lex(x, ops.hr_grid.dims))
+    return [ComplexVolume(ops.hr_grid, unravel_lex(col, ops.hr_grid.dims)) for col in x.T]

@@ -5,43 +5,40 @@ minimizer of
 
     0.5 * ||y - S H x||^2  +  tau * ||x - xbar||^2
 
-with xbar an interpolated rough estimate of x.  Because H diagonalizes in
-the unitary Fourier basis and decimation sums the spectrum over its d alias
-blocks per low-res bin, the normal equations split into independent d x d
-rank-one-plus-identity systems, solved exactly per bin:
+with xbar an interpolated rough estimate of x.  H diagonalizes in the
+unitary Fourier basis, with values lam, and decimation sums the spectrum
+over its D = prod(d) alias blocks per low-res bin, so in the Woodbury form
+of the normal equations (Zhao et al., IEEE TIP 2016) the inverse is
+diagonal on low-res bins.  The minimizer is the prior plus a correction
+computed at low-res size:
 
-    r(kappa)   = sum_b  lam_b(kappa) * K_b(kappa)
-    w(kappa)   = r(kappa) / (2 tau d + sum_b |lam_b(kappa)|^2)
-    Xhat_b     = (K_b - conj(lam_b) * w) / (2 tau)
+    A          = alias_sum(lam * P)
+    u          = (sqrt(D) * Y - A) / (2 tau D + G)
+    Xhat       = P + conj(lam) * tile(u)
 
-where K is the unitary spectrum of ``H^H S^H y + 2 tau xbar`` and index b
-picks high-res bin ``kappa + b * L``.  No iterations and no large matrix:
-a solve takes one low-res FFT and one high-res inverse FFT.  The trilinear
-prior's spectrum is a product of per-axis DFT'd weights and the low-res
-data (``interp.upsample_spectrum``), the zero-fill prior's the data's
-spectrum in the retained box; only an explicit prior takes a high-res FFT.
-The ``SolveReport`` diagnostics come from the same spectra by Parseval and
-add no transform.  Exactness is enforced against a dense brute-force
-solver in the test suite and by ``flowsr oracle-check``.
+with Y the data's unitary spectrum, P the prior's, G = alias_sum(|lam|^2)
+the kernel's alias energy and ``tile`` the adjoint of ``alias_sum`` (high-res
+bin ``kappa + b * L`` gets low-res bin kappa).  No iterations and no large
+matrix: a solve takes one low-res FFT and one high-res inverse FFT.  The
+trilinear prior's spectrum is a product of per-axis DFT'd weights and the
+low-res data (``interp.upsample_spectrum``), the zero-fill prior's the
+data's spectrum in the retained box; only an explicit prior takes a
+high-res FFT.  The ``SolveReport`` diagnostics are low-res too, by
+Parseval: S H x has spectrum (A + G * u) / sqrt(D), and x - xbar has energy
+sum(G * |u|^2).  Exactness is enforced against a dense brute-force solver in
+the test suite and by ``flowsr oracle-check``.
 
-The ideal low-pass kernel (the default) takes a shorter path.  Its spectrum
-is 1 on the retained box and 0 elsewhere, so every low-res bin has exactly
-one alias in the box: outside the box the minimizer's spectrum is the
-prior's, and inside it, with D = prod(d),
+The ideal low-pass kernel (the default) is 1 on the retained box and 0
+elsewhere, so every low-res bin has one alias there and G = 1: A is the
+prior's spectrum on the box and the correction lands on the box alone,
+Xhat_box = A + u, with no high-res pointwise pass of its own.
 
-    Xhat_box   = (Y / sqrt(D) + 2 tau P_box) * D / (2 tau D + 1)
-
-with Y the data's spectrum and P the prior's.  That update and both
-diagnostics are low-res arrays; the solve writes the box into its own prior
-spectrum and inverse-transforms that array in place.
-
-Memory: a general solve holds at most three high-res complex arrays at
-once, the right-hand side's spectrum K (overwritten in place by the
-solution's), the prior's spectrum and one scratch array for the per-bin
-step, plus low-res ones.  The diagnostics reuse the prior's array, which is
-freed before the inverse FFT allocates the output; the output volume adopts
-that array without a copy.  A box solve holds the prior's spectrum, which
-becomes the output, plus low-res arrays; the trilinear prior's last per-axis
+Memory: a solve adds the correction into its own prior spectrum and
+inverse-transforms that array in place, and the output volume adopts it
+without a copy.  A general kernel needs one high-res scratch array beside
+it, which holds lam * P, then tile(u), then conj(lam) * tile(u): at most
+two high-res complex arrays at once, plus low-res ones.  The ideal kernel
+needs only the prior's spectrum.  The trilinear prior's last per-axis
 product holds its input, 1/d of a high-res array, beside it.
 """
 
@@ -59,7 +56,6 @@ from .spectral import (
     _box,
     _check_divisible,
     _tile_into,
-    adjoint_spectrum,
     alias_sum,
     fftn_unitary,
     fold_spectrum,
@@ -95,11 +91,11 @@ class SolverConfig:
     ``gram`` holds the kernel's alias energy for the rates ``d``, and
     ``ideal_lowpass`` whether the kernel is the ideal low-pass for ``d``
     (exactly 1 on the retained box, 0 elsewhere), in which case a solve
-    works on that box alone.  ``kernel_conj``, the conjugate of the
-    kernel's values, is built for the general per-bin solve only and is
-    None otherwise.  They depend on nothing else, so they are built once
-    per config (and again by ``dataclasses.replace``), and every solve
-    under the config shares them.
+    works on that box alone and ``gram`` is all ones, built without a
+    high-res pass.  ``kernel_conj``, the conjugate of the kernel's values,
+    is built for other kernels only and is None otherwise.  They depend on
+    nothing else, so they are built once per config (and again by
+    ``dataclasses.replace``), and every solve under the config shares them.
     """
 
     tau: float
@@ -116,7 +112,6 @@ class SolverConfig:
         object.__setattr__(self, "d", _check_divisible(self.kernel.grid, self.d))
         if self.prior not in PRIOR_MODES:
             raise ParameterError(f"prior must be one of {PRIOR_MODES}, got {self.prior!r}")
-        object.__setattr__(self, "gram", fold_spectrum(self.kernel, self.d))
         values = self.kernel.values
         # as many nonzeros as the box holds, and all of the box ones: nothing
         # outside it is nonzero (a kernel with more nonzeros, such as a
@@ -126,10 +121,14 @@ class SolverConfig:
             and (values[_box(values.shape, self.lr_grid.dims)] == 1).all()
         )
         object.__setattr__(self, "ideal_lowpass", ideal)
-        kernel_conj = None
-        if not ideal:
-            kernel_conj = np.conj(values)
+        if ideal:
+            # one alias of value 1 per LR bin: the fold is all ones
+            gram, kernel_conj = np.ones(self.lr_grid.dims), None
+        else:
+            gram, kernel_conj = fold_spectrum(self.kernel, self.d), np.conj(values)
             kernel_conj.setflags(write=False)
+        gram.setflags(write=False)
+        object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "kernel_conj", kernel_conj)
 
     @property
@@ -183,29 +182,15 @@ def _zero_fill_spectrum(y_spec: np.ndarray, d: tuple[int, int, int]) -> np.ndarr
     return spec
 
 
-def _per_bin_solve(k_spec: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    # the d x d Woodbury solve of every low-res bin, from the right-hand
-    # side's spectrum to the minimizer's, both in high-res bin order; it
-    # overwrites k_spec and returns it, with one HR scratch array
-    scratch = np.multiply(cfg.kernel.values, k_spec, out=np.empty(k_spec.shape, np.complex128))
-    weights = alias_sum(scratch, cfg.d)
-    weights /= 2.0 * cfg.tau * np.prod(cfg.d) + cfg.gram
-    np.multiply(cfg.kernel_conj, _tile_into(scratch, weights, cfg.d), out=scratch)
-    k_spec -= scratch
-    del scratch
-    k_spec /= 2.0 * cfg.tau
-    return k_spec
-
-
-def _box_solve(y_spec: np.ndarray, prior_box: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    # the minimizer's spectrum on the retained box under the ideal kernel,
-    # in LR bin order: each LR bin has one alias there, with lam = 1, so the
-    # per-bin solve reduces to (Y / sqrt(D) + 2 tau P) * D / (2 tau D + 1)
+def _lr_correction(y_spec: np.ndarray, alias: np.ndarray, cfg: SolverConfig) -> np.ndarray:
+    # the low-res correction u = (sqrt(D) Y - A) / (2 tau D + G) of the
+    # Woodbury form, from the data's spectrum Y and the kernel-filtered
+    # prior's alias sum A, both LR-shaped; neither is written
     D = float(np.prod(cfg.d))
-    x_box = y_spec / np.sqrt(D)
-    x_box += 2.0 * cfg.tau * prior_box
-    x_box *= D / (2.0 * cfg.tau * D + 1.0)
-    return x_box
+    u = np.sqrt(D) * y_spec
+    u -= alias
+    u /= 2.0 * cfg.tau * D + cfg.gram
+    return u
 
 
 def fsr_solve(
@@ -245,40 +230,28 @@ def fsr_solve(
         prior_spec = _zero_fill_spectrum(y_spec, cfg.d)
     else:
         prior_spec = upsample_spectrum(y.data, cfg.d)  # no HR image, no HR FFT
+    # the minimizer's spectrum is the prior's plus conj(lam) * tile(u), added
+    # into the solve's own prior spectrum, which the inverse FFT overwrites
     if cfg.ideal_lowpass:
-        # outside the retained box the minimizer's spectrum is the prior's,
-        # so only the box changes: an LR-sized update written into the
-        # solve's own prior spectrum, which the inverse FFT then overwrites
+        # lam is the retained box's indicator: A is the prior's spectrum on
+        # the box, and only the box changes
         box = _box(prior_spec.shape, y_spec.shape)
-        prior_box = prior_spec[box]
-        x_box = _box_solve(y_spec, prior_box, cfg)
-        prior_distance = float(np.linalg.norm(x_box - prior_box))
-        residual_norm = float(np.linalg.norm(x_box / np.sqrt(np.prod(cfg.d)) - y_spec))
-        prior_spec[box] = x_box
-        # x is a view of prior_spec; adopting it marks both read-only below
-        x = ifftn_unitary(prior_spec, overwrite_x=True)
+        alias = prior_spec[box]
+        u = _lr_correction(y_spec, alias, cfg)
+        prior_spec[box] = alias + u
     else:
-        k_spec = adjoint_spectrum(y_spec, cfg.kernel_conj, cfg.d)
-        scale = 2.0 * cfg.tau
-        for k_plane, prior_plane in zip(k_spec, prior_spec):
-            # plane by plane, so the scaled prior never takes a whole HR array
-            k_plane += scale * prior_plane
-        x_spec = _per_bin_solve(k_spec, cfg)
-        del k_spec
-
-        # Parseval: the norms of the LR residual and of the distance to the
-        # prior are those of their unitary spectra, S H x being the alias
-        # sum.  Both are taken before the inverse transform, the residual's
-        # filtered spectrum in the prior's array once that is done with, so
-        # the prior's array is freed before the output is allocated.
-        prior_spec -= x_spec
-        prior_distance = float(np.linalg.norm(prior_spec))
-        filtered = np.multiply(cfg.kernel.values, x_spec, out=prior_spec)
-        residual = alias_sum(filtered, cfg.d) / np.sqrt(np.prod(cfg.d))
-        del prior_spec, filtered
-        residual_norm = float(np.linalg.norm(residual - y_spec))
-        x = ifftn_unitary(x_spec)
-        del x_spec
+        # one HR scratch array: lam * P, then tile(u), then conj(lam) * tile(u)
+        scratch = cfg.kernel.values * prior_spec
+        alias = alias_sum(scratch, cfg.d)
+        u = _lr_correction(y_spec, alias, cfg)
+        prior_spec += np.multiply(cfg.kernel_conj, _tile_into(scratch, u, cfg.d), out=scratch)
+        del scratch
+    # Parseval, at LR size and after the scratch array is freed: S H x has
+    # spectrum (A + G u) / sqrt(D), and x - xbar has energy sum G |u|^2
+    residual_norm = float(np.linalg.norm((alias + cfg.gram * u) / np.sqrt(np.prod(cfg.d)) - y_spec))
+    prior_distance = float(np.sqrt(np.sum(cfg.gram * np.abs(u) ** 2)))
+    # x is a view of prior_spec; adopting it marks both read-only below
+    x = ifftn_unitary(prior_spec, overwrite_x=True)
     _check_finite(x)
     x_hat = _adopt(ComplexVolume, y.grid.scaled(cfg.d), x)
     report = SolveReport(

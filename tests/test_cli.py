@@ -8,7 +8,6 @@ import flowsr.solver
 from flowsr import EvalReport, load_dataset
 from flowsr.cli import main
 from flowsr.interp import _axis_weights
-from flowsr.spectral import alias_sum
 from flowsr.volio import atomic_write
 
 
@@ -222,29 +221,24 @@ class TestOracleCheck:
         assert run("oracle-check", "--dims", "6,6,6", "--factor", "2,2,1",
                    "--kernel", "gaussian", "--tau", "0.001") == 0
 
-    def test_break_constant_fails_loudly(self, capsys, monkeypatch):
-        # negative control of the general path: a per-bin solve that drops
-        # the prod(d) factor from its denominator, the constant the
-        # derivation pins down (the ideal kernel takes the box path instead)
-        def broken(k_spec, cfg):
-            lam = cfg.kernel.values
-            weights = alias_sum(lam * k_spec, cfg.d) / (2.0 * cfg.tau + cfg.gram)
-            return (k_spec - np.conj(lam) * np.tile(weights, cfg.d)) / (2.0 * cfg.tau)
+    @staticmethod
+    def _drop_alias_count(y_spec, alias, cfg):
+        # the LR correction without the prod(d) factor in its denominator,
+        # the constant the derivation pins down
+        D = np.prod(cfg.d)
+        return (np.sqrt(D) * y_spec - alias) / (2.0 * cfg.tau + cfg.gram)
 
-        monkeypatch.setattr(flowsr.solver, "_per_bin_solve", broken)
+    def test_break_constant_fails_loudly(self, capsys, monkeypatch):
+        # negative control of a general kernel's solve
+        monkeypatch.setattr(flowsr.solver, "_lr_correction", self._drop_alias_count)
         code = run("oracle-check", "--dims", "8,8,8", "--factor", "2,2,2", "--kernel", "gaussian")
         assert code == 1
         captured = capsys.readouterr()
         assert "FAIL" in captured.out + captured.err
 
     def test_box_constant_fails_loudly(self, capsys, monkeypatch):
-        # negative control of the ideal kernel's box path: an update that
-        # drops prod(d) from the denominator of D / (2 tau D + 1)
-        def broken(y_spec, prior_box, cfg):
-            D = np.prod(cfg.d)
-            return (y_spec / np.sqrt(D) + 2.0 * cfg.tau * prior_box) * D / (2.0 * cfg.tau + 1.0)
-
-        monkeypatch.setattr(flowsr.solver, "_box_solve", broken)
+        # negative control of the ideal kernel's solve, on its retained box
+        monkeypatch.setattr(flowsr.solver, "_lr_correction", self._drop_alias_count)
         code = run("oracle-check", "--dims", "8,8,8", "--factor", "2,2,2")
         assert code == 1
         captured = capsys.readouterr()

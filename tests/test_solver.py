@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+import flowsr.solver
 from flowsr import (
     ComplexVolume,
     DegradationConfig,
@@ -32,7 +33,7 @@ from flowsr import (
     superresolve_dataset,
 )
 
-from flowsr.solver import _per_bin_solve
+from flowsr.solver import _lr_correction
 from flowsr.spectral import adjoint_spectrum, alias_sum, fftn_unitary, ifftn_unitary
 
 from conftest import random_complex, rel_err
@@ -135,10 +136,15 @@ BOX_CASES = [
 
 class TestIdealLowpassDetection:
     @pytest.mark.parametrize("dims,d", BOX_CASES)
-    def test_ideal_kernel_takes_the_box_path(self, dims, d):
+    def test_ideal_kernel_takes_the_box_path(self, dims, d, monkeypatch):
+        monkeypatch.setattr(flowsr.solver, "fold_spectrum", None)  # no HR pass for an all-ones fold
         cfg = _cfg(dims, d, "ideal")
+        monkeypatch.undo()
         assert cfg.ideal_lowpass is True
         assert cfg.kernel_conj is None
+        assert np.array_equal(cfg.gram, fold_spectrum(cfg.kernel, d))
+        with pytest.raises(ValueError):
+            cfg.gram[0, 0, 0] = 0
         by_hand = SolverConfig(tau=0.05, kernel=KernelSpectrum(cfg.hr_grid, _hand_built_ideal(dims, d)), d=d)
         assert np.array_equal(by_hand.kernel.values, cfg.kernel.values)
         assert by_hand.ideal_lowpass is True
@@ -433,6 +439,31 @@ class TestBoxSolve:
         assert not np.shares_memory(x.data, prior.data)
 
 
+@pytest.mark.parametrize("dims,d", INVARIANT_CASES)
+class TestGeneralSolve:
+    """A general kernel's prior-plus-correction solve against the per-bin formula."""
+
+    @pytest.mark.parametrize("kind", ["gaussian", "complex"])
+    @pytest.mark.parametrize("prior_mode", ["trilinear", "zero-fill", "explicit"])
+    def test_matches_the_general_formula(self, dims, d, kind, prior_mode, rng):
+        cfg = _cfg(dims, d, "gaussian", tau=0.05, prior="trilinear" if prior_mode == "explicit" else prior_mode)
+        if kind == "complex":
+            values = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
+            cfg = dataclasses.replace(cfg, kernel=KernelSpectrum(cfg.hr_grid, values))
+        assert not cfg.ideal_lowpass
+        y = random_complex(cfg.lr_grid, rng)
+        if prior_mode == "explicit":
+            prior = random_complex(cfg.hr_grid, rng)
+            x, report = fsr_solve(y, cfg, prior=prior)
+        else:
+            prior = build_prior(y, d, prior_mode)
+            x, report = fsr_solve(y, cfg)
+        x_spec, residual, distance = _general_formula(cfg, fftn_unitary(y.data), fftn_unitary(prior.data))
+        assert rel_err(x.data, ifftn_unitary(x_spec)) < 1e-12
+        assert report.residual_norm == pytest.approx(residual, rel=1e-12, abs=0)
+        assert report.prior_distance == pytest.approx(distance, rel=1e-12, abs=0)
+
+
 class TestFftBudget:
     """Transforms per solve and per degraded channel, counted by array shape.
 
@@ -490,21 +521,20 @@ def _solve_peak_hr_arrays(cfg, y):
 class TestMemoryBudget:
     """HR arrays a solve holds at once, by tracemalloc on small grids.
 
-    A general solve holds the right-hand side's spectrum, the prior's
-    spectrum and one scratch array at its peak (3.5-3.7 HR arrays with the
-    LR ones on these grids); one fresh HR temporary per pointwise step reads
-    5.3-5.4.  A box solve (the ideal kernel) holds the prior's spectrum,
-    transformed in place into the output, plus LR arrays: about 1.65 with
-    either prior, as the trilinear prior's spectrum comes from per-axis
+    A general solve holds the prior's spectrum, which becomes the output in
+    place, and one scratch array at its peak: 2.8 HR arrays with the LR ones
+    on these grids (3.65 when it also built the right-hand side's spectrum,
+    5.3-5.4 with one fresh HR temporary per pointwise step).  A box solve
+    (the ideal kernel) holds the prior's spectrum plus LR arrays: about 1.77
+    with either prior, as the trilinear prior's spectrum comes from per-axis
     products with no HR prior image (2.2 when that image was built and
-    transformed).  The general path reads 3.5 on the same grids, and a box
-    solve whose inverse FFT allocates a fresh output 2.5.
+    transformed), and 2.5 when its inverse FFT allocated a fresh output.
     """
 
     @pytest.mark.parametrize(
         "dims, d, kind, prior, bound",
         [
-            ((16, 18, 8), (2, 3, 1), "gaussian", "trilinear", 4.25),
+            ((16, 18, 8), (2, 3, 1), "gaussian", "trilinear", 3.0),
             ((16, 16, 16), (2, 2, 2), "ideal", "zero-fill", 2.0),
             ((16, 16, 16), (2, 2, 2), "ideal", "trilinear", 2.0),
         ],
@@ -516,16 +546,17 @@ class TestMemoryBudget:
         fsr_solve(y, cfg)  # first call pays one-time allocations (FFT plans)
         assert _solve_peak_hr_arrays(cfg, y) <= bound
 
-    def test_per_bin_solve_is_in_place_and_matches_the_formula(self, rng):
-        cfg = _cfg((12, 9, 4), (3, 3, 1), "gaussian", tau=0.3)
-        k_spec = random_complex(cfg.hr_grid, rng).data.copy()
-        lam = cfg.kernel.values
-        weights = alias_sum(lam * k_spec, cfg.d)
-        weights /= 2.0 * cfg.tau * np.prod(cfg.d) + cfg.gram
-        expected = (k_spec - np.conj(lam) * np.tile(weights, cfg.d)) / (2.0 * cfg.tau)
-        out = _per_bin_solve(k_spec, cfg)
-        assert out is k_spec
-        assert np.array_equal(out, expected)
+    @pytest.mark.parametrize("kind", ["ideal", "gaussian"])
+    def test_lr_correction_is_lr_sized_and_matches_the_formula(self, kind, rng):
+        cfg = _cfg((12, 9, 4), (3, 3, 1), kind, tau=0.3)
+        # read-only inputs: the helper must not write them
+        y_spec = random_complex(cfg.lr_grid, rng).data
+        alias = random_complex(cfg.lr_grid, rng).data
+        D = np.prod(cfg.d)
+        expected = (np.sqrt(D) * y_spec - alias) / (2.0 * cfg.tau * D + cfg.gram)
+        u = _lr_correction(y_spec, alias, cfg)
+        assert u.shape == cfg.lr_grid.dims
+        assert np.array_equal(u, expected)
 
 
 class TestFreshOutputs:
