@@ -59,9 +59,7 @@ from .volume import (
     VelocityDataset,
     VelocityFrame,
     extract_velocity,
-    phase_to_velocity,
     synthesize_complex,
-    velocity_to_phase,
 )
 
 __version__ = "0.1.0"
@@ -114,7 +112,6 @@ __all__ = [
     "make_mask",
     "mean_relative_error",
     "parse_config_text",
-    "phase_to_velocity",
     "poiseuille_phantom",
     "psnr",
     "pulsatile_profile",
@@ -122,5 +119,4 @@ __all__ = [
     "superresolve_dataset",
     "synthesize_complex",
     "upsample_dataset",
-    "velocity_to_phase",
 ]

@@ -24,11 +24,7 @@ from .metrics import EvalReport, evaluate
 from .oracle import _dense_solve_priors, build_dense
 from .phantom import PHANTOMS, helix_phantom, poiseuille_phantom, pulsatile_profile
 from .solver import PRIOR_MODES, SolverConfig, build_prior, fsr_solve, superresolve_dataset
-from .spectral import (
-    KernelSpectrum,
-    gaussian_spectrum,
-    ideal_lowpass_spectrum,
-)
+from .spectral import gaussian_spectrum, ideal_lowpass_spectrum  # noqa: F401  perfbench traces them
 from .volio import atomic_write, load_dataset, save_dataset
 from .volume import ComplexVolume, Grid3
 
@@ -66,14 +62,6 @@ def _positive_float(text: str) -> float:
 
 def _write_text(path, text: str) -> None:
     atomic_write(path, [text.encode("utf-8")])
-
-
-def _build_kernel(hr_grid: Grid3, kind: str, d, fwhm) -> KernelSpectrum:
-    if kind == "ideal":
-        return ideal_lowpass_spectrum(hr_grid, d)
-    if fwhm is None:
-        fwhm = tuple(dim / rate for dim, rate in zip(hr_grid.dims, d))
-    return gaussian_spectrum(hr_grid, fwhm)
 
 
 def _make_phantom(rc: RunConfig):
@@ -150,7 +138,8 @@ def _solve_report_csv(reports) -> str:
 def _fsr(lr, src, out, report_path):
     """Super-resolve ``lr`` as ``src`` says; write ``out`` and, given a path, the solve reports."""
     hr_grid = lr.grid.scaled(src.factor)
-    kernel = _build_kernel(hr_grid, src.kernel, src.factor, src.kernel_fwhm)
+    degradation = DegradationConfig(d=src.factor, kernel=src.kernel, gaussian_fwhm_bins=src.kernel_fwhm)
+    kernel = degradation.kernel_spectrum(hr_grid)
     cfg = SolverConfig(tau=src.tau, kernel=kernel, d=src.factor, prior=src.prior)
     reports: list = []
     sr = superresolve_dataset(lr, cfg, hr_grid, reports=reports)
@@ -215,7 +204,7 @@ def cmd_oracle_check(args) -> int:
     for dims, factor, kernel_kind, taus in _oracle_cases(args):
         hr = Grid3(*dims)
         lr = hr.decimated(factor)
-        kernel = _build_kernel(hr, kernel_kind, factor, None)
+        kernel = DegradationConfig(d=factor, kernel=kernel_kind).kernel_spectrum(hr)
         y = ComplexVolume(lr, rng.standard_normal(lr.dims) + 1j * rng.standard_normal(lr.dims))
         prior = ComplexVolume(hr, rng.standard_normal(hr.dims) + 1j * rng.standard_normal(hr.dims))
         # (label, oracle's prior, fsr_solve's): random, then the built-in one in image space

@@ -25,7 +25,7 @@ from .spectral import (
     _box,
     _check_divisible,
     _check_rates,
-    adjoint_spectrum,
+    _tile_into,
     alias_sum,
     fftn_unitary,
     gaussian_spectrum,
@@ -129,8 +129,9 @@ def apply_SH_adjoint(
     """
     hr_grid = y.grid.scaled(d)
     d = _check_kernel_and_rates(hr_grid, kernel, d)
-    out = ifftn_unitary(adjoint_spectrum(fftn_unitary(y.data), np.conj(kernel.values), d))
-    return ComplexVolume(hr_grid, out)
+    spec = _tile_into(np.empty(hr_grid.dims, dtype=np.complex128), fftn_unitary(y.data), d)
+    spec /= np.sqrt(np.prod(d))
+    return ComplexVolume(hr_grid, ifftn_unitary(np.multiply(np.conj(kernel.values), spec, out=spec)))
 
 
 def calibrate_noise(
@@ -153,9 +154,7 @@ def calibrate_noise(
     if peak <= 0:
         raise CalibrationError("cannot calibrate noise against an all-zero magnitude")
     sigma = peak * 10.0 ** (-target_psnr_db / 20.0) / np.sqrt(2.0)
-    rng = np.random.default_rng(seed)
-    shape = clean_lr_magnitude.grid.dims
-    noise = sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    noise = _complex_noise(clean_lr_magnitude.grid.dims, sigma, np.random.default_rng(seed))
     mse = float(np.mean(np.abs(noise) ** 2))
     achieved = 10.0 * np.log10(peak**2 / mse)
     return NoiseCalibration(sigma=sigma, achieved_psnr_db=achieved, target_psnr_db=target_psnr_db)

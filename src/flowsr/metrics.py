@@ -49,10 +49,6 @@ class FlowMask:
         vox.setflags(write=False)
         object.__setattr__(self, "voxels", vox)
 
-    @property
-    def count(self) -> int:
-        return int(self.voxels.sum())
-
 
 def make_mask(magnitude: ScalarVolume, threshold_fraction: float = 0.1) -> FlowMask:
     """Mask of voxels whose magnitude reaches a fraction of the peak magnitude."""

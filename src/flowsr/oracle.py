@@ -40,13 +40,14 @@ def dft3_matrix(dims: tuple[int, int, int]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DenseOperators:
-    """Explicit S (decimation) and H (circular convolution) matrices."""
+    """Explicit S (decimation) and H (circular convolution) matrices, S H and its normal matrix."""
 
     hr_grid: Grid3
     lr_grid: Grid3
-    d: tuple[int, int, int]
     S: np.ndarray = field(repr=False)  # (N_l, N_h) real 0/1
     H: np.ndarray = field(repr=False)  # (N_h, N_h) complex
+    SH: np.ndarray = field(repr=False)  # (N_l, N_h) complex, S @ H
+    normal: np.ndarray = field(repr=False)  # (N_h, N_h) complex, SH^H SH
 
     def apply_sh(self, x: ComplexVolume) -> ComplexVolume:
         """S H x through the dense matrices."""
@@ -63,7 +64,8 @@ def build_dense(hr: Grid3, cfg: SolverConfig) -> DenseOperators:
 
     S keeps voxel index 0 of every d-block per axis, rows in lexicographic
     low-res order; H is the circulant realization of the kernel spectrum,
-    ``F^H diag(kernel) F``.  Guarded to ``MAX_DENSE_VOXELS`` high-res voxels.
+    ``F^H diag(kernel) F``.  S H and its normal matrix, free of tau, are
+    built once here.  Guarded to ``MAX_DENSE_VOXELS`` high-res voxels.
     """
     if hr.voxel_count > MAX_DENSE_VOXELS:
         raise SizeGuardError(
@@ -87,7 +89,8 @@ def build_dense(hr: Grid3, cfg: SolverConfig) -> DenseOperators:
 
     F = dft3_matrix(hr.dims)
     H = F.conj().T @ (ravel_lex(cfg.kernel.values)[:, None] * F)
-    return DenseOperators(hr_grid=hr, lr_grid=lr, d=d, S=S, H=H)
+    SH = S @ H
+    return DenseOperators(hr_grid=hr, lr_grid=lr, S=S, H=H, SH=SH, normal=SH.conj().T @ SH)
 
 
 def dense_solve(
@@ -107,9 +110,8 @@ def _dense_solve_priors(y: ComplexVolume, priors, ops: DenseOperators, tau: floa
     # factorization of the system matrix
     if tau <= 0:
         raise ParameterError(f"tau must be > 0 for a definite system, got {tau}")
-    SH = ops.S @ ops.H
-    A = SH.conj().T @ SH + 2.0 * tau * np.eye(ops.hr_grid.voxel_count)
-    data_term = SH.conj().T @ ravel_lex(y.data)
+    A = ops.normal + 2.0 * tau * np.eye(ops.hr_grid.voxel_count)
+    data_term = ops.SH.conj().T @ ravel_lex(y.data)
     b = np.stack([data_term + 2.0 * tau * ravel_lex(prior.data) for prior in priors], axis=1)
     x = scipy.linalg.solve(A, b, assume_a="pos")
     return [ComplexVolume(ops.hr_grid, unravel_lex(col, ops.hr_grid.dims)) for col in x.T]

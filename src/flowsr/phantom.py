@@ -61,7 +61,6 @@ def _tube_geometry(grid: Grid3, axis: str, radius_voxels: float):
 
 def _tube_dataset(
     profiles, grid, radius_voxels, vmax_per_frame, venc, axis, magnitude_in, magnitude_out,
-    frame_interval,
 ) -> VelocityDataset:
     """Check a tube phantom's settings and assemble its frames.
 
@@ -91,7 +90,7 @@ def _tube_dataset(
             for c in range(3)
         )
         frames.append(VelocityFrame(magnitude=magnitude, u=u, v=v, w=w))
-    params = AcquisitionParams(venc=venc, frame_count=len(vmax), frame_interval=frame_interval)
+    params = AcquisitionParams(venc=venc, frame_count=len(vmax))
     return VelocityDataset(params, tuple(frames))
 
 
@@ -103,7 +102,6 @@ def poiseuille_phantom(
     axis: str = "z",
     magnitude_in: float = 1.0,
     magnitude_out: float = 0.0,
-    frame_interval: float = 0.0,
 ) -> VelocityDataset:
     """Parabolic (laminar pipe) flow along one grid axis.
 
@@ -115,7 +113,6 @@ def poiseuille_phantom(
     return _tube_dataset(
         lambda ax, trans, a, b, inside, parabola: {ax: (1.0, parabola)},
         grid, radius_voxels, vmax_per_frame, venc, axis, magnitude_in, magnitude_out,
-        frame_interval,
     )
 
 
@@ -128,7 +125,6 @@ def helix_phantom(
     axial_fraction: float = 0.6,
     magnitude_in: float = 1.0,
     magnitude_out: float = 0.0,
-    frame_interval: float = 0.0,
 ) -> VelocityDataset:
     """Divergence-free swirling flow exercising all three velocity channels.
 
@@ -152,5 +148,4 @@ def helix_phantom(
 
     return _tube_dataset(
         profiles, grid, radius_voxels, vmax_per_frame, venc, axis, magnitude_in, magnitude_out,
-        frame_interval,
     )

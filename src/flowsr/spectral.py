@@ -37,7 +37,6 @@ __all__ = [
     "crop_kspace",
     "alias_sum",
     "fold_spectrum",
-    "adjoint_spectrum",
 ]
 
 
@@ -191,16 +190,3 @@ def _tile_into(out: np.ndarray, values: np.ndarray, d: tuple[int, int, int]) -> 
     lr, lc, ls = values.shape
     out.reshape(dr, lr, dc, lc, ds, ls)[...] = values[None, :, None, :, None, :]
     return out
-
-
-def adjoint_spectrum(y_spec: np.ndarray, kernel_conj: np.ndarray, d: tuple[int, int, int]) -> np.ndarray:
-    """Unitary spectrum of ``H^H S^H y`` from the unitary spectrum of low-res ``y``.
-
-    ``kernel_conj`` is the conjugate of the kernel's values.  Zero-insertion
-    upsampling tiles the low-res spectrum over the alias blocks, scaled by
-    1/sqrt(d); the conjugate kernel filters it.  The result is the one HR
-    array this allocates.
-    """
-    spec = _tile_into(np.empty(kernel_conj.shape, dtype=np.complex128), y_spec, d)
-    spec /= np.sqrt(np.prod(d))
-    return np.multiply(kernel_conj, spec, out=spec)

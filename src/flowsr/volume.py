@@ -34,8 +34,6 @@ __all__ = [
     "VelocityDataset",
     "ravel_lex",
     "unravel_lex",
-    "velocity_to_phase",
-    "phase_to_velocity",
     "synthesize_complex",
     "extract_velocity",
     "map_channels",
@@ -163,11 +161,10 @@ def _adopt(cls, grid: Grid3, data: np.ndarray):
 
 @dataclass(frozen=True)
 class AcquisitionParams:
-    """Acquisition metadata: encoding limit, frame count, frame spacing in seconds."""
+    """Acquisition metadata: encoding limit and frame count."""
 
     venc: float
     frame_count: int = 1
-    frame_interval: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.venc < np.inf:
@@ -239,18 +236,6 @@ def _check_venc(venc: float) -> float:
     if not 0 < venc < np.inf:
         raise ParameterError(f"venc must be finite and > 0, got {venc}")
     return venc
-
-
-def velocity_to_phase(vel: ScalarVolume, venc: float) -> ScalarVolume:
-    """Map velocities (cm/s) to phase shifts (radians): ``pi * vel / venc``."""
-    venc = _check_venc(venc)
-    return ScalarVolume(vel.grid, np.pi * vel.data / venc)
-
-
-def phase_to_velocity(phase: ScalarVolume, venc: float) -> ScalarVolume:
-    """Map phase shifts in (-pi, pi] back to velocities: ``venc * phase / pi``."""
-    venc = _check_venc(venc)
-    return ScalarVolume(phase.grid, venc * phase.data / np.pi)
 
 
 def synthesize_complex(magnitude: ScalarVolume, vel: ScalarVolume, venc: float) -> ComplexVolume:

@@ -213,7 +213,7 @@ class TestDegradeDataset:
         # the rule that the stored magnitude is the u channel's
         hr = helix_phantom(
             Grid3(8, 8, 4), radius_voxels=3, vmax_per_frame=[90.0, 60.0], venc=150.0,
-            magnitude_out=0.2, frame_interval=0.04,
+            magnitude_out=0.2,
         )
         cfg = DegradationConfig(d=d, kernel=kernel_kind, noise_psnr_db=15.0, rng_seed=7)
         lr, cal = degrade_dataset(hr, cfg)
@@ -242,7 +242,7 @@ class TestDegradeDataset:
         # add LR k-space noise, transform back
         hr = helix_phantom(
             Grid3(8, 8, 4), radius_voxels=3, vmax_per_frame=[90.0, 60.0], venc=150.0,
-            magnitude_out=0.2, frame_interval=0.04,
+            magnitude_out=0.2,
         )
         d = (2, 2, 1)
         cfg = DegradationConfig(d=d, kernel="gaussian", noise_psnr_db=15.0, rng_seed=7)

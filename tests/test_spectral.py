@@ -7,6 +7,7 @@ from flowsr import (
     GridMismatchError,
     KernelSpectrum,
     ParameterError,
+    apply_SH_adjoint,
     crop_kspace,
     fold_spectrum,
     forward_fft,
@@ -14,7 +15,7 @@ from flowsr import (
     ideal_lowpass_spectrum,
     inverse_fft,
 )
-from flowsr.spectral import adjoint_spectrum, alias_sum, retained_axis_indices
+from flowsr.spectral import alias_sum, fftn_unitary, ifftn_unitary, retained_axis_indices
 
 from conftest import random_complex, rel_err
 
@@ -209,13 +210,13 @@ class TestAliasSum:
 
     @pytest.mark.parametrize("dims, d", [((9, 5, 7), (3, 5, 7)), ((6, 10, 4), (3, 5, 2))])
     def test_adjoint_spectrum_is_the_tiled_formula(self, dims, d, rng):
-        # the spectrum is tiled into one array and scaled and filtered in
-        # place, with the values of the textbook expression, bit for bit
-        kernel_conj = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
-        lr = tuple(n // r for n, r in zip(dims, d))
-        y_spec = rng.standard_normal(lr) + 1j * rng.standard_normal(lr)
-        expected = kernel_conj * (np.tile(y_spec, d) / np.sqrt(np.prod(d)))
-        assert np.array_equal(adjoint_spectrum(y_spec, kernel_conj, d), expected)
+        # apply_SH_adjoint tiles the spectrum into one array and scales and
+        # filters it in place, with the values of the textbook expression,
+        # bit for bit
+        kernel = KernelSpectrum(Grid3(*dims), rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
+        y = random_complex(Grid3(*(n // r for n, r in zip(dims, d))), rng)
+        spec = np.conj(kernel.values) * (np.tile(fftn_unitary(y.data), d) / np.sqrt(np.prod(d)))
+        assert np.array_equal(apply_SH_adjoint(y, kernel, d).data, ifftn_unitary(spec))
 
 
 class TestFolding:

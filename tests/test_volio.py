@@ -60,6 +60,13 @@ class TestRoundTrip:
         save_dataset(dataset, tmp_path / "ds.flw4")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.flw4"]
 
+    def test_params_survive(self, tmp_path, dataset):
+        # every AcquisitionParams field has to be one the file holds
+        assert dataset.params.frame_count > 1
+        path = tmp_path / "ds.flw4"
+        save_dataset(dataset, path)
+        assert load_dataset(path).params == dataset.params
+
     def test_venc_governs_downstream(self, tmp_path, dataset):
         path = tmp_path / "ds.flw4"
         save_dataset(dataset, path)

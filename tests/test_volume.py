@@ -12,13 +12,9 @@ from flowsr import (
     VelocityDataset,
     VelocityFrame,
     extract_velocity,
-    phase_to_velocity,
     synthesize_complex,
-    velocity_to_phase,
 )
 from flowsr.volume import _adopt, ravel_lex, unravel_lex
-
-from conftest import random_scalar
 
 
 class TestGrid3:
@@ -147,52 +143,22 @@ class TestDatasetInvariants:
 
 
 class TestPhaseVelocity:
-    def test_velocity_at_venc_maps_to_pi(self):
-        g = Grid3(2, 3, 2)
-        vel = ScalarVolume(g, np.full(g.dims, 150.0))
-        phase = velocity_to_phase(vel, 150.0)
-        assert np.allclose(phase.data, np.pi, rtol=0, atol=0)
-
-    def test_zero_velocity_zero_phase(self):
-        g = Grid3(2, 2, 2)
-        phase = velocity_to_phase(ScalarVolume(g, np.zeros(g.dims)), 80.0)
-        assert np.all(phase.data == 0.0)
-
-    def test_half_negative(self):
-        g = Grid3(1, 1, 1)
-        phase = velocity_to_phase(ScalarVolume(g, [-50.0]), 100.0)
-        assert np.allclose(phase.data, -np.pi / 2)
-
-    def test_linearity(self, rng):
-        g = Grid3(3, 3, 3)
-        vel = random_scalar(g, rng)
-        a = velocity_to_phase(ScalarVolume(g, 0.4 * vel.data), 100.0)
-        b = velocity_to_phase(vel, 100.0)
-        assert np.allclose(a.data, 0.4 * b.data, rtol=1e-14)
-
-    def test_phase_to_velocity_inverse(self, rng):
-        g = Grid3(4, 3, 2)
-        vel = ScalarVolume(g, 99.0 * (2 * rng.random(g.dims) - 1))
-        back = phase_to_velocity(velocity_to_phase(vel, 100.0), 100.0)
-        assert np.allclose(back.data, vel.data, rtol=1e-14)
-        phase = ScalarVolume(g, np.full(g.dims, np.pi))
-        assert np.allclose(phase_to_velocity(phase, 120.0).data, 120.0)
-
     @pytest.mark.parametrize("venc", [0.0, -1.0])
     def test_nonpositive_venc_rejected(self, venc):
         g = Grid3(1, 1, 1)
         vol = ScalarVolume(g, [0.0])
         with pytest.raises(ParameterError):
-            velocity_to_phase(vol, venc)
+            synthesize_complex(vol, vol, venc)
         with pytest.raises(ParameterError):
-            phase_to_velocity(vol, venc)
+            extract_velocity(ComplexVolume(g, [1.0]), venc)
 
     def test_infinite_venc_rejected(self):
-        vol = ScalarVolume(Grid3(1, 1, 1), [0.0])
+        g = Grid3(1, 1, 1)
+        vol = ScalarVolume(g, [0.0])
         with pytest.raises(ParameterError, match="finite"):
-            velocity_to_phase(vol, np.inf)
+            synthesize_complex(vol, vol, np.inf)
         with pytest.raises(ParameterError, match="finite"):
-            phase_to_velocity(vol, np.inf)
+            extract_velocity(ComplexVolume(g, [1.0]), np.inf)
 
 
 class TestComplexSynthesis:
@@ -201,12 +167,14 @@ class TestComplexSynthesis:
         sig = synthesize_complex(
             ScalarVolume(g, np.ones(g.dims)), ScalarVolume(g, np.zeros(g.dims)), 100.0
         )
-        assert np.allclose(sig.data, 1.0 + 0.0j)
+        assert np.all(sig.data == 1.0)  # velocity 0 is phase 0, exactly
 
     def test_quarter_turn(self):
         g = Grid3(1, 1, 1)
         sig = synthesize_complex(ScalarVolume(g, [2.0]), ScalarVolume(g, [50.0]), 100.0)
         assert abs(sig.data[0, 0, 0] - 2.0j) < 1e-15
+        sig = synthesize_complex(ScalarVolume(g, [1.0]), ScalarVolume(g, [-50.0]), 100.0)
+        assert abs(np.angle(sig.data[0, 0, 0]) + np.pi / 2) < 1e-15  # -venc/2 is -pi/2
 
     def test_zero_magnitude(self):
         g = Grid3(1, 1, 1)
@@ -250,6 +218,11 @@ class TestExtraction:
         mag, vel = extract_velocity(sig, 100.0)
         assert abs(mag.data[0, 0, 0] - 3.0) < 1e-14
         assert abs(vel.data[0, 0, 0] - 25.0) < 1e-12
+        # a phase of pi is venc, -pi/2 is -venc/2 and 0 is 0
+        signal = ComplexVolume(Grid3(3, 1, 1), [-2.0, -2.0j, 2.0])
+        _, vel = extract_velocity(signal, 120.0)
+        assert np.allclose(vel.data.ravel(), [120.0, -60.0, 0.0], rtol=1e-15, atol=0)
+        assert vel.data[2, 0, 0] == 0.0
 
     def test_zero_signal_convention(self):
         g = Grid3(1, 1, 1)
