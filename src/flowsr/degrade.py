@@ -184,12 +184,13 @@ def degrade_dataset(
     The noise std is calibrated once against the global peak of the
     noiseless LR magnitudes over all frames and channels, so one noise level
     serves the whole dataset.  That calibration pass keeps each channel's
-    noiseless LR spectrum as a plain array (the retained k-space box for the
-    ideal kernel, the filtered spectrum's alias sum, that of ``sqrt(d) S H x``,
-    for a general one), and the noisy pass adds noise to it, so every channel
-    is synthesized and transformed once and wrapped only as the LR signal
-    whose velocity is extracted.  The stored LR magnitude comes from
-    the u channel (channel magnitudes differ only through noise and ringing).
+    noiseless LR spectrum as a plain array (the retained k-space box if the
+    kernel's ``lowpass_rates`` are ``d``, as ``SolverConfig`` decides, else
+    the filtered spectrum's alias sum, that of ``sqrt(d) S H x``), and the
+    noisy pass adds noise to it, so every channel is synthesized and
+    transformed once and wrapped only as the LR signal whose velocity is
+    extracted.  The stored LR magnitude comes from the u channel; the others
+    differ from it even without noise (README, model notes).
     Note the pipeline scales amplitudes by sqrt(d) relative to a bare
     ``S H``; velocities, living in the phase, are unaffected.
 
@@ -199,10 +200,11 @@ def degrade_dataset(
     d = cfg.d
     lr_grid = hr.grid.decimated(d)
     venc = hr.params.venc
-    kernel = None if cfg.kernel == "ideal" else cfg.kernel_spectrum(hr.grid)
+    kernel = cfg.kernel_spectrum(hr.grid)
+    ideal = kernel.lowpass_rates == d
     # the ideal kernel at rate 1 is the identity: a transform round trip would
     # turn zero-magnitude voxels into numerical junk with arbitrary phase
-    identity = kernel is None and lr_grid.dims == hr.grid.dims
+    identity = ideal and lr_grid.dims == hr.grid.dims
     box = _box(hr.grid.dims, lr_grid.dims)
 
     def clean_channel(frame: VelocityFrame, ch: str) -> np.ndarray:
@@ -213,7 +215,7 @@ def degrade_dataset(
         if identity:
             return sig
         spec = fftn_unitary(sig)
-        return spec[box] if kernel is None else alias_sum(kernel.values * spec, d)
+        return spec[box] if ideal else alias_sum(kernel.values * spec, d)
 
     cleans = None
     if cfg.noise_psnr_db is None:
@@ -236,7 +238,7 @@ def degrade_dataset(
         )
 
     # one HR buffer that every channel's full-k-space draws go through
-    draws = np.empty(hr.grid.dims) if kernel is None and cal.sigma > 0 else None
+    draws = np.empty(hr.grid.dims) if ideal and cal.sigma > 0 else None
 
     def lr_channel(f_idx: int, frame: VelocityFrame, ch: str):
         clean = clean_channel(frame, ch) if cleans is None else cleans.pop((f_idx, ch))
@@ -244,7 +246,7 @@ def degrade_dataset(
             signal = clean if identity else ifftn_unitary(clean)
         else:
             rng = _channel_rng(cfg.rng_seed, f_idx, CHANNELS.index(ch))
-            if kernel is None:
+            if ideal:
                 # literal protocol: noise over the full HR k-space, then
                 # truncation.  Cropping only selects, so cropping each draw
                 # before the arithmetic gives the cropped noisy spectrum bit

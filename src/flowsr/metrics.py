@@ -3,8 +3,7 @@
 Metrics are strictly mask-local: voxels outside the mask never influence a
 value.  PSNR is reported per velocity component; the relative error treats
 the three components as one vector field and normalizes by the peak masked
-reference speed (per-voxel normalization is available but explodes where the
-reference flow vanishes).
+reference speed.
 """
 
 from __future__ import annotations
@@ -133,26 +132,16 @@ def _mre_percent(error_norm: np.ndarray, peak: float) -> float:
     return 100.0 * float(np.mean(error_norm) / peak)
 
 
-def mean_relative_error(
-    est: VelocityFrame, ref: VelocityFrame, mask: FlowMask, per_voxel_norm: bool = False
-) -> float:
+def mean_relative_error(est: VelocityFrame, ref: VelocityFrame, mask: FlowMask) -> float:
     """Mean relative velocity-vector error in percent over the masked voxels.
 
-    The error at a voxel is the Euclidean norm of the (u, v, w) difference.
-    By default it is normalized by the peak masked reference speed; with
-    ``per_voxel_norm`` each voxel is normalized by its own reference speed
-    instead (voxels with zero reference speed are excluded).
+    The error at a voxel is the Euclidean norm of the (u, v, w) difference,
+    normalized by the peak masked reference speed.
     """
     _check_grids(est, ref, mask)
     sel = mask.voxels
     diff = _error_norm(est, ref, sel)
-    ref_speed = _speed(ref, sel)
-    if per_voxel_norm:
-        nonzero = ref_speed > 0
-        if not nonzero.any():
-            raise ParameterError("reference speed is zero at every masked voxel")
-        return 100.0 * float(np.mean(diff[nonzero] / ref_speed[nonzero]))
-    peak = float(ref_speed.max())
+    peak = float(_speed(ref, sel).max())
     if peak <= 0:
         raise ParameterError("peak reference speed over the mask is zero")
     return _mre_percent(diff, peak)

@@ -89,11 +89,11 @@ class SolverConfig:
     """Regularization weight, kernel spectrum, decimation rates, prior mode.
 
     ``gram`` holds the kernel's alias energy for the rates ``d``, and
-    ``ideal_lowpass`` whether the kernel is the ideal low-pass for ``d``
-    (exactly 1 on the retained box, 0 elsewhere), in which case a solve
-    works on that box alone and ``gram`` is all ones, built without a
-    high-res pass.  ``kernel_conj``, the conjugate of the kernel's values,
-    is built for other kernels only and is None otherwise.  They depend on
+    ``ideal_lowpass`` whether the kernel's ``lowpass_rates`` are ``d``: then
+    it is the ideal low-pass for ``d``, a solve works on the retained box
+    alone, ``gram`` is all ones and the kernel's values are never read.
+    ``kernel_conj``, the conjugate of the kernel's values, is built for
+    other kernels only and is None otherwise.  They depend on
     nothing else, so they are built once per config (and again by
     ``dataclasses.replace``), and every solve under the config shares them.
     """
@@ -112,20 +112,12 @@ class SolverConfig:
         object.__setattr__(self, "d", _check_divisible(self.kernel.grid, self.d))
         if self.prior not in PRIOR_MODES:
             raise ParameterError(f"prior must be one of {PRIOR_MODES}, got {self.prior!r}")
-        values = self.kernel.values
-        # as many nonzeros as the box holds, and all of the box ones: nothing
-        # outside it is nonzero (a kernel with more nonzeros, such as a
-        # gaussian, is decided without the box gather)
-        ideal = bool(
-            np.count_nonzero(values) == self.lr_grid.voxel_count
-            and (values[_box(values.shape, self.lr_grid.dims)] == 1).all()
-        )
-        object.__setattr__(self, "ideal_lowpass", ideal)
-        if ideal:
+        object.__setattr__(self, "ideal_lowpass", self.kernel.lowpass_rates == self.d)
+        if self.ideal_lowpass:
             # one alias of value 1 per LR bin: the fold is all ones
             gram, kernel_conj = np.ones(self.lr_grid.dims), None
         else:
-            gram, kernel_conj = fold_spectrum(self.kernel, self.d), np.conj(values)
+            gram, kernel_conj = fold_spectrum(self.kernel, self.d), np.conj(self.kernel.values)
             kernel_conj.setflags(write=False)
         gram.setflags(write=False)
         object.__setattr__(self, "gram", gram)

@@ -17,6 +17,7 @@ Frequency conventions, fixed once here and reused by every other module:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,10 +71,12 @@ class KernelSpectrum:
 
     ``values`` has the high-resolution grid's shape.  Applying the operator
     to a volume is a pointwise multiply of its unitary spectrum by ``values``.
+    ``lowpass_rates`` is the ``d`` of an :func:`ideal_lowpass_spectrum`, else None.
     """
 
     grid: Grid3
     values: np.ndarray = field(repr=False)
+    lowpass_rates: tuple[int, int, int] | None = field(default=None, init=False)
 
     def __post_init__(self):
         vals = np.array(self.values, dtype=np.complex128, copy=True)
@@ -85,6 +88,20 @@ class KernelSpectrum:
             raise ParameterError("kernel spectrum must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+
+class _IdealLowpass(KernelSpectrum):
+    # the ideal low-pass, known by its rates; its HR values are built on first read
+    def __init__(self, hr: Grid3, d: tuple[int, int, int]):
+        object.__setattr__(self, "grid", hr)
+        object.__setattr__(self, "lowpass_rates", d)
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        values = np.zeros(self.grid.dims, dtype=np.complex128)
+        values[_box(self.grid.dims, self.grid.decimated(self.lowpass_rates).dims)] = 1.0
+        values.setflags(write=False)
+        return values
 
 
 def _check_rates(d) -> tuple[int, int, int]:
@@ -126,11 +143,11 @@ def _box(hr_dims, lr_dims):
 
 
 def ideal_lowpass_spectrum(hr: Grid3, d: tuple[int, int, int]) -> KernelSpectrum:
-    """0/1 spectrum keeping exactly the retained low-frequency box for rate ``d``."""
-    d = _check_divisible(hr, d)
-    values = np.zeros(hr.dims)
-    values[_box(hr.dims, hr.decimated(d).dims)] = 1.0
-    return KernelSpectrum(hr, values)
+    """0/1 spectrum keeping exactly the retained low-frequency box for rate ``d``.
+
+    Its ``lowpass_rates`` are ``d``, and its ``values`` are built on first read.
+    """
+    return _IdealLowpass(hr, _check_divisible(hr, d))
 
 
 def gaussian_spectrum(hr: Grid3, fwhm_bins: tuple[float, float, float]) -> KernelSpectrum:

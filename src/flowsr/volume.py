@@ -295,8 +295,8 @@ def map_channels(
     ``channel_fn(frame_index, frame, channel)`` returns the ``(magnitude,
     velocity)`` pair of one channel, and is called frame by frame in
     :data:`CHANNELS` order.  Each output frame keeps every channel's velocity
-    and the u channel's magnitude (channel magnitudes differ only through
-    noise and ringing); the output keeps ``ds.params``.
+    and the u channel's magnitude (the others differ from it where a
+    low-pass filters their phase); the output keeps ``ds.params``.
     """
     frames = []
     for f_idx, frame in enumerate(ds.frames):

@@ -145,10 +145,12 @@ class TestIdealLowpassDetection:
         assert np.array_equal(cfg.gram, fold_spectrum(cfg.kernel, d))
         with pytest.raises(ValueError):
             cfg.gram[0, 0, 0] = 0
+        # the kernel's rates decide, not its values: a hand-built 0/1 kernel,
+        # even one equal to the built one, takes the exact general path
         by_hand = SolverConfig(tau=0.05, kernel=KernelSpectrum(cfg.hr_grid, _hand_built_ideal(dims, d)), d=d)
         assert np.array_equal(by_hand.kernel.values, cfg.kernel.values)
-        assert by_hand.ideal_lowpass is True
-        assert by_hand.kernel_conj is None
+        assert by_hand.ideal_lowpass is False
+        assert np.array_equal(by_hand.kernel_conj, cfg.kernel.values)
 
     @pytest.mark.parametrize("dims,d", BOX_CASES)
     def test_other_kernels_take_the_general_path(self, dims, d):
@@ -175,6 +177,34 @@ class TestIdealLowpassDetection:
         values[0, 0, 0] = 1j
         swapped = dataclasses.replace(ideal, kernel=KernelSpectrum(ideal.hr_grid, values))
         assert swapped.ideal_lowpass is False
+
+    @pytest.mark.parametrize("dims,d", BOX_CASES)
+    def test_ideal_kernel_for_other_rates_takes_the_general_path(self, dims, d):
+        cfg = dataclasses.replace(_cfg(dims, d, "ideal"), d=(1, 1, 1))
+        assert cfg.ideal_lowpass is (d == (1, 1, 1))
+
+    def test_box_path_never_builds_the_kernel_values(self, monkeypatch):
+        # the ideal kernel caches its HR values in its instance dict on first
+        # read: configs, dataset solves with either prior and a noisy
+        # degrade never read them
+        made = []
+        build = DegradationConfig.kernel_spectrum
+
+        def recording(self, hr):
+            made.append(build(self, hr))
+            return made[-1]
+
+        monkeypatch.setattr(DegradationConfig, "kernel_spectrum", recording)
+        hr = helix_phantom(Grid3(8, 8, 4), radius_voxels=3, vmax_per_frame=[90.0], venc=150.0, magnitude_out=0.2)
+        lr, _ = degrade_dataset(hr, DegradationConfig(d=(2, 2, 1), noise_psnr_db=15.0))
+        cfg = SolverConfig(tau=0.05, kernel=ideal_lowpass_spectrum(hr.grid, (2, 2, 1)), d=(2, 2, 1))
+        for prior in ("trilinear", "zero-fill"):
+            superresolve_dataset(lr, dataclasses.replace(cfg, prior=prior), hr.grid)
+        kernels = made + [cfg.kernel]
+        assert len(kernels) == 2
+        assert all("values" not in vars(k) for k in kernels)
+        assert np.array_equal(cfg.kernel.values, _hand_built_ideal(hr.grid.dims, cfg.d))
+        assert "values" in vars(cfg.kernel)
 
     def test_box_decision_is_not_an_argument(self):
         cfg = _cfg((8, 8, 8), (2, 2, 2))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from flowsr import (
     ideal_lowpass_spectrum,
     inverse_fft,
 )
-from flowsr.spectral import alias_sum, fftn_unitary, ifftn_unitary, retained_axis_indices
+from flowsr.spectral import _box, alias_sum, fftn_unitary, ifftn_unitary, retained_axis_indices
 
 from conftest import random_complex, rel_err
 
@@ -111,6 +113,32 @@ class TestIdealLowpass:
         spec = ideal_lowpass_spectrum(Grid3(8, 4, 6), (2, 2, 3))
         assert np.array_equal(spec.values * spec.values, spec.values)
         assert np.all(spec.values.imag == 0)
+
+    @pytest.mark.parametrize("dims,d", [((8, 4, 6), (2, 2, 3)), ((9, 6, 5), (3, 2, 5)), ((4, 4, 4), (1, 1, 1))])
+    def test_values_are_the_read_only_box_indicator(self, dims, d):
+        grid = Grid3(*dims)
+        spec = ideal_lowpass_spectrum(grid, d)
+        indicator = np.zeros(dims)
+        indicator[_box(dims, grid.decimated(d).dims)] = 1.0
+        assert spec.values.dtype == np.complex128
+        assert np.array_equal(spec.values, KernelSpectrum(grid, indicator).values)
+        assert spec.values is spec.values  # built once
+        with pytest.raises(ValueError):
+            spec.values[0, 0, 0] = 0
+
+    def test_only_the_ideal_kernel_names_its_rates(self):
+        grid = Grid3(8, 4, 6)
+        spec = ideal_lowpass_spectrum(grid, [2.0, 2, 3])
+        assert spec.lowpass_rates == (2, 2, 3)
+        assert KernelSpectrum(grid, spec.values).lowpass_rates is None
+        assert gaussian_spectrum(grid, (4.0, 2.0, 2.0)).lowpass_rates is None
+        with pytest.raises(TypeError):
+            KernelSpectrum(grid, spec.values, lowpass_rates=(2, 2, 3))
+        for kernel in (spec, KernelSpectrum(grid, spec.values)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                kernel.lowpass_rates = (1, 1, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                kernel.values = spec.values
 
 
 class TestGaussianSpectrum:
