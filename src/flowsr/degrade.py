@@ -22,12 +22,11 @@ import numpy as np
 from .errors import CalibrationError, GridMismatchError, ParameterError
 from .spectral import (
     KernelSpectrum,
-    _box,
     _check_divisible,
     _check_rates,
-    _tile_into,
-    alias_sum,
+    add_spread,
     fftn_unitary,
+    filtered_alias_sum,
     gaussian_spectrum,
     ideal_lowpass_spectrum,
     ifftn_unitary,
@@ -115,7 +114,7 @@ def apply_SH(x: ComplexVolume, kernel: KernelSpectrum, d: tuple[int, int, int]) 
     """Filter a high-res volume by the kernel, then keep every d-th voxel (offset 0)."""
     d = _check_kernel_and_rates(x.grid, kernel, d)
     # the kept voxels' spectrum is the filtered one's alias sum over sqrt(d)
-    spec = alias_sum(kernel.values * fftn_unitary(x.data), d) / np.sqrt(np.prod(d))
+    spec = filtered_alias_sum(kernel, fftn_unitary(x.data), d) / np.sqrt(np.prod(d))
     return ComplexVolume(x.grid.decimated(d), ifftn_unitary(spec))
 
 
@@ -129,9 +128,9 @@ def apply_SH_adjoint(
     """
     hr_grid = y.grid.scaled(d)
     d = _check_kernel_and_rates(hr_grid, kernel, d)
-    spec = _tile_into(np.empty(hr_grid.dims, dtype=np.complex128), fftn_unitary(y.data), d)
-    spec /= np.sqrt(np.prod(d))
-    return ComplexVolume(hr_grid, ifftn_unitary(np.multiply(np.conj(kernel.values), spec, out=spec)))
+    spec = np.zeros(hr_grid.dims, dtype=np.complex128)
+    add_spread(spec, kernel, fftn_unitary(y.data) / np.sqrt(np.prod(d)), d)
+    return ComplexVolume(hr_grid, ifftn_unitary(spec))
 
 
 def calibrate_noise(
@@ -184,9 +183,7 @@ def degrade_dataset(
     The noise std is calibrated once against the global peak of the
     noiseless LR magnitudes over all frames and channels, so one noise level
     serves the whole dataset.  That calibration pass keeps each channel's
-    noiseless LR spectrum as a plain array (the retained k-space box if the
-    kernel's ``lowpass_rates`` are ``d``, as ``SolverConfig`` decides, else
-    the filtered spectrum's alias sum, that of ``sqrt(d) S H x``), and the
+    noiseless LR spectrum, that of ``sqrt(d) S H x``, as a plain array, and the
     noisy pass adds noise to it, so every channel is synthesized and
     transformed once and wrapped only as the LR signal whose velocity is
     extracted.  The stored LR magnitude comes from the u channel; the others
@@ -201,21 +198,15 @@ def degrade_dataset(
     lr_grid = hr.grid.decimated(d)
     venc = hr.params.venc
     kernel = cfg.kernel_spectrum(hr.grid)
+    # the ideal kernel draws HR noise; at rate 1 it is the identity, where a
+    # transform round trip would give zero-magnitude voxels arbitrary phase
     ideal = kernel.lowpass_rates == d
-    # the ideal kernel at rate 1 is the identity: a transform round trip would
-    # turn zero-magnitude voxels into numerical junk with arbitrary phase
     identity = ideal and lr_grid.dims == hr.grid.dims
-    box = _box(hr.grid.dims, lr_grid.dims)
 
     def clean_channel(frame: VelocityFrame, ch: str) -> np.ndarray:
-        # the noiseless LR spectrum (the signal itself where the kernel is
-        # the identity); the box gather equals the alias sum of the 0/1
-        # kernel's product bit for bit, at a fraction of its cost
+        # the noiseless LR spectrum (the signal itself under the identity)
         sig = synthesize_complex(frame.magnitude, frame.channel(ch), venc).data
-        if identity:
-            return sig
-        spec = fftn_unitary(sig)
-        return spec[box] if ideal else alias_sum(kernel.values * spec, d)
+        return sig if identity else filtered_alias_sum(kernel, fftn_unitary(sig), d)
 
     cleans = None
     if cfg.noise_psnr_db is None:
@@ -248,11 +239,10 @@ def degrade_dataset(
             rng = _channel_rng(cfg.rng_seed, f_idx, CHANNELS.index(ch))
             if ideal:
                 # literal protocol: noise over the full HR k-space, then
-                # truncation.  Cropping only selects, so cropping each draw
-                # before the arithmetic gives the cropped noisy spectrum bit
-                # for bit, with the arithmetic at LR size
-                real = rng.standard_normal(out=draws)[box]
-                imag = rng.standard_normal(out=draws)[box]
+                # truncation.  Truncation only selects, so truncating each draw
+                # first gives the same bits with the arithmetic at LR size
+                real = filtered_alias_sum(kernel, rng.standard_normal(out=draws), d)
+                imag = filtered_alias_sum(kernel, rng.standard_normal(out=draws), d)
                 noise = cal.sigma * (real + 1j * imag)
             else:
                 # white noise on the LR k-space keeps the noise white per the

@@ -16,30 +16,31 @@ computed at low-res size:
     u          = (sqrt(D) * Y - A) / (2 tau D + G)
     Xhat       = P + conj(lam) * tile(u)
 
-with Y the data's unitary spectrum, P the prior's, G = alias_sum(|lam|^2)
-the kernel's alias energy and ``tile`` the adjoint of ``alias_sum`` (high-res
-bin ``kappa + b * L`` gets low-res bin kappa).  No iterations and no large
-matrix: a solve takes one low-res FFT and one high-res inverse FFT.  The
-trilinear prior's spectrum is a product of per-axis DFT'd weights and the
-low-res data (``interp.upsample_spectrum``), the zero-fill prior's the
-data's spectrum in the retained box; only an explicit prior takes a
-high-res FFT.  The ``SolveReport`` diagnostics are low-res too, by
-Parseval: S H x has spectrum (A + G * u) / sqrt(D), and x - xbar has energy
-sum(G * |u|^2).  Exactness is enforced against a dense brute-force solver in
-the test suite and by ``flowsr oracle-check``.
+with Y the data's unitary spectrum, P the prior's, G = alias_sum(|lam|^2) the
+kernel's alias energy and ``tile`` the adjoint of ``alias_sum`` (high-res bin
+``kappa + b * L`` gets low-res bin kappa); ``spectral`` computes A and adds
+conj(lam) * tile(u) for every kernel.  No iterations and no large matrix: a
+solve takes one low-res FFT and one high-res inverse FFT.  The trilinear
+prior's spectrum is a product of per-axis DFT'd weights and the low-res data
+(``interp.upsample_spectrum``), the zero-fill prior's the data's spectrum in
+the retained box; only an explicit prior takes a high-res FFT.  The
+``SolveReport`` diagnostics are low-res too, by Parseval: S H x has spectrum
+(A + G * u) / sqrt(D), and x - xbar has energy sum(G * |u|^2).  Exactness is
+enforced against a dense brute-force solver in the test suite and by ``flowsr
+oracle-check``.
 
 The ideal low-pass kernel (the default) is 1 on the retained box and 0
 elsewhere, so every low-res bin has one alias there and G = 1: A is the
 prior's spectrum on the box and the correction lands on the box alone,
-Xhat_box = A + u, with no high-res pointwise pass of its own.
+with no high-res pointwise pass.
 
 Memory: a solve adds the correction into its own prior spectrum and
 inverse-transforms that array in place, and the output volume adopts it
-without a copy.  A general kernel needs one high-res scratch array beside
-it, which holds lam * P, then tile(u), then conj(lam) * tile(u): at most
-two high-res complex arrays at once, plus low-res ones.  The ideal kernel
-needs only the prior's spectrum.  The trilinear prior's last per-axis
-product holds its input, 1/d of a high-res array, beside it.
+without a copy.  A general kernel needs one high-res array beside it at a
+time, lam * P and then conj(lam) * tile(u), plus low-res ones and the
+kernel's conjugate.  The ideal kernel needs only the prior's spectrum.  The
+trilinear prior's last per-axis product holds its input, 1/d of a high-res
+array, beside it.
 """
 
 from __future__ import annotations
@@ -55,9 +56,9 @@ from .spectral import (
     KernelSpectrum,
     _box,
     _check_divisible,
-    _tile_into,
-    alias_sum,
+    add_spread,
     fftn_unitary,
+    filtered_alias_sum,
     fold_spectrum,
     ifftn_unitary,
 )
@@ -88,14 +89,9 @@ PRIOR_MODES = ("trilinear", "zero-fill")
 class SolverConfig:
     """Regularization weight, kernel spectrum, decimation rates, prior mode.
 
-    ``gram`` holds the kernel's alias energy for the rates ``d``, and
-    ``ideal_lowpass`` whether the kernel's ``lowpass_rates`` are ``d``: then
-    it is the ideal low-pass for ``d``, a solve works on the retained box
-    alone, ``gram`` is all ones and the kernel's values are never read.
-    ``kernel_conj``, the conjugate of the kernel's values, is built for
-    other kernels only and is None otherwise.  They depend on
-    nothing else, so they are built once per config (and again by
-    ``dataclasses.replace``), and every solve under the config shares them.
+    ``gram``, the kernel's alias energy for the rates ``d``, depends on
+    nothing else, so it is built once per config (and again by
+    ``dataclasses.replace``), and every solve under the config shares it.
     """
 
     tau: float
@@ -103,8 +99,6 @@ class SolverConfig:
     d: tuple[int, int, int]
     prior: str = "trilinear"
     gram: np.ndarray = field(init=False, repr=False, compare=False)
-    ideal_lowpass: bool = field(init=False, repr=False, compare=False)
-    kernel_conj: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0 < self.tau < np.inf:
@@ -112,16 +106,7 @@ class SolverConfig:
         object.__setattr__(self, "d", _check_divisible(self.kernel.grid, self.d))
         if self.prior not in PRIOR_MODES:
             raise ParameterError(f"prior must be one of {PRIOR_MODES}, got {self.prior!r}")
-        object.__setattr__(self, "ideal_lowpass", self.kernel.lowpass_rates == self.d)
-        if self.ideal_lowpass:
-            # one alias of value 1 per LR bin: the fold is all ones
-            gram, kernel_conj = np.ones(self.lr_grid.dims), None
-        else:
-            gram, kernel_conj = fold_spectrum(self.kernel, self.d), np.conj(self.kernel.values)
-            kernel_conj.setflags(write=False)
-        gram.setflags(write=False)
-        object.__setattr__(self, "gram", gram)
-        object.__setattr__(self, "kernel_conj", kernel_conj)
+        object.__setattr__(self, "gram", fold_spectrum(self.kernel, self.d))
 
     @property
     def hr_grid(self) -> Grid3:
@@ -175,9 +160,8 @@ def _zero_fill_spectrum(y_spec: np.ndarray, d: tuple[int, int, int]) -> np.ndarr
 
 
 def _lr_correction(y_spec: np.ndarray, alias: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    # the low-res correction u = (sqrt(D) Y - A) / (2 tau D + G) of the
-    # Woodbury form, from the data's spectrum Y and the kernel-filtered
-    # prior's alias sum A, both LR-shaped; neither is written
+    # the Woodbury form's LR correction u = (sqrt(D) Y - A) / (2 tau D + G),
+    # from the LR spectra Y (data) and A (filtered prior); neither is written
     D = float(np.prod(cfg.d))
     u = np.sqrt(D) * y_spec
     u -= alias
@@ -224,22 +208,10 @@ def fsr_solve(
         prior_spec = upsample_spectrum(y.data, cfg.d)  # no HR image, no HR FFT
     # the minimizer's spectrum is the prior's plus conj(lam) * tile(u), added
     # into the solve's own prior spectrum, which the inverse FFT overwrites
-    if cfg.ideal_lowpass:
-        # lam is the retained box's indicator: A is the prior's spectrum on
-        # the box, and only the box changes
-        box = _box(prior_spec.shape, y_spec.shape)
-        alias = prior_spec[box]
-        u = _lr_correction(y_spec, alias, cfg)
-        prior_spec[box] = alias + u
-    else:
-        # one HR scratch array: lam * P, then tile(u), then conj(lam) * tile(u)
-        scratch = cfg.kernel.values * prior_spec
-        alias = alias_sum(scratch, cfg.d)
-        u = _lr_correction(y_spec, alias, cfg)
-        prior_spec += np.multiply(cfg.kernel_conj, _tile_into(scratch, u, cfg.d), out=scratch)
-        del scratch
-    # Parseval, at LR size and after the scratch array is freed: S H x has
-    # spectrum (A + G u) / sqrt(D), and x - xbar has energy sum G |u|^2
+    alias = filtered_alias_sum(cfg.kernel, prior_spec, cfg.d)
+    u = _lr_correction(y_spec, alias, cfg)
+    add_spread(prior_spec, cfg.kernel, u, cfg.d)
+    # Parseval, at LR size: S H x has spectrum (A + G u) / sqrt(D), x - xbar energy sum G |u|^2
     residual_norm = float(np.linalg.norm((alias + cfg.gram * u) / np.sqrt(np.prod(cfg.d)) - y_spec))
     prior_distance = float(np.sqrt(np.sum(cfg.gram * np.abs(u) ** 2)))
     # x is a view of prior_spec; adopting it marks both read-only below

@@ -13,6 +13,9 @@ Frequency conventions, fixed once here and reused by every other module:
   sums the spectrum over its alias blocks (:func:`alias_sum`), scaled by
   ``1/sqrt(d)``: low-res bin ``kappa`` collects high-res bins ``kappa + b * L``
   for block index ``b in [0, d)``.
+
+Only :func:`filtered_alias_sum` (``sqrt(d) S H``) and its adjoint :func:`add_spread`
+apply a kernel; the ideal low-pass at its own rates touches its retained box alone.
 """
 
 from __future__ import annotations
@@ -38,6 +41,8 @@ __all__ = [
     "crop_kspace",
     "alias_sum",
     "fold_spectrum",
+    "filtered_alias_sum",
+    "add_spread",
 ]
 
 
@@ -72,6 +77,8 @@ class KernelSpectrum:
     ``values`` has the high-resolution grid's shape.  Applying the operator
     to a volume is a pointwise multiply of its unitary spectrum by ``values``.
     ``lowpass_rates`` is the ``d`` of an :func:`ideal_lowpass_spectrum`, else None.
+    ``conj_values``, the read-only conjugate, is built on first read and
+    shared by every config and solve that uses the kernel.
     """
 
     grid: Grid3
@@ -88,6 +95,12 @@ class KernelSpectrum:
             raise ParameterError("kernel spectrum must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @functools.cached_property
+    def conj_values(self) -> np.ndarray:
+        conj = np.conj(self.values)
+        conj.setflags(write=False)
+        return conj
 
 
 class _IdealLowpass(KernelSpectrum):
@@ -188,20 +201,43 @@ def alias_sum(values: np.ndarray, d: tuple[int, int, int]) -> np.ndarray:
 def fold_spectrum(spec: KernelSpectrum, d: tuple[int, int, int]) -> np.ndarray:
     """The alias energy ``gram = sum_b |K(kappa + b * L)|^2`` of a kernel spectrum.
 
-    LR-shaped, real and read-only.
+    LR-shaped, real and read-only; all ones, with no values read, for the
+    ideal low-pass at its own rates (one alias of value 1 per LR bin).
     """
     d = _check_divisible(spec.grid, d)
-    gram = alias_sum(np.abs(spec.values) ** 2, d)
+    ideal = spec.lowpass_rates == d
+    gram = np.ones(spec.grid.decimated(d).dims) if ideal else alias_sum(np.abs(spec.values) ** 2, d)
     gram.setflags(write=False)
     return gram
 
 
-def _tile_into(out: np.ndarray, values: np.ndarray, d: tuple[int, int, int]) -> np.ndarray:
-    """Write ``np.tile(values, d)`` into the HR-shaped array ``out``.
+def filtered_alias_sum(kernel: KernelSpectrum, spec: np.ndarray, d: tuple[int, int, int]) -> np.ndarray:
+    """``alias_sum(kernel.values * spec, d)``, the LR spectrum of ``sqrt(d) S H x`` from x's.
 
-    ``out`` must be C-contiguous, so that its ``(d0, L0, d1, L1, d2, L2)``
-    reshape is a view: each alias block gets a copy of the LR-shaped
-    ``values`` with no intermediate array.
+    ``spec`` may be real.  The ideal low-pass at rates ``d`` gathers its box.
+    """
+    if kernel.lowpass_rates == d:
+        return spec[_box(spec.shape, kernel.grid.decimated(d).dims)]
+    return alias_sum(kernel.values * spec, d)
+
+
+def add_spread(spec: np.ndarray, kernel: KernelSpectrum, u: np.ndarray, d: tuple[int, int, int]) -> None:
+    """Add ``conj(kernel.values) * np.tile(u, d)`` into ``spec``: the adjoint, in place.
+
+    The ideal low-pass at rates ``d`` adds ``u`` on its box; other kernels
+    take one HR scratch array.
+    """
+    if kernel.lowpass_rates == d:
+        spec[_box(spec.shape, u.shape)] += u
+    else:
+        scratch = _tile_into(np.empty(spec.shape, dtype=np.complex128), u, d)
+        spec += np.multiply(kernel.conj_values, scratch, out=scratch)
+
+
+def _tile_into(out: np.ndarray, values: np.ndarray, d: tuple[int, int, int]) -> np.ndarray:
+    """Write ``np.tile(values, d)`` into the C-contiguous HR array ``out``.
+
+    Through the ``(d0, L0, d1, L1, d2, L2)`` view, with no intermediate array.
     """
     dr, dc, ds = d
     lr, lc, ls = values.shape

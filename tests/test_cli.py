@@ -80,6 +80,18 @@ class TestSimulate:
         assert "spacing" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_nonpositive_kernel_fwhm_is_runtime_error(self, tmp_path, capsys):
+        # rejected with the config, before any file is written
+        out = tmp_path / "run"
+        small = ("--dims", "8,8,8", "--frames", "1", "--factor", "2,2,2", "--kernel", "gaussian")
+        assert run("pipeline", "--out-dir", str(out), *small, "--kernel-fwhm=-1,2,2") == 1
+        assert "kernel_fwhm" in capsys.readouterr().err
+        config = tmp_path / "bad.cfg"
+        config.write_text("dims = 8,8,8\nframes = 1\nfactor = 2,2,2\nkernel = gaussian\nkernel_fwhm = 0,2,2\n")
+        assert run("pipeline", "--out-dir", str(out), "--config", str(config)) == 1
+        assert "kernel_fwhm" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.flw4"))
+
     def test_negative_radius_is_runtime_error(self, tmp_path, capsys):
         # only 0 means the automatic radius
         out = tmp_path / "r.flw4"
@@ -305,6 +317,18 @@ class TestPipeline:
         with pytest.raises(SystemExit) as excinfo:
             run("pipeline", "--out-dir", str(tmp_path / "run"), "--venc", "inf")
         assert excinfo.value.code == 2
+
+    def test_nonpositive_kernel_fwhm_is_runtime_error(self, tmp_path, capsys):
+        # rejected with the config, before any file is written
+        out = tmp_path / "run"
+        small = ("--dims", "8,8,8", "--frames", "1", "--factor", "2,2,2", "--kernel", "gaussian")
+        assert run("pipeline", "--out-dir", str(out), *small, "--kernel-fwhm=-1,2,2") == 1
+        assert "kernel_fwhm" in capsys.readouterr().err
+        config = tmp_path / "bad.cfg"
+        config.write_text("dims = 8,8,8\nframes = 1\nfactor = 2,2,2\nkernel = gaussian\nkernel_fwhm = 0,2,2\n")
+        assert run("pipeline", "--out-dir", str(out), "--config", str(config)) == 1
+        assert "kernel_fwhm" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.flw4"))
 
     def test_negative_radius_is_runtime_error(self, tmp_path, capsys):
         out = tmp_path / "run"

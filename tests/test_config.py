@@ -61,11 +61,19 @@ class TestRunConfig:
             {"tau": float("inf")},
             {"radius": -3.0},  # only 0 means the automatic radius
             {"radius": float("inf")},
+            {"kernel_fwhm": (-1.0, 2.0, 2.0)},
+            {"kernel_fwhm": (2.0, 0.0, 2.0)},
+            {"kernel_fwhm": (2.0, 2.0, float("nan"))},
+            {"kernel_fwhm": (float("-inf"), 2.0, 2.0)},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
+
+    def test_infinite_kernel_fwhm_is_the_all_pass_limit(self):
+        rc = RunConfig(kernel="gaussian", kernel_fwhm=(float("inf"), 2.0, 2.0))
+        assert parse_config_text(format_config_text(rc)) == rc
 
     def test_integral_floats_become_ints(self):
         rc = RunConfig(dims=(32.0, 32.0, 32.0), frames=2.0, factor=[2, 2, 2], venc=150)

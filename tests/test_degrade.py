@@ -26,7 +26,7 @@ from flowsr import (
 )
 from flowsr.spectral import alias_sum
 
-from conftest import random_complex, rel_err
+from conftest import random_complex, rel_err, swap_axes
 
 # (hr dims, rates) pairs covering odd dims and mixed rates
 SH_CONFIGS = [
@@ -335,16 +335,17 @@ class TestDegradeDataset:
 
 
 class TestAxisSwap:
-    """Swapping x and y, with the rates and the flow axis, swaps the LR dataset.
+    """Swapping x with y or z, with the rates and the flow axis, swaps the LR dataset.
 
     Metamorphic: a noiseless tube along x at 16x12x8 with d=(4,2,1) against
-    the same tube along y at 12x16x8 with d=(2,4,1).  Velocities only: the
-    stored magnitude is the u channel's, which carries the flow in one
-    dataset and not in the other.
+    the same tube along y at 12x16x8 with d=(2,4,1), or along z at 8x12x16
+    with d=(1,2,4).  Velocities only: the stored magnitude is the u
+    channel's, which carries the flow in one dataset and not in the other.
     """
 
+    @pytest.mark.parametrize("perm, axis", [((1, 0, 2), "y"), ((2, 1, 0), "z")], ids=["xy", "xz"])
     @pytest.mark.parametrize("kernel_kind", ["ideal", "gaussian"])
-    def test_velocities_swap(self, kernel_kind):
+    def test_velocities_swap(self, kernel_kind, perm, axis):
         def degrade(dims, axis, d):
             hr = poiseuille_phantom(
                 Grid3(*dims), radius_voxels=3, vmax_per_frame=[90.0, 60.0], venc=150.0,
@@ -352,13 +353,12 @@ class TestAxisSwap:
             )
             return degrade_dataset(hr, DegradationConfig(d=d, kernel=kernel_kind))[0]
 
-        along_x = degrade((16, 12, 8), "x", (4, 2, 1))
-        along_y = degrade((12, 16, 8), "y", (2, 4, 1))
-        for f_x, f_y in zip(along_x.frames, along_y.frames):
+        dims, d = (16, 12, 8), (4, 2, 1)
+        along_x = degrade(dims, "x", d)
+        swapped = degrade(tuple(dims[p] for p in perm), axis, tuple(d[p] for p in perm))
+        for f_x, f_back in zip(along_x.frames, swap_axes(swapped, perm).frames):
             sel = make_mask(f_x.magnitude).voxels
-            got = np.concatenate(
-                [f_y.channel(ch).data.transpose(1, 0, 2)[sel] for ch in ("v", "u", "w")]
-            )
+            got = np.concatenate([f_back.channel(ch).data[sel] for ch in ("u", "v", "w")])
             want = np.concatenate([f_x.channel(ch).data[sel] for ch in ("u", "v", "w")])
             assert rel_err(got, want) < 1e-12
 

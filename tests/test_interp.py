@@ -1,6 +1,3 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 from scipy.ndimage import map_coordinates
@@ -10,13 +7,14 @@ from flowsr import (
     Grid3,
     ParameterError,
     degrade_dataset,
+    helix_phantom,
     poiseuille_phantom,
     upsample_dataset,
 )
 from flowsr.interp import _axis_spectra, _axis_weights, upsample_array, upsample_spectrum
 from flowsr.spectral import fftn_unitary
 
-from conftest import rel_err
+from conftest import rel_err, run_threads, swap_axes
 
 _ORDERS = {"trilinear": 1, "tricubic": 3}
 # (LR shape, rates): a cube, odd shapes with mixed rates, single-voxel axes
@@ -51,31 +49,6 @@ def _moveaxis_upsample(a, d, method):
             weights = _axis_weights(a.shape[axis], rate, _ORDERS[method])
             out = np.moveaxis(np.tensordot(weights, out, axes=(1, axis)), 0, axis)
     return np.ascontiguousarray(out)
-
-
-def _run_threads(work, count):
-    # count threads started together with a tiny switch interval; returns
-    # the exceptions they raised
-    errors = []
-
-    def guarded(i):
-        try:
-            work(i)
-        except Exception as exc:  # reported by the main thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=guarded, args=(i,)) for i in range(count)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-            assert not t.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    return errors
 
 
 def _reference_upsample(a, d, method):
@@ -177,7 +150,7 @@ class TestSeparableWeights:
         def work(i):
             results[i] = upsample_dataset(lr, (3, 3, 2), "tricubic")
 
-        assert _run_threads(work, len(results)) == []
+        assert run_threads(work, len(results)) == []
         for out in results:
             for f_out, f_serial in zip(out.frames, serial.frames):
                 for ch in ("magnitude", "u", "v", "w"):
@@ -224,7 +197,7 @@ class TestUpsampleSpectrum:
         def work(i):
             results[i] = upsample_spectrum(ys[i], (3, 2, 1))
 
-        assert _run_threads(work, len(results)) == []
+        assert run_threads(work, len(results)) == []
         for out, expected in zip(results, serial):
             assert np.array_equal(out, expected)
 
@@ -250,6 +223,19 @@ class TestUpsampleDataset:
         for f1, f2 in zip(lr.frames, same.frames):
             for ch in ("magnitude", "u", "v", "w"):
                 assert np.allclose(f1.channel(ch).data, f2.channel(ch).data, atol=0)
+
+    @pytest.mark.parametrize("method", ["trilinear", "tricubic"])
+    @pytest.mark.parametrize("perm", [(1, 0, 2), (2, 1, 0)], ids=["xy", "xz"])
+    def test_axis_swap(self, perm, method):
+        # swapping x with y or z, with the rates, swaps every upsampled channel
+        d = (4, 2, 1)
+        hr = helix_phantom(Grid3(16, 12, 8), radius_voxels=3, vmax_per_frame=[90.0], venc=150.0, axis="x")
+        lr, _ = degrade_dataset(hr, DegradationConfig(d=d))
+        up = upsample_dataset(lr, d, method)
+        back = swap_axes(upsample_dataset(swap_axes(lr, perm), tuple(d[p] for p in perm), method), perm)
+        for f_up, f_back in zip(up.frames, back.frames):
+            for ch in ("magnitude", "u", "v", "w"):
+                assert rel_err(f_back.channel(ch).data, f_up.channel(ch).data) < 1e-12
 
     def test_outputs_are_adopted_read_only(self):
         up = upsample_dataset(self._lr(), (2, 2, 2), "tricubic")

@@ -1,14 +1,11 @@
 import collections
 import dataclasses
-import sys
-import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.fft
 
-import flowsr.solver
 from flowsr import (
     ComplexVolume,
     DegradationConfig,
@@ -29,6 +26,7 @@ from flowsr import (
     gaussian_spectrum,
     helix_phantom,
     ideal_lowpass_spectrum,
+    make_mask,
     poiseuille_phantom,
     superresolve_dataset,
 )
@@ -36,7 +34,7 @@ from flowsr import (
 from flowsr.solver import _lr_correction
 from flowsr.spectral import alias_sum, fftn_unitary, ifftn_unitary
 
-from conftest import random_complex, rel_err
+from conftest import BOX_CASES, random_complex, rel_err, run_threads, swap_axes
 
 
 def _cfg(dims, d, kind="ideal", tau=0.05, prior="trilinear"):
@@ -91,15 +89,20 @@ class TestSolverConfig:
         assert not np.array_equal(swapped.gram, cfg.gram)
 
     def test_conjugate_kernel_is_derived(self):
+        # the conjugate lives on the kernel, built once and shared by every
+        # config made from it; a config takes none
         cfg = _cfg((8, 6, 4), (2, 3, 1), "gaussian")
-        assert np.array_equal(cfg.kernel_conj, np.conj(cfg.kernel.values))
+        conj = cfg.kernel.conj_values
+        assert np.array_equal(conj, np.conj(cfg.kernel.values))
+        assert cfg.kernel.conj_values is conj
+        assert dataclasses.replace(cfg, tau=0.3).kernel.conj_values is conj
         with pytest.raises(ValueError):
-            cfg.kernel_conj[0, 0, 0] = 0
+            conj[0, 0, 0] = 0
         complex_kernel = KernelSpectrum(cfg.hr_grid, (1 - 2j) * cfg.kernel.values)
         swapped = dataclasses.replace(cfg, kernel=complex_kernel)
-        assert np.array_equal(swapped.kernel_conj, np.conj(complex_kernel.values))
+        assert np.array_equal(swapped.kernel.conj_values, np.conj(complex_kernel.values))
         with pytest.raises(TypeError):
-            SolverConfig(tau=0.1, kernel=cfg.kernel, d=cfg.d, kernel_conj=cfg.kernel_conj)
+            SolverConfig(tau=0.1, kernel=cfg.kernel, d=cfg.d, kernel_conj=conj)
 
     def test_alias_blocks_are_not_an_argument(self, rng):
         # the alias energy follows from the kernel and rates alone; a solve
@@ -110,6 +113,13 @@ class TestSolverConfig:
             fsr_solve(y, cfg, gram=cfg.gram)
         with pytest.raises(TypeError):
             SolverConfig(tau=0.1, kernel=cfg.kernel, d=cfg.d, gram=cfg.gram)
+
+
+def _general_path(cfg, rng):
+    # whether a solve under cfg goes through the kernel's values: that path
+    # builds the kernel's cached conjugate, the retained box's does not
+    fsr_solve(random_complex(cfg.lr_grid, rng), cfg)
+    return "conj_values" in vars(cfg.kernel)
 
 
 def _hand_built_ideal(dims, d):
@@ -123,70 +133,50 @@ def _hand_built_ideal(dims, d):
     return masks[0][:, None, None] * masks[1][None, :, None] * masks[2][None, None, :]
 
 
-# even and odd LR lengths, a single-voxel LR axis, and rate one
-BOX_CASES = [
-    ((8, 6, 4), (2, 2, 2)),
-    ((6, 6, 6), (2, 3, 1)),
-    ((2, 4, 6), (2, 1, 3)),
-    ((6, 10, 4), (3, 5, 2)),
-    ((10, 9, 4), (2, 3, 4)),
-    ((4, 4, 4), (1, 1, 1)),
-]
-
-
 class TestIdealLowpassDetection:
     @pytest.mark.parametrize("dims,d", BOX_CASES)
-    def test_ideal_kernel_takes_the_box_path(self, dims, d, monkeypatch):
-        monkeypatch.setattr(flowsr.solver, "fold_spectrum", None)  # no HR pass for an all-ones fold
+    def test_ideal_kernel_takes_the_box_path(self, dims, d, rng):
         cfg = _cfg(dims, d, "ideal")
-        monkeypatch.undo()
-        assert cfg.ideal_lowpass is True
-        assert cfg.kernel_conj is None
-        assert np.array_equal(cfg.gram, fold_spectrum(cfg.kernel, d))
+        assert not _general_path(cfg, rng)
+        assert "values" not in vars(cfg.kernel)
+        assert np.array_equal(cfg.gram, alias_sum(np.abs(cfg.kernel.values) ** 2, d))
         with pytest.raises(ValueError):
             cfg.gram[0, 0, 0] = 0
         # the kernel's rates decide, not its values: a hand-built 0/1 kernel,
         # even one equal to the built one, takes the exact general path
         by_hand = SolverConfig(tau=0.05, kernel=KernelSpectrum(cfg.hr_grid, _hand_built_ideal(dims, d)), d=d)
         assert np.array_equal(by_hand.kernel.values, cfg.kernel.values)
-        assert by_hand.ideal_lowpass is False
-        assert np.array_equal(by_hand.kernel_conj, cfg.kernel.values)
+        assert _general_path(by_hand, rng)
 
     @pytest.mark.parametrize("dims,d", BOX_CASES)
-    def test_other_kernels_take_the_general_path(self, dims, d):
-        gauss = _cfg(dims, d, "gaussian")
-        assert gauss.ideal_lowpass is False
-        assert np.array_equal(gauss.kernel_conj, np.conj(gauss.kernel.values))
+    def test_other_kernels_take_the_general_path(self, dims, d, rng):
+        assert _general_path(_cfg(dims, d, "gaussian"), rng)
         ideal = _cfg(dims, d, "ideal")
         values = ideal.kernel.values.copy()
         values[0, 0, 0] = 0.5  # DC is always in the box
-        off = dataclasses.replace(ideal, kernel=KernelSpectrum(ideal.hr_grid, values))
-        assert off.ideal_lowpass is False
-        assert np.array_equal(off.kernel_conj, np.conj(values))
+        assert _general_path(dataclasses.replace(ideal, kernel=KernelSpectrum(ideal.hr_grid, values)), rng)
         outside = np.argwhere(ideal.kernel.values == 0)
         if len(outside):
             values = ideal.kernel.values.copy()
             values[tuple(outside[len(outside) // 2])] = 1.0
             extra = dataclasses.replace(ideal, kernel=KernelSpectrum(ideal.hr_grid, values))
-            assert extra.ideal_lowpass is False
-            assert extra.kernel_conj is not None
+            assert _general_path(extra, rng)
 
-    def test_complex_unit_phase_is_not_ideal(self):
+    def test_complex_unit_phase_is_not_ideal(self, rng):
         ideal = _cfg((8, 6, 4), (2, 2, 2), "ideal")
         values = ideal.kernel.values.copy()
         values[0, 0, 0] = 1j
-        swapped = dataclasses.replace(ideal, kernel=KernelSpectrum(ideal.hr_grid, values))
-        assert swapped.ideal_lowpass is False
+        assert _general_path(dataclasses.replace(ideal, kernel=KernelSpectrum(ideal.hr_grid, values)), rng)
 
     @pytest.mark.parametrize("dims,d", BOX_CASES)
-    def test_ideal_kernel_for_other_rates_takes_the_general_path(self, dims, d):
+    def test_ideal_kernel_for_other_rates_takes_the_general_path(self, dims, d, rng):
         cfg = dataclasses.replace(_cfg(dims, d, "ideal"), d=(1, 1, 1))
-        assert cfg.ideal_lowpass is (d == (1, 1, 1))
+        assert _general_path(cfg, rng) is (d != (1, 1, 1))
 
-    def test_box_path_never_builds_the_kernel_values(self, monkeypatch):
+    def test_box_path_never_builds_the_kernel_values(self, monkeypatch, rng):
         # the ideal kernel caches its HR values in its instance dict on first
-        # read: configs, dataset solves with either prior and a noisy
-        # degrade never read them
+        # read: configs, dataset solves with either prior, a noisy degrade,
+        # S H, its adjoint and the fold at the kernel's rates never read them
         made = []
         build = DegradationConfig.kernel_spectrum
 
@@ -200,8 +190,11 @@ class TestIdealLowpassDetection:
         cfg = SolverConfig(tau=0.05, kernel=ideal_lowpass_spectrum(hr.grid, (2, 2, 1)), d=(2, 2, 1))
         for prior in ("trilinear", "zero-fill"):
             superresolve_dataset(lr, dataclasses.replace(cfg, prior=prior), hr.grid)
-        kernels = made + [cfg.kernel]
-        assert len(kernels) == 2
+        kernel = ideal_lowpass_spectrum(hr.grid, cfg.d)
+        apply_SH_adjoint(apply_SH(random_complex(hr.grid, rng), kernel, cfg.d), kernel, cfg.d)
+        fold_spectrum(kernel, cfg.d)
+        kernels = made + [cfg.kernel, kernel]
+        assert len(kernels) == 3
         assert all("values" not in vars(k) for k in kernels)
         assert np.array_equal(cfg.kernel.values, _hand_built_ideal(hr.grid.dims, cfg.d))
         assert "values" in vars(cfg.kernel)
@@ -355,6 +348,23 @@ class TestFsrSolve:
         explicit, _ = fsr_solve(y, cfg, prior=build_prior(y, cfg.d, "zero-fill"))
         assert rel_err(x.data, explicit.data) < 1e-12
 
+    def test_threads_on_a_cold_conjugate_match_serial(self, rng):
+        # the threads race to build the fresh kernel's conjugate; each solve
+        # must still give the serial bits
+        dims, d = (32, 32, 16), (2, 2, 1)
+        ys = [random_complex(Grid3(16, 16, 16), rng) for _ in range(4)]
+        serial = [fsr_solve(y, _cfg(dims, d, "gaussian"))[0].data for y in ys]
+        cfg = _cfg(dims, d, "gaussian")
+        assert "conj_values" not in vars(cfg.kernel)
+        results = [None] * len(ys)
+
+        def work(i):
+            results[i] = fsr_solve(ys[i], cfg)[0].data
+
+        assert run_threads(work, len(results)) == []
+        for out, expected in zip(results, serial):
+            assert np.array_equal(out, expected)
+
     def test_grid_mismatch_rejected(self, rng):
         cfg = _cfg((4, 4, 4), (2, 2, 2))
         with pytest.raises(GridMismatchError):
@@ -442,7 +452,7 @@ class TestBoxSolve:
     @pytest.mark.parametrize("prior_mode", ["trilinear", "zero-fill", "explicit"])
     def test_matches_the_general_formula(self, dims, d, prior_mode, rng):
         cfg = _cfg(dims, d, "ideal", tau=0.05, prior="trilinear" if prior_mode == "explicit" else prior_mode)
-        assert cfg.ideal_lowpass
+        assert cfg.kernel.lowpass_rates == d
         y = random_complex(cfg.lr_grid, rng)
         if prior_mode == "explicit":
             prior = random_complex(cfg.hr_grid, rng)
@@ -480,7 +490,7 @@ class TestGeneralSolve:
         if kind == "complex":
             values = rng.standard_normal(dims) + 1j * rng.standard_normal(dims)
             cfg = dataclasses.replace(cfg, kernel=KernelSpectrum(cfg.hr_grid, values))
-        assert not cfg.ideal_lowpass
+        assert cfg.kernel.lowpass_rates is None
         y = random_complex(cfg.lr_grid, rng)
         if prior_mode == "explicit":
             prior = random_complex(cfg.hr_grid, rng)
@@ -674,26 +684,12 @@ class TestSuperresolveDataset:
         # the shared config, kernel and dataset interleave as much as they can
         hr, lr, cfg = self._noisy_helix(dims=(32, 32, 16))
         serial = superresolve_dataset(lr, cfg, hr.grid)
-        results, errors = [None] * 4, []
+        results = [None] * 4
 
         def work(i):
-            try:
-                results[i] = superresolve_dataset(lr, cfg, hr.grid)
-            except Exception as exc:  # reported by the main thread below
-                errors.append(exc)
+            results[i] = superresolve_dataset(lr, cfg, hr.grid)
 
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(results))]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-                assert not t.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        assert errors == []
+        assert run_threads(work, len(results)) == []
         for out in results:
             for f_out, f_serial in zip(out.frames, serial.frames):
                 for ch in ("magnitude", "u", "v", "w"):
@@ -746,3 +742,31 @@ class TestSuperresolveDataset:
         cfg = _cfg((8, 8, 8), (2, 2, 2), tau=0.05)
         sr = superresolve_dataset(ds, cfg, Grid3(8, 8, 8))
         assert np.isfinite(sr.frames[0].u.data).all()
+
+
+@pytest.mark.parametrize("perm", [(1, 0, 2), (2, 1, 0)], ids=["xy", "xz"])
+class TestAxisSwap:
+    """Swapping x with y or z, with the rates, swaps the super-resolved dataset.
+
+    Metamorphic: a noiseless helix along x at 16x12x8 with d=(4,2,1) is
+    degraded, and its LR dataset solved as it is and transposed, so both
+    solves share one LR magnitude.  Velocities inside the flow mask.
+    """
+
+    @pytest.mark.parametrize("prior", ["trilinear", "zero-fill"])
+    @pytest.mark.parametrize("kind", ["ideal", "gaussian"])
+    def test_superresolve_swaps(self, kind, prior, perm):
+        dims, d = (16, 12, 8), (4, 2, 1)
+        hr = helix_phantom(
+            Grid3(*dims), radius_voxels=3, vmax_per_frame=[90.0, 60.0], venc=150.0, axis="x",
+            magnitude_out=0.2,
+        )
+        lr, _ = degrade_dataset(hr, DegradationConfig(d=d, kernel=kind))
+        sr = superresolve_dataset(lr, _cfg(dims, d, kind, prior=prior), hr.grid)
+        cfg = _cfg(tuple(dims[p] for p in perm), tuple(d[p] for p in perm), kind, prior=prior)
+        back = swap_axes(superresolve_dataset(swap_axes(lr, perm), cfg, cfg.hr_grid), perm)
+        for f_hr, f_sr, f_back in zip(hr.frames, sr.frames, back.frames):
+            sel = make_mask(f_hr.magnitude).voxels
+            got = np.concatenate([f_back.channel(ch).data[sel] for ch in ("u", "v", "w")])
+            want = np.concatenate([f_sr.channel(ch).data[sel] for ch in ("u", "v", "w")])
+            assert rel_err(got, want) < 1e-12

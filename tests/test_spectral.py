@@ -17,9 +17,17 @@ from flowsr import (
     ideal_lowpass_spectrum,
     inverse_fft,
 )
-from flowsr.spectral import _box, alias_sum, fftn_unitary, ifftn_unitary, retained_axis_indices
+from flowsr.spectral import (
+    _box,
+    add_spread,
+    alias_sum,
+    fftn_unitary,
+    filtered_alias_sum,
+    ifftn_unitary,
+    retained_axis_indices,
+)
 
-from conftest import random_complex, rel_err
+from conftest import BOX_CASES, random_complex, rel_err
 
 PARITY_GRIDS = [(4, 4, 4), (4, 6, 8), (5, 4, 6), (5, 3, 7), (8, 6, 4)]
 
@@ -294,3 +302,45 @@ class TestFolding:
         )
         assert rel_err(gram, ref) < 1e-12
         assert np.all(gram >= 0)
+
+
+def _kernel(kind, dims, d, rng):
+    grid = Grid3(*dims)
+    if kind == "ideal":
+        return ideal_lowpass_spectrum(grid, d)
+    if kind == "gaussian":
+        return gaussian_spectrum(grid, tuple(n / r for n, r in zip(dims, d)))
+    return KernelSpectrum(grid, rng.standard_normal(dims) + 1j * rng.standard_normal(dims))
+
+
+@pytest.mark.parametrize("kind", ["ideal", "gaussian", "complex"])
+@pytest.mark.parametrize("dims,d", BOX_CASES)
+class TestKernelAction:
+    """``sqrt(d) S H`` and its adjoint on spectra, against the textbook expressions bit for bit."""
+
+    def test_filtered_alias_sum_is_the_alias_sum_of_the_product(self, dims, d, kind, rng):
+        kernel = _kernel(kind, dims, d, rng)
+        lr_dims = tuple(n // r for n, r in zip(dims, d))
+        # a complex spectrum and a real noise draw
+        for spec in (random_complex(Grid3(*dims), rng).data, rng.standard_normal(dims)):
+            got = filtered_alias_sum(kernel, spec, d)
+            assert got.shape == lr_dims
+            assert np.array_equal(got, alias_sum(kernel.values * spec, d))
+
+    def test_add_spread_adds_the_conjugate_filtered_tiling(self, dims, d, kind, rng):
+        kernel = _kernel(kind, dims, d, rng)
+        spec = random_complex(Grid3(*dims), rng).data.copy()  # volumes are read-only
+        u = random_complex(Grid3(*dims).decimated(d), rng).data
+        expected = spec + np.conj(kernel.values) * np.tile(u, d)
+        add_spread(spec, kernel, u, d)
+        assert np.array_equal(spec, expected)
+
+    def test_adjoint_identity(self, dims, d, kind, rng):
+        kernel = _kernel(kind, dims, d, rng)
+        a = random_complex(Grid3(*dims), rng).data
+        b = random_complex(Grid3(*dims).decimated(d), rng).data
+        spread = np.zeros(dims, dtype=complex)
+        add_spread(spread, kernel, b, d)
+        lhs = np.vdot(filtered_alias_sum(kernel, a, d), b)
+        rhs = np.vdot(a, spread)
+        assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
