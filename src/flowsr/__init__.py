@@ -32,11 +32,8 @@ from .interp import upsample_dataset
 from .metrics import (
     EvalRecord,
     EvalReport,
-    FlowMask,
     evaluate,
     make_mask,
-    mean_relative_error,
-    psnr,
 )
 from .oracle import DenseOperators, build_dense, dense_solve
 from .phantom import helix_phantom, poiseuille_phantom, pulsatile_profile
@@ -74,7 +71,6 @@ __all__ = [
     "DenseOperators",
     "EvalRecord",
     "EvalReport",
-    "FlowMask",
     "FlowSRError",
     "FormatError",
     "Grid3",
@@ -110,10 +106,8 @@ __all__ = [
     "inverse_fft",
     "load_dataset",
     "make_mask",
-    "mean_relative_error",
     "parse_config_text",
     "poiseuille_phantom",
-    "psnr",
     "pulsatile_profile",
     "save_dataset",
     "superresolve_dataset",

@@ -82,6 +82,8 @@ class RunConfig:
             raise ConfigError(f"radius must be finite and >= 0 (0 = auto), got {self.radius}")
         if self.kernel_fwhm is not None and not all(v > 0 for v in self.kernel_fwhm):
             raise ConfigError(f"kernel_fwhm entries must be > 0 (inf = all-pass), got {self.kernel_fwhm}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.tau < float("inf"):
             raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
         if not 0 < self.mask_threshold < 1:

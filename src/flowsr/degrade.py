@@ -76,6 +76,8 @@ class DegradationConfig:
             raise ParameterError(f"kernel must be one of {KERNEL_KINDS}, got {self.kernel!r}")
         if self.noise_psnr_db is not None and not np.isfinite(self.noise_psnr_db):
             raise ParameterError("noise_psnr_db must be finite when present")
+        if self.rng_seed < 0:
+            raise ParameterError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
     def kernel_spectrum(self, hr: Grid3) -> KernelSpectrum:
         """Concrete kernel spectrum for a given high-resolution grid."""

@@ -1,56 +1,37 @@
-"""Flow-region evaluation metrics: masked PSNR and mean relative velocity error.
+"""Flow-region evaluation: masked PSNR and mean relative velocity error.
 
-Metrics are strictly mask-local: voxels outside the mask never influence a
-value.  PSNR is reported per velocity component; the relative error treats
-the three components as one vector field and normalizes by the peak masked
-reference speed.
+:func:`evaluate` is the one scorer.  Its flow masks threshold the reference
+magnitude, and voxels outside them never influence a value.  PSNR is
+reported per velocity component and the relative error treats the three as
+one vector field; both take the frame's peak masked reference speed as peak.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridMismatchError, MaskError, ParameterError
-from .volume import CHANNELS, Grid3, ScalarVolume, VelocityDataset, VelocityFrame
+from .volume import CHANNELS, ScalarVolume, VelocityDataset, VelocityFrame
 
 __all__ = [
-    "FlowMask",
     "EvalRecord",
     "EvalReport",
     "make_mask",
-    "psnr",
-    "mean_relative_error",
     "evaluate",
 ]
 
 CSV_HEADER = ("frame", "channel", "method", "metric", "value")
 
 
-@dataclass(frozen=True, eq=False)
-class FlowMask:
-    """Boolean voxel selection on a grid; at least one voxel must be set."""
+def make_mask(magnitude: ScalarVolume, threshold_fraction: float = 0.1) -> np.ndarray:
+    """Voxels reaching a fraction of the peak magnitude, as a read-only C-ordered bool array.
 
-    grid: Grid3
-    voxels: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        # C order is the order a boolean gather walks; a mask in another
-        # order slows every gather 2-6 times on 128^3 volumes
-        vox = np.array(self.voxels, dtype=bool, order="C")
-        if vox.shape != self.grid.dims:
-            raise GridMismatchError(f"mask shape {vox.shape} != grid dims {self.grid.dims}")
-        if not vox.any():
-            raise MaskError("flow mask is empty")
-        vox.setflags(write=False)
-        object.__setattr__(self, "voxels", vox)
-
-
-def make_mask(magnitude: ScalarVolume, threshold_fraction: float = 0.1) -> FlowMask:
-    """Mask of voxels whose magnitude reaches a fraction of the peak magnitude."""
+    Never empty: the peak voxel always passes.
+    """
     if not 0 < threshold_fraction < 1:
         raise ParameterError(
             f"threshold_fraction must be in (0, 1), got {threshold_fraction}"
@@ -58,12 +39,10 @@ def make_mask(magnitude: ScalarVolume, threshold_fraction: float = 0.1) -> FlowM
     peak = float(magnitude.data.max())
     if peak <= 0:
         raise MaskError("magnitude is zero everywhere; no flow region to mask")
-    return FlowMask(magnitude.grid, magnitude.data >= threshold_fraction * peak)
-
-
-def _check_grids(est, ref, mask: FlowMask) -> None:
-    if est.grid.dims != ref.grid.dims or est.grid.dims != mask.grid.dims:
-        raise GridMismatchError("est, ref and mask must share one grid")
+    # a boolean gather walks C order; a mask in another order slows it 2-6x at 128^3
+    mask = np.ascontiguousarray(magnitude.data >= threshold_fraction * peak)
+    mask.setflags(write=False)
+    return mask
 
 
 def _squared_error(est: np.ndarray, ref: np.ndarray, sel: np.ndarray) -> np.ndarray:
@@ -77,23 +56,6 @@ def _psnr_db(mse: float, peak: float) -> float:
     if mse == 0.0:
         return float("inf")
     return float(10.0 * np.log10(peak**2 / mse))
-
-
-def psnr(
-    est: ScalarVolume, ref: ScalarVolume, mask: FlowMask, peak: float | None = None
-) -> float:
-    """Peak signal-to-noise ratio in dB over the masked voxels.
-
-    ``peak`` defaults to the maximum |ref| inside the mask and must be
-    positive.  Identical inputs return ``inf`` (the sentinel for a zero MSE).
-    """
-    _check_grids(est, ref, mask)
-    sel = mask.voxels
-    if peak is None:
-        peak = float(np.abs(ref.data[sel]).max())
-    if not peak > 0:
-        raise ParameterError(f"peak must be > 0, got {peak}")
-    return _psnr_db(float(np.mean(_squared_error(est.data, ref.data, sel))), peak)
 
 
 def _norm_over_channels(squares) -> np.ndarray:
@@ -130,21 +92,6 @@ def _error_norm(est: VelocityFrame, ref: VelocityFrame, sel: np.ndarray, mses: l
 
 def _mre_percent(error_norm: np.ndarray, peak: float) -> float:
     return 100.0 * float(np.mean(error_norm) / peak)
-
-
-def mean_relative_error(est: VelocityFrame, ref: VelocityFrame, mask: FlowMask) -> float:
-    """Mean relative velocity-vector error in percent over the masked voxels.
-
-    The error at a voxel is the Euclidean norm of the (u, v, w) difference,
-    normalized by the peak masked reference speed.
-    """
-    _check_grids(est, ref, mask)
-    sel = mask.voxels
-    diff = _error_norm(est, ref, sel)
-    peak = float(_speed(ref, sel).max())
-    if peak <= 0:
-        raise ParameterError("peak reference speed over the mask is zero")
-    return _mre_percent(diff, peak)
 
 
 @dataclass(frozen=True)
@@ -204,18 +151,16 @@ def evaluate(
     ref: VelocityDataset,
     baseline: VelocityDataset | None = None,
     mask_threshold: float = 0.1,
-    masks: list[FlowMask] | None = None,
     sr_method: str = "fsr",
     baseline_method: str = "trilinear",
 ) -> EvalReport:
     """Score reconstructions against a reference inside per-frame flow masks.
 
-    Masks come from thresholding the reference magnitude frame by frame
-    unless explicit ``masks`` are supplied.  Every frame yields one PSNR
-    record per velocity channel and method, plus one relative-error record
-    per method (channel ``all``).  PSNR uses the frame's peak masked
-    reference speed as the shared peak for all three channels, so channels
-    with no reference flow stay well-defined and methods remain comparable.
+    Each frame's mask is :func:`make_mask` of its reference magnitude.  Every
+    frame yields one PSNR record per velocity channel and method, plus one
+    relative-error record per method (channel ``all``).  Both metrics take
+    the frame's peak masked reference speed as their peak, so channels with
+    no reference flow stay well-defined and methods remain comparable.
     """
     candidates = [(sr_method, sr)] + ([(baseline_method, baseline)] if baseline is not None else [])
     for name, ds in candidates:
@@ -223,15 +168,10 @@ def evaluate(
             raise GridMismatchError(f"{name} frame count differs from reference")
         if ds.grid.dims != ref.grid.dims:
             raise GridMismatchError(f"{name} grid differs from reference")
-    if masks is not None and len(masks) != len(ref.frames):
-        raise GridMismatchError("need one mask per frame")
 
     records = []
     for f_idx, ref_frame in enumerate(ref.frames):
-        mask = masks[f_idx] if masks is not None else make_mask(ref_frame.magnitude, mask_threshold)
-        if mask.grid.dims != ref.grid.dims:
-            raise GridMismatchError(f"mask {f_idx} grid {mask.grid.dims} differs from reference")
-        sel = mask.voxels
+        sel = make_mask(ref_frame.magnitude, mask_threshold)
         peak_speed = float(_speed(ref_frame, sel).max())
         if peak_speed <= 0:
             raise ParameterError(f"frame {f_idx}: reference flow is zero inside the mask")

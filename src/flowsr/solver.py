@@ -70,6 +70,7 @@ from .volume import (
     VelocityFrame,
     _adopt,
     _check_finite,
+    _phase_encode,
     extract_velocity,
     map_channels,
 )
@@ -253,9 +254,7 @@ def superresolve_dataset(
         # measured data may hold velocities exactly at the encoding boundary
         # (phase pi, e.g. after float32 storage), so rebuild the signal
         # without the ground-truth aliasing guard
-        phase = np.pi * frame.channel(ch).data / venc
-        y = ComplexVolume(frame.grid, frame.magnitude.data * np.exp(1j * phase))
-        x_hat, rep = fsr_solve(y, cfg)
+        x_hat, rep = fsr_solve(_phase_encode(frame.magnitude, frame.channel(ch), venc), cfg)
         if reports is not None:
             reports.append((f_idx, ch, rep))
         return extract_velocity(x_hat, venc)

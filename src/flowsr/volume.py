@@ -264,6 +264,11 @@ def synthesize_complex(magnitude: ScalarVolume, vel: ScalarVolume, venc: float) 
     aliased = int(np.count_nonzero(np.abs(vel.data) >= venc))
     if aliased:
         raise AliasingError(aliased, venc)
+    return _phase_encode(magnitude, vel, venc)
+
+
+def _phase_encode(magnitude: ScalarVolume, vel: ScalarVolume, venc: float) -> ComplexVolume:
+    # the signal model itself, with none of synthesize_complex's guards
     phase = np.pi * vel.data / venc
     return ComplexVolume(magnitude.grid, magnitude.data * np.exp(1j * phase))
 

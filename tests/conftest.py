@@ -79,3 +79,8 @@ def swap_axes(ds: VelocityDataset, perm) -> VelocityDataset:
         for f in ds.frames
     ]
     return VelocityDataset(ds.params, frames)
+
+
+def reverse_frames(ds: VelocityDataset) -> VelocityDataset:
+    """``ds`` with its frames in reverse order."""
+    return VelocityDataset(ds.params, ds.frames[::-1])

@@ -138,6 +138,14 @@ class TestDegrade:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_negative_seed_is_runtime_error(self, hr_file, tmp_path, capsys):
+        out = tmp_path / "o.flw4"
+        code = run("degrade", "--in", str(hr_file), "--out", str(out), "--factor", "2,2,2",
+                   "--noise-psnr", "15", "--seed", "-2")
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "o.flw4.cal").exists()
+
 
 class TestSr:
     def test_fsr_with_reports(self, tmp_path, lr_file):
@@ -328,6 +336,14 @@ class TestPipeline:
         config.write_text("dims = 8,8,8\nframes = 1\nfactor = 2,2,2\nkernel = gaussian\nkernel_fwhm = 0,2,2\n")
         assert run("pipeline", "--out-dir", str(out), "--config", str(config)) == 1
         assert "kernel_fwhm" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.flw4"))
+
+    def test_negative_seed_is_runtime_error(self, tmp_path, capsys):
+        # rejected with the config, before hr.flw4 is written
+        out = tmp_path / "run"
+        assert run("pipeline", "--out-dir", str(out), "--dims", "16,16,16", "--frames", "1",
+                   "--factor", "2,2,2", "--seed", "-1") == 1
+        assert "error:" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.flw4"))
 
     def test_negative_radius_is_runtime_error(self, tmp_path, capsys):

@@ -65,6 +65,7 @@ class TestRunConfig:
             {"kernel_fwhm": (2.0, 0.0, 2.0)},
             {"kernel_fwhm": (2.0, 2.0, float("nan"))},
             {"kernel_fwhm": (float("-inf"), 2.0, 2.0)},
+            {"seed": -1},  # numpy's generators take no negative seed
         ],
     )
     def test_validation(self, kwargs):

@@ -26,7 +26,7 @@ from flowsr import (
 )
 from flowsr.spectral import alias_sum
 
-from conftest import random_complex, rel_err, swap_axes
+from conftest import random_complex, rel_err, reverse_frames, swap_axes
 
 # (hr dims, rates) pairs covering odd dims and mixed rates
 SH_CONFIGS = [
@@ -333,6 +333,20 @@ class TestDegradeDataset:
         with pytest.raises(GridMismatchError):
             degrade_dataset(hr, DegradationConfig(d=(4, 1, 1)))
 
+    @pytest.mark.parametrize("kernel_kind", ["ideal", "gaussian"])
+    def test_noiseless_frame_reversal(self, kernel_kind):
+        # without noise, a frame's LR data depends on that frame alone
+        hr = helix_phantom(
+            Grid3(12, 8, 6), radius_voxels=3, vmax_per_frame=[90.0, 30.0, 60.0], venc=150.0,
+            magnitude_out=0.2,
+        )
+        cfg = DegradationConfig(d=(2, 2, 1), kernel=kernel_kind)
+        lr = degrade_dataset(hr, cfg)[0]
+        back = reverse_frames(degrade_dataset(reverse_frames(hr), cfg)[0])
+        for f, f_back in zip(lr.frames, back.frames):
+            for ch in ("magnitude", "u", "v", "w"):
+                assert np.array_equal(f_back.channel(ch).data, f.channel(ch).data)
+
 
 class TestAxisSwap:
     """Swapping x with y or z, with the rates and the flow axis, swaps the LR dataset.
@@ -357,7 +371,7 @@ class TestAxisSwap:
         along_x = degrade(dims, "x", d)
         swapped = degrade(tuple(dims[p] for p in perm), axis, tuple(d[p] for p in perm))
         for f_x, f_back in zip(along_x.frames, swap_axes(swapped, perm).frames):
-            sel = make_mask(f_x.magnitude).voxels
+            sel = make_mask(f_x.magnitude)
             got = np.concatenate([f_back.channel(ch).data[sel] for ch in ("u", "v", "w")])
             want = np.concatenate([f_x.channel(ch).data[sel] for ch in ("u", "v", "w")])
             assert rel_err(got, want) < 1e-12
@@ -371,6 +385,10 @@ class TestDegradationConfig:
     def test_rejects_bad_rates(self):
         with pytest.raises(ParameterError):
             DegradationConfig(d=(0, 2, 2))
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ParameterError, match="rng_seed"):
+            DegradationConfig(d=(2, 2, 2), noise_psnr_db=15.0, rng_seed=-2)
 
     def test_kernel_spectrum_default_fwhm(self):
         cfg = DegradationConfig(d=(2, 2, 2), kernel="gaussian")

@@ -1,10 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from flowsr import (
     AcquisitionParams,
     EvalReport,
-    FlowMask,
     Grid3,
     GridMismatchError,
     MaskError,
@@ -14,10 +15,10 @@ from flowsr import (
     VelocityFrame,
     evaluate,
     make_mask,
-    mean_relative_error,
     poiseuille_phantom,
-    psnr,
 )
+
+from conftest import reverse_frames
 
 
 def _vol(grid, data):
@@ -43,40 +44,41 @@ def _loop_psnr(est, ref, sel, peak):
     return 10.0 * np.log10(peak**2 / (total / count))
 
 
+def _loop_peak_speed(ref_uvw, sel):
+    speeds = []
+    m, n, s = sel.shape
+    for i in range(m):
+        for j in range(n):
+            for k in range(s):
+                if sel[i, j, k]:
+                    speeds.append(np.sqrt(sum(r[i, j, k] ** 2 for r in ref_uvw)))
+    return max(speeds)
+
+
 def _loop_mre(est_uvw, ref_uvw, sel):
-    diffs, peaks = [], []
+    diffs = []
     m, n, s = sel.shape
     for i in range(m):
         for j in range(n):
             for k in range(s):
                 if sel[i, j, k]:
                     diff = sum((e[i, j, k] - r[i, j, k]) ** 2 for e, r in zip(est_uvw, ref_uvw))
-                    speed = sum(r[i, j, k] ** 2 for r in ref_uvw)
                     diffs.append(np.sqrt(diff))
-                    peaks.append(np.sqrt(speed))
-    return 100.0 * np.mean(diffs) / max(peaks)
+    return 100.0 * np.mean(diffs) / _loop_peak_speed(ref_uvw, sel)
 
 
 class TestFlowMask:
-    def test_empty_mask_rejected(self):
-        with pytest.raises(MaskError):
-            FlowMask(Grid3(2, 2, 2), np.zeros((2, 2, 2), bool))
-
-    def test_shape_checked(self):
-        with pytest.raises(GridMismatchError):
-            FlowMask(Grid3(2, 2, 2), np.ones((2, 2, 3), bool))
-
     def test_tiny_threshold_includes_all_nonzero(self, rng):
         g = Grid3(4, 4, 4)
         mag = rng.random(g.dims)
         mag[0, 0, 0] = 0.0
         mask = make_mask(_vol(g, mag), 1e-9)
-        assert mask.voxels.sum() == g.voxel_count - 1
+        assert mask.sum() == g.voxel_count - 1
 
     def test_uniform_magnitude_includes_everything(self):
         g = Grid3(3, 3, 3)
         mask = make_mask(_vol(g, np.ones(g.dims)), 0.99)
-        assert mask.voxels.sum() == g.voxel_count
+        assert mask.sum() == g.voxel_count
 
     def test_poiseuille_mask_is_tube_interior(self):
         g = Grid3(16, 16, 8)
@@ -84,7 +86,7 @@ class TestFlowMask:
         mask = make_mask(ds.frames[0].magnitude, 0.1)
         x, y = np.meshgrid(np.arange(16.0), np.arange(16.0), indexing="ij")
         inside = ((x - 7.5) ** 2 + (y - 7.5) ** 2 < 25.0)[:, :, None] & np.ones((1, 1, 8), bool)
-        assert np.array_equal(mask.voxels, inside)
+        assert np.array_equal(mask, inside)
 
     def test_threshold_domain(self):
         g = Grid3(2, 2, 2)
@@ -93,119 +95,17 @@ class TestFlowMask:
         with pytest.raises(MaskError):
             make_mask(_vol(g, np.zeros(g.dims)), 0.5)
 
-
-class TestPsnr:
-    def test_identical_inputs_sentinel(self, rng):
-        g = Grid3(3, 3, 3)
-        a = _vol(g, rng.standard_normal(g.dims))
-        mask = FlowMask(g, np.ones(g.dims, bool))
-        assert psnr(a, a, mask) == np.inf
-
-    def test_constant_offset_closed_form(self):
-        g = Grid3(4, 4, 4)
-        ref = _vol(g, np.full(g.dims, 5.0))
-        est = _vol(g, np.full(g.dims, 5.0 + 0.25))
-        mask = FlowMask(g, np.ones(g.dims, bool))
-        expected = 10 * np.log10(2.0**2 / 0.25**2)
-        assert abs(psnr(est, ref, mask, peak=2.0) - expected) < 1e-12
-
-    def test_matches_loop_oracle(self, rng):
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_read_only_c_contiguous(self, rng, order):
+        # load_dataset returns F-ordered channels; the mask is C-ordered all the same
         g = Grid3(5, 4, 3)
-        est = rng.standard_normal(g.dims)
-        ref = rng.standard_normal(g.dims)
-        sel = rng.random(g.dims) > 0.4
-        sel[0, 0, 0] = True
-        mask = FlowMask(g, sel)
-        got = psnr(_vol(g, est), _vol(g, ref), mask, peak=1.7)
-        assert abs(got - _loop_psnr(est, ref, sel, 1.7)) < 1e-12
-
-    def test_default_peak_is_masked_ref_peak(self, rng):
-        g = Grid3(4, 4, 4)
-        ref = np.zeros(g.dims)
-        ref[1, 1, 1] = 3.0
-        ref[0, 0, 0] = -9.0  # outside the mask, must not set the peak
-        sel = np.ones(g.dims, bool)
-        sel[0, 0, 0] = False
-        est = ref + 0.5
-        got = psnr(_vol(g, est), _vol(g, ref), FlowMask(g, sel))
-        assert abs(got - 10 * np.log10(3.0**2 / 0.25)) < 1e-12
-
-    def test_mask_locality(self, rng):
-        g = Grid3(4, 4, 4)
-        sel = np.zeros(g.dims, bool)
-        sel[:2] = True
-        mask = FlowMask(g, sel)
-        ref = rng.standard_normal(g.dims)
-        est1 = rng.standard_normal(g.dims)
-        est2 = est1.copy()
-        est2[3, 3, 3] += 100.0  # outside the mask
-        assert psnr(_vol(g, est1), _vol(g, ref), mask, peak=1.0) == psnr(
-            _vol(g, est2), _vol(g, ref), mask, peak=1.0
-        )
-
-    def test_nonpositive_peak_rejected(self, rng):
-        g = Grid3(2, 2, 2)
-        zero = _vol(g, np.zeros(g.dims))
-        mask = FlowMask(g, np.ones(g.dims, bool))
-        with pytest.raises(ParameterError):
-            psnr(zero, zero, mask)  # default peak is 0 here
-
-
-class TestMeanRelativeError:
-    def test_identical_is_zero(self, rng):
-        g = Grid3(3, 3, 3)
-        f = _frame(g, *(rng.standard_normal(g.dims) for _ in range(3)))
-        mask = FlowMask(g, np.ones(g.dims, bool))
-        assert mean_relative_error(f, f, mask) == 0.0
-
-    def test_single_voxel_scaling(self):
-        g = Grid3(2, 2, 2)
-        u = np.zeros(g.dims)
-        u[0, 0, 0] = 10.0
-        ref = _frame(g, u, np.zeros(g.dims), np.zeros(g.dims))
-        est = _frame(g, 0.9 * u, np.zeros(g.dims), np.zeros(g.dims))
-        sel = np.zeros(g.dims, bool)
-        sel[0, 0, 0] = True
-        assert abs(mean_relative_error(est, ref, FlowMask(g, sel)) - 10.0) < 1e-12
-
-    def test_matches_loop_oracle(self, rng):
-        g = Grid3(4, 3, 3)
-        ref_uvw = [rng.standard_normal(g.dims) for _ in range(3)]
-        est_uvw = [r + 0.2 * rng.standard_normal(g.dims) for r in ref_uvw]
-        sel = rng.random(g.dims) > 0.3
-        sel[0, 0, 0] = True
-        got = mean_relative_error(
-            _frame(g, *est_uvw), _frame(g, *ref_uvw), FlowMask(g, sel)
-        )
-        assert abs(got - _loop_mre(est_uvw, ref_uvw, sel)) < 1e-12
-
-    def test_rotation_invariance(self, rng):
-        # depends only on difference norms and the peak speed, so a global
-        # rotation of both fields leaves it unchanged
-        g = Grid3(3, 3, 3)
-        ref = np.stack([rng.standard_normal(g.dims) for _ in range(3)])
-        est = ref + 0.3 * rng.standard_normal(ref.shape)
-        theta = 0.7
-        R = np.array(
-            [
-                [np.cos(theta), -np.sin(theta), 0],
-                [np.sin(theta), np.cos(theta), 0],
-                [0, 0, 1.0],
-            ]
-        )
-        rot = lambda f: np.einsum("ab,bxyz->axyz", R, f)
-        mask = FlowMask(g, np.ones(g.dims, bool))
-        before = mean_relative_error(_frame(g, *est), _frame(g, *ref), mask)
-        after = mean_relative_error(_frame(g, *rot(est)), _frame(g, *rot(ref)), mask)
-        assert abs(before - after) < 1e-10
-
-    def test_zero_reference_rejected(self):
-        g = Grid3(2, 2, 2)
-        zero = np.zeros(g.dims)
-        f = _frame(g, zero, zero, zero)
-        mask = FlowMask(g, np.ones(g.dims, bool))
-        with pytest.raises(ParameterError):
-            mean_relative_error(f, f, mask)
+        data = rng.random(g.dims)
+        mag = _vol(g, np.asarray(data, order=order))
+        assert mag.data.flags[f"{order}_CONTIGUOUS"]
+        mask = make_mask(mag, 0.5)
+        assert mask.dtype == bool and mask.shape == g.dims
+        assert mask.flags.c_contiguous and not mask.flags.writeable
+        assert np.array_equal(mask, data >= 0.5 * data.max())
 
 
 def _dataset(grid, frames):
@@ -213,13 +113,24 @@ def _dataset(grid, frames):
     return VelocityDataset(params, tuple(frames))
 
 
+def _scored(est_uvw, ref_uvw, sel):
+    """``evaluate``'s records of one frame, by channel, whose reference magnitude is ``sel``."""
+    g = Grid3(*sel.shape)
+    mag = sel.astype(float)
+    est = _dataset(g, [_frame(g, *est_uvw, mag=mag)])
+    ref = _dataset(g, [_frame(g, *ref_uvw, mag=mag)])
+    return {r.channel: r.value for r in evaluate(est, ref).records}
+
+
 class TestEvaluate:
-    def _make(self, rng, frames=2):
+    def _make(self, rng, frames=2, mags=None):
         g = Grid3(6, 6, 6)
+        if mags is None:
+            cube = np.zeros(g.dims)
+            cube[1:5, 1:5, 1:5] = 1.0
+            mags = [cube] * frames
         ref_frames, est_frames, base_frames = [], [], []
-        for _ in range(frames):
-            mag = np.zeros(g.dims)
-            mag[1:5, 1:5, 1:5] = 1.0
+        for mag in mags:
             ref_uvw = [rng.standard_normal(g.dims) for _ in range(3)]
             ref_frames.append(_frame(g, *ref_uvw, mag=mag))
             est_frames.append(_frame(g, *(r + 0.1 for r in ref_uvw), mag=mag))
@@ -266,47 +177,136 @@ class TestEvaluate:
         with pytest.raises(GridMismatchError):
             evaluate(sr, short)
 
-    @pytest.mark.parametrize("explicit_masks", [False, True], ids=["threshold", "explicit"])
-    def test_records_equal_the_public_metrics(self, rng, explicit_masks):
-        # one pass per frame and method gives exactly what psnr (at the
-        # frame's peak masked reference speed) and mean_relative_error give
+    def test_records_equal_the_loop_references(self, rng):
         sr, ref, base = self._make(rng, frames=3)
-        if explicit_masks:
-            masks = [FlowMask(ref.grid, rng.random(ref.grid.dims) < 0.5) for _ in ref.frames]
-        else:
-            masks = [make_mask(f.magnitude) for f in ref.frames]
-        report = evaluate(sr, ref, baseline=base, masks=masks if explicit_masks else None)
+        report = evaluate(sr, ref, baseline=base)
         expected = []
-        for f_idx, (ref_frame, mask) in enumerate(zip(ref.frames, masks)):
-            sel = mask.voxels
-            peak = float(np.sqrt(sum(ref_frame.channel(c).data[sel] ** 2 for c in "uvw")).max())
+        for f_idx, ref_frame in enumerate(ref.frames):
+            mag = ref_frame.magnitude.data
+            sel = mag >= 0.1 * mag.max()
+            ref_uvw = [ref_frame.channel(ch).data for ch in "uvw"]
+            peak = _loop_peak_speed(ref_uvw, sel)
             for method, ds in (("fsr", sr), ("trilinear", base)):
-                frame = ds.frames[f_idx]
-                for ch in "uvw":
-                    value = psnr(frame.channel(ch), ref_frame.channel(ch), mask, peak=peak)
-                    expected.append((f_idx, ch, method, "psnr_db", value))
-                value = mean_relative_error(frame, ref_frame, mask)
-                expected.append((f_idx, "all", method, "mre_percent", value))
-        got = [(r.frame, r.channel, r.method, r.metric, r.value) for r in report.records]
-        assert got == expected
+                est_uvw = [ds.frames[f_idx].channel(ch).data for ch in "uvw"]
+                for ch, est, r in zip("uvw", est_uvw, ref_uvw):
+                    expected.append((f_idx, ch, method, "psnr_db", _loop_psnr(est, r, sel, peak)))
+                expected.append((f_idx, "all", method, "mre_percent", _loop_mre(est_uvw, ref_uvw, sel)))
+        assert [(r.frame, r.channel, r.method, r.metric) for r in report.records] == [
+            e[:4] for e in expected
+        ]
+        for r, e in zip(report.records, expected):
+            assert abs(r.value - e[4]) < 1e-12
 
-    def test_mask_on_another_grid(self, rng):
-        sr, ref, _ = self._make(rng)
-        other = Grid3(6, 6, 5)
-        masks = [FlowMask(other, np.ones(other.dims, bool))] * len(ref.frames)
-        with pytest.raises(GridMismatchError, match="mask 0"):
-            evaluate(sr, ref, masks=masks)
+    def test_psnr_matches_loop_oracle(self, rng):
+        dims = (5, 4, 3)
+        est_uvw = [rng.standard_normal(dims) for _ in range(3)]
+        ref_uvw = [rng.standard_normal(dims) for _ in range(3)]
+        sel = rng.random(dims) > 0.4
+        sel[0, 0, 0] = True
+        got = _scored(est_uvw, ref_uvw, sel)
+        peak = _loop_peak_speed(ref_uvw, sel)
+        for ch, est, ref in zip("uvw", est_uvw, ref_uvw):
+            assert abs(got[ch] - _loop_psnr(est, ref, sel, peak)) < 1e-12
 
-    def test_external_masks_respected(self, rng):
-        sr, ref, _ = self._make(rng)
-        g = ref.grid
-        sel = np.zeros(g.dims, bool)
-        sel[2, 2, 2] = True
-        masks = [FlowMask(g, sel)] * len(ref.frames)
-        report = evaluate(sr, ref, masks=masks)
-        # single-voxel mask: error 0.1 in each channel, diff norm = 0.1*sqrt(3)
-        expected = 100.0 * 0.1 * np.sqrt(3) / np.sqrt(
-            sum(ref.frames[0].channel(c).data[2, 2, 2] ** 2 for c in "uvw")
+    def test_mre_matches_loop_oracle(self, rng):
+        dims = (4, 3, 3)
+        ref_uvw = [rng.standard_normal(dims) for _ in range(3)]
+        est_uvw = [r + 0.2 * rng.standard_normal(dims) for r in ref_uvw]
+        sel = rng.random(dims) > 0.3
+        sel[0, 0, 0] = True
+        got = _scored(est_uvw, ref_uvw, sel)
+        assert abs(got["all"] - _loop_mre(est_uvw, ref_uvw, sel)) < 1e-12
+
+    def test_constant_offset_closed_form(self):
+        dims = (4, 4, 4)
+        ref_uvw = [np.full(dims, 3.0), np.full(dims, 4.0), np.zeros(dims)]  # speed 5
+        got = _scored([r + 0.25 for r in ref_uvw], ref_uvw, np.ones(dims, bool))
+        for ch in "uvw":
+            assert abs(got[ch] - 10 * np.log10(5.0**2 / 0.25**2)) < 1e-12
+        assert abs(got["all"] - 100.0 * 0.25 * np.sqrt(3) / 5.0) < 1e-12
+
+    def test_single_voxel_scaling(self):
+        dims = (2, 2, 2)
+        u = np.zeros(dims)
+        u[0, 0, 0] = 10.0
+        zero = np.zeros(dims)
+        sel = np.zeros(dims, bool)
+        sel[0, 0, 0] = True
+        got = _scored([0.9 * u, zero, zero], [u, zero, zero], sel)
+        assert abs(got["all"] - 10.0) < 1e-12
+        assert abs(got["u"] - 20.0) < 1e-12  # peak 10, error 1
+        assert got["v"] == got["w"] == np.inf
+
+    def test_rotation_invariance(self, rng):
+        # the relative error depends only on difference norms and the peak
+        # speed, so a global rotation of both fields leaves it unchanged
+        dims = (3, 3, 3)
+        ref = np.stack([rng.standard_normal(dims) for _ in range(3)])
+        est = ref + 0.3 * rng.standard_normal(ref.shape)
+        theta = 0.7
+        R = np.array(
+            [
+                [np.cos(theta), -np.sin(theta), 0],
+                [np.sin(theta), np.cos(theta), 0],
+                [0, 0, 1.0],
+            ]
         )
-        got = report.values("fsr", "mre_percent")[0]
-        assert abs(got - expected) < 1e-10
+        rot = lambda f: np.einsum("ab,bxyz->axyz", R, f)
+        everywhere = np.ones(dims, bool)
+        before = _scored(list(est), list(ref), everywhere)["all"]
+        after = _scored(list(rot(est)), list(rot(ref)), everywhere)["all"]
+        assert abs(before - after) < 1e-10
+
+    def test_zero_reference_rejected(self):
+        zero = np.zeros((2, 2, 2))
+        with pytest.raises(ParameterError, match="reference flow is zero"):
+            _scored([zero] * 3, [zero] * 3, np.ones(zero.shape, bool))
+
+    def test_mask_locality(self, rng):
+        # the estimate where the reference magnitude is 0 never counts
+        sr, ref, base = self._make(rng)
+        outside = (0, 0, 0)
+        assert all(f.magnitude.data[outside] == 0 for f in ref.frames)
+
+        def bumped(ds):
+            frames = []
+            for f in ds.frames:
+                uvw = [f.channel(ch).data.copy() for ch in "uvw"]
+                for data in uvw:
+                    data[outside] += 100.0
+                frames.append(_frame(ds.grid, *uvw, mag=f.magnitude.data))
+            return _dataset(ds.grid, frames)
+
+        assert (
+            evaluate(bumped(sr), ref, baseline=bumped(base)).records
+            == evaluate(sr, ref, baseline=base).records
+        )
+
+    def test_single_voxel_mask(self, rng):
+        g = Grid3(6, 6, 6)
+        mag = np.zeros(g.dims)
+        mag[2, 2, 2] = 1.0
+        sr, ref, _ = self._make(rng, mags=[mag, mag])
+        report = evaluate(sr, ref)
+        # error 0.1 in each channel, diff norm = 0.1*sqrt(3)
+        for f_idx, frame in enumerate(ref.frames):
+            speed = np.sqrt(sum(frame.channel(c).data[2, 2, 2] ** 2 for c in "uvw"))
+            got = report.values("fsr", "mre_percent")[f_idx]
+            assert abs(got - 100.0 * 0.1 * np.sqrt(3) / speed) < 1e-10
+
+    def test_frame_reversal(self, rng):
+        # each frame is scored alone, inside its own reference magnitude's mask
+        g = Grid3(6, 6, 6)
+        mags = [(rng.random(g.dims) < p).astype(float) for p in (0.3, 0.6, 0.9)]
+        sr, ref, base = self._make(rng, mags=mags)
+        report = evaluate(sr, ref, baseline=base)
+        back = evaluate(reverse_frames(sr), reverse_frames(ref), baseline=reverse_frames(base))
+        last = len(mags) - 1
+        flipped = [dataclasses.replace(r, frame=last - r.frame) for r in back.records]
+        key = lambda r: (r.frame, r.channel, r.method, r.metric)
+        assert sorted(flipped, key=key) == sorted(report.records, key=key)
+
+    def test_masks_keyword_is_gone(self, rng):
+        sr, ref, _ = self._make(rng)
+        with pytest.raises(TypeError):
+            evaluate(sr, ref, masks=[make_mask(f.magnitude) for f in ref.frames])

@@ -9,15 +9,20 @@ import pytest
 
 import flowsr.volio
 from flowsr import (
+    AcquisitionParams,
     FormatError,
     Grid3,
     ParameterError,
     ScalarVolume,
+    VelocityDataset,
+    VelocityFrame,
     load_dataset,
     poiseuille_phantom,
     save_dataset,
 )
 from flowsr.volio import HEADER_SIZE, MAGIC, VERSION, atomic_write
+
+from conftest import swap_axes
 
 
 @pytest.fixture
@@ -49,6 +54,31 @@ class TestRoundTrip:
             for ch in ("magnitude", "u", "v", "w"):
                 expected = f1.channel(ch).data.astype(np.float32).astype(np.float64)
                 assert np.array_equal(f2.channel(ch).data, expected)
+
+    @pytest.mark.parametrize("perm", [(1, 0, 2), (2, 1, 0)], ids=["xy", "xz"])
+    def test_round_trip_commutes_with_axis_swap(self, tmp_path, rng, perm):
+        # random samples on unequal dims and spacings: any axis the file
+        # layout mixes up shows
+        g = Grid3(5, 4, 3, (1.0, 1.5, 2.0))
+        frames = [
+            VelocityFrame(
+                magnitude=ScalarVolume(g, rng.random(g.dims)),
+                **{ch: ScalarVolume(g, rng.uniform(-90.0, 90.0, g.dims)) for ch in "uvw"},
+            )
+            for _ in range(2)
+        ]
+        ds = VelocityDataset(AcquisitionParams(venc=100.0, frame_count=2), frames)
+
+        def round_trip(ds, name):
+            save_dataset(ds, tmp_path / name)
+            return load_dataset(tmp_path / name)
+
+        got = round_trip(swap_axes(ds, perm), "swapped.flw4")
+        want = swap_axes(round_trip(ds, "plain.flw4"), perm)
+        assert got.grid == want.grid and got.params == want.params
+        for f_got, f_want in zip(got.frames, want.frames):
+            for ch in ("magnitude", "u", "v", "w"):
+                assert np.array_equal(f_got.channel(ch).data, f_want.channel(ch).data)
 
     def test_save_load_save_bit_identical(self, tmp_path, dataset):
         p1, p2 = tmp_path / "a.flw4", tmp_path / "b.flw4"
