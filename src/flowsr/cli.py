@@ -10,15 +10,16 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
+import operator
 import os
 import sys
 import time
 
 import numpy as np
 
-from .config import RunConfig, _parse_triple, format_config_text, parse_config_text
+from .config import RunConfig, _key_value_text, _parse_triple, format_config_text, parse_config_text
 from .degrade import KERNEL_KINDS, DegradationConfig, degrade_dataset
-from .errors import FlowSRError
+from .errors import FlowSRError, ParameterError
 from .interp import METHODS, upsample_dataset
 from .metrics import EvalReport, evaluate
 from .oracle import _dense_solve_priors, build_dense
@@ -89,20 +90,15 @@ def cmd_simulate(args) -> int:
 
 
 def _calibration_text(cal, cfg: DegradationConfig) -> str:
-    achieved = "inf" if np.isinf(cal.achieved_psnr_db) else repr(cal.achieved_psnr_db)
-    target = "none" if cal.target_psnr_db is None else repr(cal.target_psnr_db)
-    return (
-        f"sigma = {cal.sigma!r}\n"
-        f"achieved_psnr_db = {achieved}\n"
-        f"target_psnr_db = {target}\n"
-        f"seed = {cfg.rng_seed}\n"
-        f"factor = {','.join(str(v) for v in cfg.d)}\n"
-        f"kernel = {cfg.kernel}\n"
+    return _key_value_text(
+        [("sigma", cal.sigma), ("achieved_psnr_db", cal.achieved_psnr_db),
+         ("target_psnr_db", cal.target_psnr_db), ("seed", cfg.rng_seed),
+         ("factor", cfg.d), ("kernel", cfg.kernel)]
     )
 
 
-def _degrade(hr, src, out, cal_path):
-    """Degrade ``hr`` as ``src`` (parsed flags or a RunConfig) says; write ``out`` and its sidecar."""
+def _degrade(hr, src, out, cal_path=None):
+    """Degrade ``hr`` as ``src`` (parsed flags or a RunConfig) says; write ``out`` and its sidecar (default ``<out>.cal``)."""
     cfg = DegradationConfig(
         d=src.factor,
         kernel=src.kernel,
@@ -112,13 +108,13 @@ def _degrade(hr, src, out, cal_path):
     )
     lr, cal = degrade_dataset(hr, cfg)
     save_dataset(lr, out)
-    _write_text(cal_path, _calibration_text(cal, cfg))
+    _write_text(cal_path or out + ".cal", _calibration_text(cal, cfg))
     return lr, cal
 
 
 def cmd_degrade(args) -> int:
     hr = load_dataset(args.infile)
-    lr, cal = _degrade(hr, args, args.out, args.calibration_out or args.out + ".cal")
+    lr, cal = _degrade(hr, args, args.out, args.calibration_out)
     print(f"wrote {args.out}: LR grid {lr.grid.dims}")
     if cal.target_psnr_db is not None:
         print(f"noise sigma {cal.sigma:.6g}, achieved PSNR {cal.achieved_psnr_db:.2f} dB")
@@ -171,21 +167,21 @@ def _summary_lines(report: EvalReport, methods) -> list[str]:
     ]
 
 
+def _eval(sr, ref, baseline, mask_threshold, labels, out) -> EvalReport:
+    """Score ``sr`` and ``baseline`` (or None), labelled ``labels``, against ``ref``; write the CSV."""
+    report = evaluate(sr, ref, baseline=baseline, mask_threshold=mask_threshold,
+                      sr_method=labels[0], baseline_method=labels[1])
+    _write_text(out, report.to_csv())
+    return report
+
+
 def cmd_eval(args) -> int:
     sr = load_dataset(args.sr)
     ref = load_dataset(args.ref)
     baseline = load_dataset(args.baseline) if args.baseline else None
-    report = evaluate(
-        sr,
-        ref,
-        baseline=baseline,
-        mask_threshold=args.mask_threshold,
-        sr_method=args.sr_label,
-        baseline_method=args.baseline_label,
-    )
-    _write_text(args.out, report.to_csv())
-    methods = [args.sr_label] + ([args.baseline_label] if baseline is not None else [])
-    print("\n".join(_summary_lines(report, methods)))
+    labels = (args.sr_label, args.baseline_label)
+    report = _eval(sr, ref, baseline, args.mask_threshold, labels, args.out)
+    print("\n".join(_summary_lines(report, labels if baseline is not None else labels[:1])))
     print(f"wrote {args.out}: {len(report.records)} records")
     return 0
 
@@ -198,6 +194,8 @@ def _oracle_cases(args):
 
 
 def cmd_oracle_check(args) -> int:
+    if args.seed < 0:  # numpy's own message is a bare ValueError
+        raise ParameterError(f"seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     t0 = time.perf_counter()
     rels = []
@@ -217,16 +215,16 @@ def cmd_oracle_check(args) -> int:
                 x_fast, _ = fsr_solve(y, cfg, prior=fsr_prior)
                 rel = float(np.linalg.norm(x_fast.data - x_ref.data) / np.linalg.norm(x_ref.data))
                 rels.append(rel)
-                status = "ok" if rel <= args.tolerance else "FAIL"
+                status = "ok" if rel <= ORACLE_TOLERANCE else "FAIL"
                 print(
                     f"[{status}] dims={dims} d={factor} kernel={kernel_kind:<8} "
                     f"prior={label:<9} tau={cfg.tau:<8g} rel_err={rel:.3e}"
                 )
     elapsed = time.perf_counter() - t0
-    failed = sum(not rel <= args.tolerance for rel in rels)  # a NaN error fails too
+    failed = sum(not rel <= ORACLE_TOLERANCE for rel in rels)  # a NaN error fails too
     print(
         f"{len(rels)} solves in {elapsed:.1f} s; max relative error {max(rels):.3e} "
-        f"(tolerance {args.tolerance:g})"
+        f"(tolerance {ORACLE_TOLERANCE:g})"
     )
     if failed:
         print(f"FAIL: {failed} solve(s) above tolerance", file=sys.stderr)
@@ -261,34 +259,21 @@ def cmd_pipeline(args) -> int:
 
     hr = _make_phantom(rc)
     save_dataset(hr, path("hr.flw4"))
-    lr, _ = _degrade(hr, rc, path("lr.flw4"), path("lr.flw4.cal"))
+    lr, _ = _degrade(hr, rc, path("lr.flw4"))
     sr_fsr, _ = _fsr(lr, rc, path("sr_fsr.flw4"), path("solve_reports.csv"))
 
     sr_base = upsample_dataset(lr, rc.factor, rc.baseline)
     save_dataset(sr_base, path(f"sr_{rc.baseline}.flw4"))
 
-    report = evaluate(
-        sr_fsr,
-        hr,
-        baseline=sr_base,
-        mask_threshold=rc.mask_threshold,
-        sr_method="fsr",
-        baseline_method=rc.baseline,
-    )
-    _write_text(path("metrics.csv"), report.to_csv())
+    report = _eval(sr_fsr, hr, sr_base, rc.mask_threshold, ("fsr", rc.baseline), path("metrics.csv"))
     _write_text(path("effective.cfg"), format_config_text(rc))
 
-    frames = range(len(hr.frames))
-    psnr_wins = all(
-        report.values("fsr", "psnr_db", ch)[f] > report.values(rc.baseline, "psnr_db", ch)[f]
-        for f in frames
-        for ch in ("u", "v", "w")
-    )
-    mre_wins = all(
-        report.values("fsr", "mre_percent", "all")[f]
-        < report.values(rc.baseline, "mre_percent", "all")[f]
-        for f in frames
-    )
+    # both methods' records come frame by frame, channel by channel
+    def beats(metric, better):
+        return all(map(better, report.values("fsr", metric), report.values(rc.baseline, metric)))
+
+    psnr_wins = beats("psnr_db", operator.gt)
+    mre_wins = beats("mre_percent", operator.lt)
     elapsed = time.perf_counter() - t0
 
     lines = [
@@ -369,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--factor", type=_triple(int, 1), default=(2, 2, 2), metavar="DR,DC,DS")
     p.add_argument("--tau", type=_positive_float, default=0.05)
     p.add_argument("--kernel", choices=KERNEL_KINDS, default="ideal")
-    p.add_argument("--tolerance", type=_positive_float, default=ORACLE_TOLERANCE)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_oracle_check)
 
@@ -402,10 +386,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FlowSRError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (FlowSRError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

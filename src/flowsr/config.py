@@ -82,6 +82,8 @@ class RunConfig:
             raise ConfigError(f"radius must be finite and >= 0 (0 = auto), got {self.radius}")
         if self.kernel_fwhm is not None and not all(v > 0 for v in self.kernel_fwhm):
             raise ConfigError(f"kernel_fwhm entries must be > 0 (inf = all-pass), got {self.kernel_fwhm}")
+        if self.noise_psnr is not None and abs(self.noise_psnr) == float("inf"):
+            raise ConfigError(f"noise_psnr must be finite (none = noiseless), got {self.noise_psnr}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.tau < float("inf"):
@@ -143,18 +145,19 @@ def parse_config_text(text: str) -> RunConfig:
     return RunConfig(**values)
 
 
+def _key_value_text(items) -> str:
+    """``key = value`` lines: ``none`` for None, tuples comma-joined, floats by ``repr``."""
+
+    def render(value) -> str:
+        if value is None:
+            return "none"
+        if isinstance(value, tuple):
+            return ",".join(render(v) for v in value)
+        return repr(value) if isinstance(value, float) else str(value)
+
+    return "".join(f"{key} = {render(value)}\n" for key, value in items)
+
+
 def format_config_text(cfg: RunConfig) -> str:
     """Serialize a RunConfig so that parsing it back reproduces the run."""
-    lines = []
-    for f in fields(RunConfig):
-        value = getattr(cfg, f.name)
-        if value is None:
-            rendered = "none"
-        elif isinstance(value, tuple):
-            rendered = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-        elif isinstance(value, float):
-            rendered = repr(value)
-        else:
-            rendered = str(value)
-        lines.append(f"{f.name} = {rendered}")
-    return "\n".join(lines) + "\n"
+    return _key_value_text((f.name, getattr(cfg, f.name)) for f in fields(RunConfig))

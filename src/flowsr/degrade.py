@@ -38,6 +38,7 @@ from .volume import (
     ScalarVolume,
     VelocityDataset,
     VelocityFrame,
+    _adopt,
     extract_velocity,
     map_channels,
     synthesize_complex,
@@ -151,6 +152,8 @@ def calibrate_noise(
     """
     if not np.isfinite(target_psnr_db):
         raise ParameterError(f"target PSNR must be finite, got {target_psnr_db}")
+    if seed < 0:  # numpy's own message is a bare ValueError
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     peak = float(clean_lr_magnitude.data.max())
     if peak <= 0:
         raise CalibrationError("cannot calibrate noise against an all-zero magnitude")
@@ -252,6 +255,7 @@ def degrade_dataset(
                 # fold kernel-shaped noise)
                 noise = _complex_noise(lr_grid.dims, cal.sigma, rng)
             signal = ifftn_unitary((fftn_unitary(clean) if identity else clean) + noise)
-        return extract_velocity(ComplexVolume(lr_grid, signal), venc)
+        # finite by construction; extract_velocity checks the magnitude it takes
+        return extract_velocity(_adopt(ComplexVolume, lr_grid, signal), venc)
 
     return map_channels(hr, lr_channel), cal

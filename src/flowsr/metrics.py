@@ -72,18 +72,17 @@ def _speed(frame: VelocityFrame, sel: np.ndarray) -> np.ndarray:
     return _norm_over_channels(np.square(frame.channel(ch).data[sel]) for ch in CHANNELS)
 
 
-def _error_norm(est: VelocityFrame, ref: VelocityFrame, sel: np.ndarray, mses: list | None = None):
+def _error_norm(est: VelocityFrame, ref: VelocityFrame, sel: np.ndarray, mses: list):
     """Per-voxel norm of the (u, v, w) error over the mask.
 
     Each channel's squared error is one gathered array that then adds into
-    the u channel's; ``mses`` (when given) collects each channel's mean.
+    the u channel's; ``mses`` collects each channel's mean.
     """
 
     def squares():
         for ch in CHANNELS:
             err = _squared_error(est.channel(ch).data, ref.channel(ch).data, sel)
-            if mses is not None:
-                mses.append(float(np.mean(err)))
+            mses.append(float(np.mean(err)))
             yield err
             del err
 

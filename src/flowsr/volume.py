@@ -268,9 +268,10 @@ def synthesize_complex(magnitude: ScalarVolume, vel: ScalarVolume, venc: float) 
 
 
 def _phase_encode(magnitude: ScalarVolume, vel: ScalarVolume, venc: float) -> ComplexVolume:
-    # the signal model itself, with none of synthesize_complex's guards
+    # the signal model itself, with none of synthesize_complex's guards; finite
+    # magnitudes times unit phasors stay finite, so the product is adopted
     phase = np.pi * vel.data / venc
-    return ComplexVolume(magnitude.grid, magnitude.data * np.exp(1j * phase))
+    return _adopt(ComplexVolume, magnitude.grid, magnitude.data * np.exp(1j * phase))
 
 
 def extract_velocity(signal: ComplexVolume, venc: float) -> tuple[ScalarVolume, ScalarVolume]:

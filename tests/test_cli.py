@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -5,7 +7,7 @@ import scipy.fft
 import flowsr.cli
 import flowsr.interp
 import flowsr.solver
-from flowsr import EvalReport, load_dataset
+from flowsr import EvalReport, RunConfig, load_dataset
 from flowsr.cli import main
 from flowsr.interp import _axis_weights
 from flowsr.volio import atomic_write
@@ -279,8 +281,63 @@ class TestOracleCheck:
         assert [line for line in lines if line.startswith("[FAIL]") and "prior=trilinear" in line]
         assert [line for line in lines if line.startswith("[ok]") and "prior=explicit" in line]
 
+    def test_negative_seed_is_runtime_error(self, capsys):
+        assert run("oracle-check", "--dims", "4,4,4", "--factor", "2,2,2", "--seed", "-1") == 1
+        assert "error: seed must be >= 0" in capsys.readouterr().err
+
+    def test_tolerance_is_not_an_option(self, capsys):
+        # ORACLE_TOLERANCE is the judge; no flag can loosen it
+        with pytest.raises(SystemExit) as excinfo:
+            run("oracle-check", "--tolerance", "1")
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+
+
+# one invalid value per RunConfig field: pipeline flags, or a config line
+# for the fields pipeline has no flag for
+BAD_SETTINGS = {
+    "phantom": ("--phantom", "sphere"),
+    "dims": ("--dims", "0,16,16"),
+    "frames": ("--frames", "0"),
+    "venc": ("--venc", "0"),
+    "vmax": ("--vmax", "200"),
+    "radius": ("--radius", "-3"),
+    "axis": ("--axis", "q"),
+    "magnitude_in": "magnitude_in = -1",
+    "magnitude_out": "magnitude_out = -1",
+    "spacing": "spacing = inf,1,1",
+    "factor": ("--factor", "3,3,3"),
+    "kernel": ("--kernel", "box"),
+    "kernel_fwhm": ("--kernel-fwhm=0,2,2",),
+    "noise_psnr": ("--noise-psnr", "inf"),
+    "seed": ("--seed", "-1"),
+    "tau": ("--tau", "0"),
+    "prior": ("--prior", "none"),
+    "baseline": ("--baseline", "fsr"),
+    "mask_threshold": ("--mask-threshold", "1.5"),
+}
+
 
 class TestPipeline:
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RunConfig)])
+    def test_every_bad_setting_fails_before_the_first_write(self, tmp_path, field):
+        argv = ["pipeline", "--out-dir", str(tmp_path / "run"),
+                "--dims", "16,16,16", "--frames", "1", "--factor", "2,2,2"]
+        bad = BAD_SETTINGS[field]
+        if isinstance(bad, str):
+            config = tmp_path / "bad.cfg"
+            config.write_text(bad + "\n")
+            argv += ["--config", str(config)]
+        else:
+            argv += bad
+        try:
+            code = run(*argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+        assert code in (1, 2)
+        assert not list(tmp_path.rglob("*.flw4"))
+
+
     def test_small_end_to_end_and_config_round_trip(self, tmp_path, capsys):
         out1 = tmp_path / "run1"
         code = run(
@@ -344,6 +401,18 @@ class TestPipeline:
         assert run("pipeline", "--out-dir", str(out), "--dims", "16,16,16", "--frames", "1",
                    "--factor", "2,2,2", "--seed", "-1") == 1
         assert "error:" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("*.flw4"))
+
+    def test_infinite_noise_psnr_is_runtime_error(self, tmp_path, capsys):
+        # rejected with the config, before hr.flw4 is written; none is noiseless
+        out = tmp_path / "run"
+        small = ("--dims", "16,16,16", "--frames", "1", "--factor", "2,2,2")
+        assert run("pipeline", "--out-dir", str(out), *small, "--noise-psnr", "inf") == 1
+        assert "error: noise_psnr must be finite" in capsys.readouterr().err
+        config = tmp_path / "inf.cfg"
+        config.write_text("dims = 16,16,16\nframes = 1\nfactor = 2,2,2\nnoise_psnr = inf\n")
+        assert run("pipeline", "--out-dir", str(out), "--config", str(config)) == 1
+        assert "error: noise_psnr must be finite" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.flw4"))
 
     def test_negative_radius_is_runtime_error(self, tmp_path, capsys):

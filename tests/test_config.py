@@ -66,6 +66,8 @@ class TestRunConfig:
             {"kernel_fwhm": (2.0, 2.0, float("nan"))},
             {"kernel_fwhm": (float("-inf"), 2.0, 2.0)},
             {"seed": -1},  # numpy's generators take no negative seed
+            {"noise_psnr": float("inf")},  # none is noiseless; inf would fail in degrade
+            {"noise_psnr": float("-inf")},
         ],
     )
     def test_validation(self, kwargs):

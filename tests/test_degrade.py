@@ -151,6 +151,12 @@ class TestCalibration:
         with pytest.raises(ParameterError):
             calibrate_noise(ScalarVolume(g, np.ones(g.dims)), np.inf)
 
+    def test_negative_seed_rejected(self):
+        # a ParameterError (still a ValueError), not numpy's bare one
+        g = Grid3(2, 2, 2)
+        with pytest.raises(ParameterError, match="seed"):
+            calibrate_noise(ScalarVolume(g, np.ones(g.dims)), 15.0, seed=-1)
+
     def test_achieved_close_to_target_on_large_volume(self):
         g = Grid3(32, 32, 32)
         cal = calibrate_noise(ScalarVolume(g, np.ones(g.dims)), 15.0, seed=3)
