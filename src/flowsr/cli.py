@@ -168,7 +168,10 @@ def _summary_lines(report: EvalReport, methods) -> list[str]:
 
 
 def _eval(sr, ref, baseline, mask_threshold, labels, out) -> EvalReport:
-    """Score ``sr`` and ``baseline`` (or None), labelled ``labels``, against ``ref``; write the CSV."""
+    """Score ``sr`` and ``baseline`` (or None), labelled ``labels``, against ``ref``; write the CSV.
+
+    Each is a dataset or a volume file's path, as :func:`evaluate` takes them.
+    """
     report = evaluate(sr, ref, baseline=baseline, mask_threshold=mask_threshold,
                       sr_method=labels[0], baseline_method=labels[1])
     _write_text(out, report.to_csv())
@@ -176,11 +179,10 @@ def _eval(sr, ref, baseline, mask_threshold, labels, out) -> EvalReport:
 
 
 def cmd_eval(args) -> int:
-    sr = load_dataset(args.sr)
-    ref = load_dataset(args.ref)
-    baseline = load_dataset(args.baseline) if args.baseline else None
+    # evaluate reads the files in lockstep, one channel of each at a time
+    baseline = args.baseline or None
     labels = (args.sr_label, args.baseline_label)
-    report = _eval(sr, ref, baseline, args.mask_threshold, labels, args.out)
+    report = _eval(args.sr, args.ref, baseline, args.mask_threshold, labels, args.out)
     print("\n".join(_summary_lines(report, labels if baseline is not None else labels[:1])))
     print(f"wrote {args.out}: {len(report.records)} records")
     return 0
@@ -251,6 +253,7 @@ def cmd_pipeline(args) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             rc = parse_config_text(fh.read())
     rc = _apply_overrides(rc, args)
+    rc.check_flow_mask()
 
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)

@@ -91,6 +91,22 @@ class RunConfig:
         if not 0 < self.mask_threshold < 1:
             raise ConfigError(f"mask_threshold must be in (0, 1), got {self.mask_threshold}")
 
+    def check_flow_mask(self) -> None:
+        """Raise ``ConfigError`` unless the flow mask holds the tube, which a scored run needs.
+
+        The phantom's magnitude is ``magnitude_in`` in the tube and
+        ``magnitude_out`` outside, and the mask keeps the voxels at or above
+        ``mask_threshold`` times the peak.  ``simulate`` builds no mask and
+        does not ask.
+        """
+        if not (self.magnitude_in > 0
+                and self.magnitude_in >= self.mask_threshold * self.magnitude_out):
+            raise ConfigError(
+                f"the flow mask misses the tube: magnitude_in ({self.magnitude_in}) must be > 0 "
+                f"and >= mask_threshold ({self.mask_threshold}) * magnitude_out "
+                f"({self.magnitude_out})"
+            )
+
     def effective_radius(self) -> float:
         if self.radius > 0:
             return self.radius

@@ -236,7 +236,7 @@ def degrade_dataset(
     # one HR buffer that every channel's full-k-space draws go through
     draws = np.empty(hr.grid.dims) if ideal and cal.sigma > 0 else None
 
-    def lr_channel(f_idx: int, frame: VelocityFrame, ch: str):
+    def lr_channel(f_idx: int, frame: VelocityFrame, ch: str, keep_magnitude: bool):
         clean = clean_channel(frame, ch) if cleans is None else cleans.pop((f_idx, ch))
         if cal.sigma == 0:
             signal = clean if identity else ifftn_unitary(clean)
@@ -256,6 +256,6 @@ def degrade_dataset(
                 noise = _complex_noise(lr_grid.dims, cal.sigma, rng)
             signal = ifftn_unitary((fftn_unitary(clean) if identity else clean) + noise)
         # finite by construction; extract_velocity checks the magnitude it takes
-        return extract_velocity(_adopt(ComplexVolume, lr_grid, signal), venc)
+        return extract_velocity(_adopt(ComplexVolume, lr_grid, signal), venc, magnitude=keep_magnitude)
 
     return map_channels(hr, lr_channel), cal

@@ -250,13 +250,13 @@ def superresolve_dataset(
         )
     venc = lr.params.venc
 
-    def sr_channel(f_idx: int, frame: VelocityFrame, ch: str):
+    def sr_channel(f_idx: int, frame: VelocityFrame, ch: str, keep_magnitude: bool):
         # measured data may hold velocities exactly at the encoding boundary
         # (phase pi, e.g. after float32 storage), so rebuild the signal
         # without the ground-truth aliasing guard
         x_hat, rep = fsr_solve(_phase_encode(frame.magnitude, frame.channel(ch), venc), cfg)
         if reports is not None:
             reports.append((f_idx, ch, rep))
-        return extract_velocity(x_hat, venc)
+        return extract_velocity(x_hat, venc, magnitude=keep_magnitude)
 
     return map_channels(lr, sr_channel)

@@ -22,10 +22,17 @@ offset size   field
 Writes are atomic (temp file in the target directory, then rename), so an
 interrupted run never leaves a truncated file that parses.  :func:`atomic_write`
 is the one writer behind this and every other file the command line writes.
+
+:func:`open_channels` is the one read path: it checks the header and the
+file size before any sample, then yields the payload one channel block at a
+time from a single float32 buffer, each checked for finiteness.
+:func:`load_dataset` converts its blocks to a float64 dataset; ``evaluate``
+scores them as they come, so ``flowsr eval`` never holds a whole dataset.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import os
 import struct
@@ -43,7 +50,9 @@ from .volume import (
     _adopt,
 )
 
-__all__ = ["MAGIC", "VERSION", "HEADER_SIZE", "atomic_write", "save_dataset", "load_dataset"]
+__all__ = [
+    "MAGIC", "VERSION", "HEADER_SIZE", "atomic_write", "save_dataset", "open_channels", "load_dataset",
+]
 
 MAGIC = b"FLW4"
 VERSION = 1
@@ -105,70 +114,93 @@ def save_dataset(ds: VelocityDataset, path) -> None:
     atomic_write(path, itertools.chain([header], channels))
 
 
+@contextlib.contextmanager
+def open_channels(path):
+    """Open a version-1 volume file to read it one payload block at a time.
+
+    The header and the file size are checked strictly before any sample is
+    read.  Yields ``(grid, params, blocks)``; iterating ``blocks`` once gives
+    ``(frame, channel, block)`` for every payload block in file order, where
+    ``block`` is a read-only view, shaped ``grid.dims`` with x fastest, of
+    one float32 buffer that the next step refills.  Every block is checked
+    for finiteness before it is yielded, whether or not the caller uses it.
+    """
+    with open(path, "rb") as fh:
+        grid, params, expected = _read_header(fh)
+        yield grid, params, _blocks(fh, grid, params.frame_count, expected)
+
+
+def _read_header(fh) -> tuple[Grid3, AcquisitionParams, int]:
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(HEADER_SIZE)
+    if len(head) < HEADER_SIZE:
+        raise FormatError(
+            f"file truncated inside the {HEADER_SIZE}-byte header: only {len(head)} bytes"
+        )
+    magic, version, layout, m, n, s, frame_count, venc, sx, sy, sz = _HEADER.unpack(head)
+    if magic != MAGIC:
+        raise FormatError(f"bad magic {magic!r} at offset 0, expected {MAGIC!r}")
+    if version != VERSION:
+        raise FormatError(f"unsupported version {version} at offset 4, expected {VERSION}")
+    if layout != LAYOUT_MAG_UVW:
+        raise FormatError(f"unknown channel layout code {layout} at offset 6")
+    if min(m, n, s) < 1:
+        raise FormatError(f"invalid dims {(m, n, s)} at offset 8")
+    if frame_count < 1:
+        raise FormatError(f"invalid frame count {frame_count} at offset 20")
+    if not (np.isfinite(venc) and venc > 0):
+        raise FormatError(f"invalid venc {venc} at offset 24")
+    if not all(np.isfinite(v) and v > 0 for v in (sx, sy, sz)):
+        raise FormatError(f"invalid spacing {(sx, sy, sz)} at offset 32")
+
+    expected = HEADER_SIZE + frame_count * len(_CHANNELS) * m * n * s * 4
+    if size < expected:
+        raise FormatError(
+            f"payload truncated: expected {expected} bytes, file ends at offset {size}"
+        )
+    if size > expected:
+        raise FormatError(
+            f"trailing data: expected {expected} bytes, file has {size} "
+            f"(extra starts at offset {expected})"
+        )
+    grid = Grid3(m, n, s, (sx, sy, sz))
+    return grid, AcquisitionParams(venc=venc, frame_count=frame_count), expected
+
+
+def _blocks(fh, grid: Grid3, frame_count: int, expected: int):
+    buf = np.empty(grid.voxel_count, dtype="<f4")
+    block = buf.reshape(grid.dims, order="F")  # a view: x fastest, as in the file
+    block.setflags(write=False)
+    offset = HEADER_SIZE
+    for f_idx in range(frame_count):
+        for ch in _CHANNELS:
+            got = fh.readinto(buf)
+            if got != buf.nbytes:  # the file shrank after its size was read
+                raise FormatError(
+                    f"payload truncated: expected {expected} bytes, "
+                    f"file ends at offset {offset + got}"
+                )
+            if not np.isfinite(buf).all():
+                raise FormatError(
+                    f"non-finite samples in frame {f_idx} channel {ch} "
+                    f"(payload block at offset {offset})"
+                )
+            yield f_idx, ch, block
+            offset += buf.nbytes
+
+
 def load_dataset(path) -> VelocityDataset:
     """Read a version-1 volume file, validating header and payload strictly.
 
-    The header and the file size are checked before any sample is read.  The
-    samples are then read one channel at a time into one reusable float32
-    buffer, checked for finiteness there and converted to float64 once.
+    The file is read through :func:`open_channels`; each block is converted
+    to float64 once, so a load holds the dataset plus one float32 channel.
     """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(HEADER_SIZE)
-        if len(head) < HEADER_SIZE:
-            raise FormatError(
-                f"file truncated inside the {HEADER_SIZE}-byte header: only {len(head)} bytes"
-            )
-        magic, version, layout, m, n, s, frame_count, venc, sx, sy, sz = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise FormatError(f"bad magic {magic!r} at offset 0, expected {MAGIC!r}")
-        if version != VERSION:
-            raise FormatError(f"unsupported version {version} at offset 4, expected {VERSION}")
-        if layout != LAYOUT_MAG_UVW:
-            raise FormatError(f"unknown channel layout code {layout} at offset 6")
-        if min(m, n, s) < 1:
-            raise FormatError(f"invalid dims {(m, n, s)} at offset 8")
-        if frame_count < 1:
-            raise FormatError(f"invalid frame count {frame_count} at offset 20")
-        if not (np.isfinite(venc) and venc > 0):
-            raise FormatError(f"invalid venc {venc} at offset 24")
-        if not all(np.isfinite(v) and v > 0 for v in (sx, sy, sz)):
-            raise FormatError(f"invalid spacing {(sx, sy, sz)} at offset 32")
-
-        voxels = m * n * s
-        expected = HEADER_SIZE + frame_count * len(_CHANNELS) * voxels * 4
-        if size < expected:
-            raise FormatError(
-                f"payload truncated: expected {expected} bytes, file ends at offset {size}"
-            )
-        if size > expected:
-            raise FormatError(
-                f"trailing data: expected {expected} bytes, file has {size} "
-                f"(extra starts at offset {expected})"
-            )
-
-        grid = Grid3(m, n, s, (sx, sy, sz))
-        buf = np.empty(voxels, dtype="<f4")
-        frames = []
-        for f_idx in range(frame_count):
-            vols = {}
-            for c_idx, ch in enumerate(_CHANNELS):
-                offset = HEADER_SIZE + (f_idx * len(_CHANNELS) + c_idx) * voxels * 4
-                got = fh.readinto(buf)
-                if got != buf.nbytes:  # the file shrank after its size was read
-                    raise FormatError(
-                        f"payload truncated: expected {expected} bytes, "
-                        f"file ends at offset {offset + got}"
-                    )
-                if not np.isfinite(buf).all():
-                    raise FormatError(
-                        f"non-finite samples in frame {f_idx} channel {ch} "
-                        f"(payload block at offset {offset})"
-                    )
-                # finite float32 samples stay finite in float64; x fastest
-                data = buf.astype(np.float64).reshape(grid.dims, order="F")
-                vols[ch] = _adopt(ScalarVolume, grid, data)
-            frames.append(VelocityFrame(**vols))
-
-    params = AcquisitionParams(venc=venc, frame_count=frame_count)
+    with open_channels(path) as (grid, params, blocks):
+        frames, vols = [], {}
+        for _, ch, block in blocks:
+            # finite float32 samples stay finite in float64; the copy keeps x fastest
+            vols[ch] = _adopt(ScalarVolume, grid, block.astype(np.float64))
+            if len(vols) == len(_CHANNELS):
+                frames.append(VelocityFrame(**vols))
+                vols = {}
     return VelocityDataset(params, tuple(frames))

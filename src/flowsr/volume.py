@@ -274,41 +274,49 @@ def _phase_encode(magnitude: ScalarVolume, vel: ScalarVolume, venc: float) -> Co
     return _adopt(ComplexVolume, magnitude.grid, magnitude.data * np.exp(1j * phase))
 
 
-def extract_velocity(signal: ComplexVolume, venc: float) -> tuple[ScalarVolume, ScalarVolume]:
+def extract_velocity(
+    signal: ComplexVolume, venc: float, magnitude: bool = True
+) -> tuple[ScalarVolume | None, ScalarVolume]:
     """Split a complex signal into (magnitude, velocity).
 
     The phase is taken in (-pi, pi]; zero voxels get velocity 0 (a zero
     signal carries no flow information and must not produce NaN).  Both
     outputs are adopted, not copied; the velocity is bounded by ``venc``,
     and the magnitude is checked, as it overflows for samples near the
-    float limit.
+    float limit.  With ``magnitude=False`` no magnitude is computed and the
+    first item is None.
     """
     venc = _check_venc(venc)
-    magnitude = np.abs(signal.data)
-    _check_finite(magnitude)
+    mag = None
+    if magnitude:
+        mag = np.abs(signal.data)
+        _check_finite(mag)
+        mag = _adopt(ScalarVolume, signal.grid, mag)
     vel = np.angle(signal.data)  # angle(0) == 0, matching the zero-voxel convention
     vel *= venc
     vel /= np.pi
-    return _adopt(ScalarVolume, signal.grid, magnitude), _adopt(ScalarVolume, signal.grid, vel)
+    return mag, _adopt(ScalarVolume, signal.grid, vel)
 
 
 def map_channels(
     ds: VelocityDataset,
-    channel_fn: Callable[[int, VelocityFrame, str], tuple[ScalarVolume, ScalarVolume]],
+    channel_fn: Callable[[int, VelocityFrame, str, bool], tuple[ScalarVolume | None, ScalarVolume]],
 ) -> VelocityDataset:
     """Build a dataset by mapping every frame and velocity channel of ``ds``.
 
-    ``channel_fn(frame_index, frame, channel)`` returns the ``(magnitude,
-    velocity)`` pair of one channel, and is called frame by frame in
-    :data:`CHANNELS` order.  Each output frame keeps every channel's velocity
-    and the u channel's magnitude (the others differ from it where a
-    low-pass filters their phase); the output keeps ``ds.params``.
+    ``channel_fn(frame_index, frame, channel, keep_magnitude)`` returns the
+    ``(magnitude, velocity)`` pair of one channel, and is called frame by
+    frame in :data:`CHANNELS` order.  Each output frame keeps every
+    channel's velocity and the u channel's magnitude (the others differ from
+    it where a low-pass filters their phase), so ``keep_magnitude`` is true
+    for u alone, and the magnitude returned for v and w, None or not, is
+    dropped.  The output keeps ``ds.params``.
     """
     frames = []
     for f_idx, frame in enumerate(ds.frames):
         out: dict[str, ScalarVolume] = {}
         for ch in CHANNELS:
-            mag, out[ch] = channel_fn(f_idx, frame, ch)
+            mag, out[ch] = channel_fn(f_idx, frame, ch, ch == "u")
             if ch == "u":
                 out["magnitude"] = mag
         frames.append(VelocityFrame(**out))

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,10 @@ import scipy.fft
 import flowsr.cli
 import flowsr.interp
 import flowsr.solver
-from flowsr import EvalReport, RunConfig, load_dataset
+from flowsr import EvalReport, FormatError, RunConfig, VelocityDataset, evaluate, load_dataset, save_dataset
 from flowsr.cli import main
 from flowsr.interp import _axis_weights
-from flowsr.volio import atomic_write
+from flowsr.volio import HEADER_SIZE, atomic_write
 
 
 def run(*argv):
@@ -232,6 +233,120 @@ class TestEval:
         assert len([r for r in report.records if r.metric == "mre_percent"]) == 2 * 2
 
 
+@pytest.fixture(scope="module")
+def eval_files(tmp_path_factory):
+    """hr, sr and baseline files of a 3-frame helix on odd, unequal dims."""
+    d = tmp_path_factory.mktemp("eval")
+    paths = {name: d / f"{name}.flw4" for name in ("hr", "lr", "sr", "base")}
+    assert run("simulate", "--phantom", "helix", "--dims", "10,6,5", "--frames", "3",
+               "--out", str(paths["hr"])) == 0
+    assert run("degrade", "--in", str(paths["hr"]), "--out", str(paths["lr"]),
+               "--factor", "2,2,1", "--noise-psnr", "15", "--seed", "2") == 0
+    assert run("sr", "--in", str(paths["lr"]), "--out", str(paths["sr"]), "--factor", "2,2,1",
+               "--tau", "1.0") == 0
+    assert run("sr", "--in", str(paths["lr"]), "--out", str(paths["base"]), "--factor", "2,2,1",
+               "--method", "trilinear") == 0
+    return paths
+
+
+def _poked(src, dst, offset, value=np.nan):
+    """A copy of ``src`` at ``dst`` with the float32 sample at byte ``offset`` set to ``value``."""
+    raw = bytearray(src.read_bytes())
+    raw[offset:offset + 4] = np.float32(value).tobytes()
+    dst.write_bytes(bytes(raw))
+    return dst
+
+
+class TestEvalStreams:
+    """``eval`` reads its files channel by channel and scores them as their loads."""
+
+    @pytest.mark.parametrize("threshold", [None, "0.37"])
+    @pytest.mark.parametrize("with_baseline", [True, False])
+    def test_csv_equals_the_score_of_the_loaded_files(self, tmp_path, eval_files, with_baseline,
+                                                      threshold):
+        out = tmp_path / "metrics.csv"
+        argv = ["eval", "--sr", str(eval_files["sr"]), "--ref", str(eval_files["hr"]),
+                "--out", str(out)]
+        if with_baseline:
+            argv += ["--baseline", str(eval_files["base"])]
+        if threshold:
+            argv += ["--mask-threshold", threshold]
+        assert run(*argv) == 0
+        loaded = evaluate(
+            load_dataset(eval_files["sr"]),
+            load_dataset(eval_files["hr"]),
+            baseline=load_dataset(eval_files["base"]) if with_baseline else None,
+            mask_threshold=float(threshold or 0.1),
+        )
+        assert out.read_bytes() == loaded.to_csv().encode()
+
+    @pytest.mark.parametrize("role", ["sr", "base"])
+    def test_nonfinite_magnitude_fails_naming_frame_channel_and_offset(self, tmp_path, eval_files,
+                                                                       capsys, role):
+        voxels = 10 * 6 * 5
+        offset = HEADER_SIZE + 4 * voxels * 4  # frame 1's magnitude block
+        files = dict(eval_files)
+        files[role] = _poked(eval_files[role], tmp_path / "bad.flw4", offset + 4 * 17)
+        out = tmp_path / "metrics.csv"
+        assert run("eval", "--sr", str(files["sr"]), "--ref", str(files["hr"]),
+                   "--baseline", str(files["base"]), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert f"non-finite samples in frame 1 channel magnitude (payload block at offset {offset})" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mismatch", ["frames", "dims"])
+    def test_mismatch_fails_from_the_headers(self, tmp_path, eval_files, capsys, mismatch):
+        # the sr file's first sample is NaN: reading any payload would report that instead
+        if mismatch == "frames":
+            ds = load_dataset(eval_files["sr"])
+            short = VelocityDataset(dataclasses.replace(ds.params, frame_count=1), ds.frames[:1])
+            save_dataset(short, tmp_path / "sr.flw4")
+            expected = "fsr frame count differs from reference"
+        else:
+            assert run("simulate", "--phantom", "helix", "--dims", "10,6,4", "--frames", "3",
+                       "--out", str(tmp_path / "sr.flw4")) == 0
+            expected = "fsr grid differs from reference"
+        sr = _poked(tmp_path / "sr.flw4", tmp_path / "sr_nan.flw4", HEADER_SIZE)
+        out = tmp_path / "metrics.csv"
+        assert run("eval", "--sr", str(sr), "--ref", str(eval_files["hr"]), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("role", ["sr", "hr", "base"])
+    def test_truncated_file_fails_as_its_load_does(self, tmp_path, eval_files, capsys, role):
+        files = dict(eval_files)
+        files[role] = tmp_path / "short.flw4"
+        files[role].write_bytes(eval_files[role].read_bytes()[:-8])
+        with pytest.raises(FormatError) as excinfo:
+            load_dataset(files[role])
+        out = tmp_path / "metrics.csv"
+        assert run("eval", "--sr", str(files["sr"]), "--ref", str(files["hr"]),
+                   "--baseline", str(files["base"]), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: {excinfo.value}\n"
+        assert not out.exists()
+
+    def test_holds_at_most_six_float64_channels(self, tmp_path):
+        # the three loaded files alone would be 12 channels; streaming holds
+        # three float32 blocks, the mask and the gathered voxels
+        p = {name: str(tmp_path / f"{name}.flw4") for name in ("hr", "lr", "sr", "base")}
+        assert run("simulate", "--dims", "32,32,32", "--frames", "1", "--out", p["hr"]) == 0
+        assert run("degrade", "--in", p["hr"], "--out", p["lr"], "--factor", "2,2,2",
+                   "--noise-psnr", "15") == 0
+        assert run("sr", "--in", p["lr"], "--out", p["sr"], "--factor", "2,2,2") == 0
+        assert run("sr", "--in", p["lr"], "--out", p["base"], "--factor", "2,2,2",
+                   "--method", "trilinear") == 0
+        argv = ["eval", "--sr", p["sr"], "--ref", p["hr"], "--baseline", p["base"],
+                "--out", str(tmp_path / "metrics.csv")]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert run(*argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base <= 6 * 8 * 32**3
+
+
 class TestOracleCheck:
     def test_single_config_passes(self, capsys):
         assert run("oracle-check", "--dims", "8,8,8", "--factor", "2,2,2") == 0
@@ -316,14 +431,21 @@ BAD_SETTINGS = {
     "baseline": ("--baseline", "fsr"),
     "mask_threshold": ("--mask-threshold", "1.5"),
 }
+# settings each in range, whose combination leaves no tube voxel in the flow mask
+BAD_COMBINATIONS = {
+    "no_tube_magnitude": "magnitude_in = 0",
+    "tube_below_mask_threshold": "magnitude_in = 0.05\nmagnitude_out = 1",
+}
 
 
 class TestPipeline:
-    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(RunConfig)])
+    @pytest.mark.parametrize(
+        "field", [f.name for f in dataclasses.fields(RunConfig)] + list(BAD_COMBINATIONS)
+    )
     def test_every_bad_setting_fails_before_the_first_write(self, tmp_path, field):
         argv = ["pipeline", "--out-dir", str(tmp_path / "run"),
                 "--dims", "16,16,16", "--frames", "1", "--factor", "2,2,2"]
-        bad = BAD_SETTINGS[field]
+        bad = {**BAD_SETTINGS, **BAD_COMBINATIONS}[field]
         if isinstance(bad, str):
             config = tmp_path / "bad.cfg"
             config.write_text(bad + "\n")
@@ -336,6 +458,20 @@ class TestPipeline:
             code = exc.code
         assert code in (1, 2)
         assert not list(tmp_path.rglob("*.flw4"))
+        assert not list((tmp_path / "run").rglob("*"))
+
+    def test_mask_holding_the_tube_at_its_threshold_runs(self, tmp_path):
+        config = tmp_path / "edge.cfg"
+        config.write_text("magnitude_in = 0.1\nmagnitude_out = 1\nmask_threshold = 0.1\n")
+        assert run("pipeline", "--out-dir", str(tmp_path / "run"), "--config", str(config),
+                   "--dims", "16,16,16", "--frames", "1", "--factor", "2,2,2") == 0
+
+    @pytest.mark.parametrize("magnitudes", [("0", "1"), ("0.05", "1"), ("0", "0")])
+    def test_simulate_takes_any_nonnegative_magnitudes(self, tmp_path, magnitudes):
+        # simulate builds no flow mask, so only pipeline checks the combination
+        assert run("simulate", "--dims", "8,8,8", "--frames", "1",
+                   "--magnitude-in", magnitudes[0], "--magnitude-out", magnitudes[1],
+                   "--out", str(tmp_path / "hr.flw4")) == 0
 
 
     def test_small_end_to_end_and_config_round_trip(self, tmp_path, capsys):

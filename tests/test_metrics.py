@@ -15,7 +15,9 @@ from flowsr import (
     VelocityFrame,
     evaluate,
     make_mask,
+    load_dataset,
     poiseuille_phantom,
+    save_dataset,
 )
 
 from conftest import reverse_frames
@@ -197,6 +199,22 @@ class TestEvaluate:
         for r, e in zip(report.records, expected):
             assert abs(r.value - e[4]) < 1e-12
 
+    def test_records_keep_their_bits(self, rng):
+        # the gathers, sums and means in mask order, as numpy expressions:
+        # equal to the last bit, so a stored CSV does not move
+        sr, ref, base = self._make(rng, frames=2, mags=[rng.random((6, 6, 6)) for _ in range(2)])
+        report = evaluate(sr, ref, baseline=base, mask_threshold=0.3)
+        expected = []
+        for f_idx, ref_frame in enumerate(ref.frames):
+            sel = make_mask(ref_frame.magnitude, 0.3)
+            refs = [ref_frame.channel(ch).data[sel] for ch in "uvw"]
+            peak = float(np.sqrt((refs[0] ** 2 + refs[1] ** 2) + refs[2] ** 2).max())
+            for ds in (sr, base):
+                errs = [(ds.frames[f_idx].channel(ch).data[sel] - r) ** 2 for ch, r in zip("uvw", refs)]
+                expected += [float(10.0 * np.log10(peak**2 / np.mean(e))) for e in errs]
+                expected.append(100.0 * float(np.mean(np.sqrt((errs[0] + errs[1]) + errs[2])) / peak))
+        assert [r.value for r in report.records] == expected
+
     def test_psnr_matches_loop_oracle(self, rng):
         dims = (5, 4, 3)
         est_uvw = [rng.standard_normal(dims) for _ in range(3)]
@@ -310,3 +328,63 @@ class TestEvaluate:
         sr, ref, _ = self._make(rng)
         with pytest.raises(TypeError):
             evaluate(sr, ref, masks=[make_mask(f.magnitude) for f in ref.frames])
+
+
+class TestEvaluateFiles:
+    """``evaluate`` of volume files reads them channel by channel, and scores them as their loads."""
+
+    def _saved(self, tmp_path, rng, dims=(7, 5, 3), frames=2):
+        g = Grid3(*dims)
+        paths = {}
+        for name, offset in (("sr", 0.1), ("ref", 0.0), ("base", 0.3)):
+            data = np.random.default_rng(5)  # one draw per file: the same reference fields
+            ds_frames = []
+            for _ in range(frames):
+                mag = data.random(g.dims)
+                uvw = [data.standard_normal(g.dims) + offset * rng.standard_normal(g.dims)
+                       for _ in range(3)]
+                ds_frames.append(_frame(g, *uvw, mag=mag))
+            paths[name] = tmp_path / f"{name}.flw4"
+            save_dataset(_dataset(g, ds_frames), paths[name])
+        return paths
+
+    @pytest.mark.parametrize("threshold", [0.1, 0.37])
+    def test_paths_score_as_their_loads(self, tmp_path, rng, threshold):
+        p = self._saved(tmp_path, rng)
+        from_files = evaluate(p["sr"], str(p["ref"]), baseline=p["base"], mask_threshold=threshold)
+        loaded = evaluate(load_dataset(p["sr"]), load_dataset(p["ref"]),
+                          baseline=load_dataset(p["base"]), mask_threshold=threshold)
+        assert from_files.to_csv() == loaded.to_csv()
+
+    def test_stored_magnitude_masks_as_its_load(self, tmp_path, rng):
+        # float32(0.7) < 0.7: the threshold compares in float64, as for the
+        # loaded file, so the voxel stays out of the mask
+        g = Grid3(4, 3, 2)
+        mag = np.full(g.dims, float(np.float32(0.7)))
+        mag[0, 0, 0] = 1.0
+        frame = _frame(g, *(rng.standard_normal(g.dims) for _ in range(3)), mag=mag)
+        path = tmp_path / "ref.flw4"
+        save_dataset(_dataset(g, [frame]), path)
+        est = _dataset(g, [_frame(g, *(frame.channel(ch).data + 1.0 for ch in "uvw"), mag=mag)])
+        save_dataset(est, tmp_path / "est.flw4")
+        from_file = evaluate(tmp_path / "est.flw4", path, mask_threshold=0.7)
+        loaded = evaluate(load_dataset(tmp_path / "est.flw4"), load_dataset(path), mask_threshold=0.7)
+        assert from_file.to_csv() == loaded.to_csv()
+        assert make_mask(load_dataset(path).frames[0].magnitude, 0.7).sum() == 1
+
+    def test_paths_and_datasets_mix(self, tmp_path, rng):
+        p = self._saved(tmp_path, rng)
+        mixed = evaluate(p["sr"], load_dataset(p["ref"]), baseline=p["base"])
+        assert mixed.to_csv() == evaluate(p["sr"], p["ref"], baseline=p["base"]).to_csv()
+
+    def test_dims_mismatch_names_the_method(self, tmp_path, rng):
+        p = self._saved(tmp_path, rng)
+        (tmp_path / "small").mkdir()
+        small = self._saved(tmp_path / "small", rng, dims=(7, 5, 2))
+        with pytest.raises(GridMismatchError, match="trilinear grid differs"):
+            evaluate(p["sr"], p["ref"], baseline=small["base"])
+
+    def test_bad_threshold_fails_before_any_file_is_opened(self, tmp_path):
+        missing = tmp_path / "missing.flw4"
+        with pytest.raises(ParameterError, match="threshold_fraction"):
+            evaluate(missing, missing, mask_threshold=1.5)

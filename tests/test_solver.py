@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
+import flowsr.solver
 from flowsr import (
     ComplexVolume,
     DegradationConfig,
@@ -678,6 +679,32 @@ class TestSuperresolveDataset:
                     assert np.array_equal(f_sr.magnitude.data, mag.data)
                 expected.append((f_idx, ch, rep.residual_norm, rep.objective))
         assert [(f, ch, r.residual_norm, r.objective) for f, ch, r in reports] == expected
+
+    def test_v_and_w_extract_no_magnitude(self, monkeypatch):
+        # a frame keeps the u channel's magnitude; the extraction after a v or
+        # w solve allocates the HR velocity alone, the one after u both
+        hr = helix_phantom(Grid3(32, 32, 32), radius_voxels=10, vmax_per_frame=[90.0], venc=150.0,
+                           magnitude_out=0.2)
+        lr, _ = degrade_dataset(hr, DegradationConfig(d=(2, 2, 2)))
+        peaks = []
+
+        def measured(*args, **kwargs):
+            live = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = extract_velocity(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - live)
+            return out
+
+        monkeypatch.setattr(flowsr.solver, "extract_velocity", measured)
+        tracemalloc.start()
+        try:
+            superresolve_dataset(lr, _cfg((32, 32, 32), (2, 2, 2)), hr.grid)
+        finally:
+            tracemalloc.stop()
+        hr_float64 = 8 * 32**3
+        u, v, w = peaks
+        assert u >= 2 * hr_float64
+        assert max(v, w) <= 1.25 * hr_float64
 
     def test_threads_sharing_one_config_match_serial(self):
         # more threads than cores and a short switch interval, so solves on

@@ -20,7 +20,7 @@ from flowsr import (
     poiseuille_phantom,
     save_dataset,
 )
-from flowsr.volio import HEADER_SIZE, MAGIC, VERSION, atomic_write
+from flowsr.volio import HEADER_SIZE, MAGIC, VERSION, atomic_write, open_channels
 
 from conftest import swap_axes
 
@@ -296,3 +296,38 @@ class TestCorruptFiles:
         raw = _header() + samples.tobytes()
         with pytest.raises(FormatError, match="frame 0 channel u"):
             load_dataset(_write(tmp_path, raw))
+
+
+class TestOpenChannels:
+    def test_blocks_come_in_file_order_from_one_buffer(self, tmp_path, dataset):
+        path = tmp_path / "ds.flw4"
+        save_dataset(dataset, path)
+        loaded = load_dataset(path)
+        seen = []
+        with open_channels(path) as (grid, params, blocks):
+            assert grid == dataset.grid and params == dataset.params
+            for f_idx, ch, block in blocks:
+                assert block.dtype == np.float32 and block.shape == dataset.grid.dims
+                assert not block.flags.writeable
+                assert np.array_equal(block, loaded.frames[f_idx].channel(ch).data)
+                seen.append((f_idx, ch, block.__array_interface__["data"][0]))
+        order = [(f, ch) for f in range(2) for ch in ("magnitude", "u", "v", "w")]
+        assert [(f, ch) for f, ch, _ in seen] == order
+        assert len({address for _, _, address in seen}) == 1
+
+    def test_header_is_checked_when_opened(self, tmp_path):
+        path = _write(tmp_path, _header(frames=2) + _payload(frames=1))
+        with pytest.raises(FormatError, match="payload truncated"):
+            with open_channels(path):
+                pass
+
+    def test_each_block_is_checked_when_reached(self, tmp_path):
+        samples = np.full(2 * 4 * 8, 1.0, dtype="<f4")
+        samples[-1] = np.nan  # last sample of frame 1 channel w
+        path = _write(tmp_path, _header(frames=2) + samples.tobytes())
+        blocks = []
+        with pytest.raises(FormatError, match=f"frame 1 channel w .*offset {HEADER_SIZE + 7 * 32}"):
+            with open_channels(path) as (_, _, stream):
+                for f_idx, ch, _ in stream:
+                    blocks.append((f_idx, ch))
+        assert len(blocks) == 7

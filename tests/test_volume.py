@@ -224,6 +224,13 @@ class TestExtraction:
         assert np.allclose(vel.data.ravel(), [120.0, -60.0, 0.0], rtol=1e-15, atol=0)
         assert vel.data[2, 0, 0] == 0.0
 
+    def test_velocity_alone(self, rng):
+        g = Grid3(5, 4, 3)
+        sig = ComplexVolume(g, rng.standard_normal(g.dims) + 1j * rng.standard_normal(g.dims))
+        mag, vel = extract_velocity(sig, 100.0, magnitude=False)
+        assert mag is None
+        assert np.array_equal(vel.data, extract_velocity(sig, 100.0)[1].data)
+
     def test_zero_signal_convention(self):
         g = Grid3(1, 1, 1)
         mag, vel = extract_velocity(ComplexVolume(g, [0.0 + 0.0j]), 100.0)
