@@ -18,16 +18,16 @@ import time
 import numpy as np
 
 from .config import RunConfig, _key_value_text, _parse_triple, format_config_text, parse_config_text
-from .degrade import KERNEL_KINDS, DegradationConfig, degrade_dataset
-from .errors import FlowSRError, ParameterError
+from .degrade import KERNEL_KINDS, Acquisition, DegradationConfig, degrade_dataset, seeded_rng
+from .errors import FlowSRError
 from .interp import METHODS, upsample_dataset
 from .metrics import EvalReport, evaluate
 from .oracle import _dense_solve_priors, build_dense
-from .phantom import PHANTOMS, helix_phantom, poiseuille_phantom, pulsatile_profile
+from .phantom import PHANTOMS, helix_phantom, poiseuille_phantom, pulsatile_profile, tube_frames
 from .solver import PRIOR_MODES, SolverConfig, build_prior, fsr_solve, superresolve_dataset
 from .spectral import gaussian_spectrum, ideal_lowpass_spectrum  # noqa: F401  perfbench traces them
-from .volio import atomic_write, load_dataset, save_dataset
-from .volume import ComplexVolume, Grid3
+from .volio import StreamWriter, atomic_write, load_dataset, save_dataset
+from .volume import AcquisitionParams, ComplexVolume, Grid3, VelocityDataset
 
 __all__ = ["main"]
 
@@ -65,25 +65,21 @@ def _write_text(path, text: str) -> None:
     atomic_write(path, [text.encode("utf-8")])
 
 
-def _make_phantom(rc: RunConfig):
-    grid = Grid3(*rc.dims, spacing=rc.spacing)
-    profile = pulsatile_profile(rc.vmax, rc.frames)
-    kwargs = dict(
+def _phantom_args(rc: RunConfig) -> dict:
+    return dict(
+        grid=Grid3(*rc.dims, spacing=rc.spacing),
         radius_voxels=rc.effective_radius(),
-        vmax_per_frame=profile,
+        vmax_per_frame=pulsatile_profile(rc.vmax, rc.frames),
         venc=rc.venc,
         axis=rc.axis,
         magnitude_in=rc.magnitude_in,
         magnitude_out=rc.magnitude_out,
     )
-    if rc.phantom == "poiseuille":
-        return poiseuille_phantom(grid, **kwargs)
-    return helix_phantom(grid, **kwargs)
 
 
 def cmd_simulate(args) -> int:
     rc = _apply_overrides(RunConfig(factor=(1, 1, 1)), args)
-    ds = _make_phantom(rc)
+    ds = (poiseuille_phantom if rc.phantom == "poiseuille" else helix_phantom)(**_phantom_args(rc))
     save_dataset(ds, args.out)
     print(f"wrote {args.out}: {rc.phantom} phantom, dims {rc.dims}, {rc.frames} frame(s)")
     return 0
@@ -97,24 +93,19 @@ def _calibration_text(cal, cfg: DegradationConfig) -> str:
     )
 
 
-def _degrade(hr, src, out, cal_path=None):
-    """Degrade ``hr`` as ``src`` (parsed flags or a RunConfig) says; write ``out`` and its sidecar (default ``<out>.cal``)."""
-    cfg = DegradationConfig(
-        d=src.factor,
-        kernel=src.kernel,
-        gaussian_fwhm_bins=src.kernel_fwhm,
-        noise_psnr_db=src.noise_psnr,
-        rng_seed=src.seed,
-    )
-    lr, cal = degrade_dataset(hr, cfg)
-    save_dataset(lr, out)
-    _write_text(cal_path or out + ".cal", _calibration_text(cal, cfg))
-    return lr, cal
+def _degradation(src) -> DegradationConfig:
+    """The degradation ``src`` (parsed flags or a RunConfig) sets; sr's flags set no noise or seed."""
+    return DegradationConfig(d=src.factor, kernel=src.kernel, gaussian_fwhm_bins=src.kernel_fwhm,
+                             noise_psnr_db=getattr(src, "noise_psnr", None),
+                             rng_seed=getattr(src, "seed", 0))
 
 
 def cmd_degrade(args) -> int:
     hr = load_dataset(args.infile)
-    lr, cal = _degrade(hr, args, args.out, args.calibration_out)
+    cfg = _degradation(args)
+    lr, cal = degrade_dataset(hr, cfg)
+    save_dataset(lr, args.out)
+    _write_text(args.calibration_out or args.out + ".cal", _calibration_text(cal, cfg))
     print(f"wrote {args.out}: LR grid {lr.grid.dims}")
     if cal.target_psnr_db is not None:
         print(f"noise sigma {cal.sigma:.6g}, achieved PSNR {cal.achieved_psnr_db:.2f} dB")
@@ -131,20 +122,6 @@ def _solve_report_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fsr(lr, src, out, report_path):
-    """Super-resolve ``lr`` as ``src`` says; write ``out`` and, given a path, the solve reports."""
-    hr_grid = lr.grid.scaled(src.factor)
-    degradation = DegradationConfig(d=src.factor, kernel=src.kernel, gaussian_fwhm_bins=src.kernel_fwhm)
-    kernel = degradation.kernel_spectrum(hr_grid)
-    cfg = SolverConfig(tau=src.tau, kernel=kernel, d=src.factor, prior=src.prior)
-    reports: list = []
-    sr = superresolve_dataset(lr, cfg, hr_grid, reports=reports)
-    save_dataset(sr, out)
-    if report_path:
-        _write_text(report_path, _solve_report_csv(reports))
-    return sr, reports
-
-
 def cmd_sr(args) -> int:
     lr = load_dataset(args.infile)
     if args.method in METHODS:
@@ -152,7 +129,14 @@ def cmd_sr(args) -> int:
         save_dataset(sr, args.out)
         print(f"wrote {args.out}: {args.method} upsampling to {sr.grid.dims}")
         return 0
-    sr, reports = _fsr(lr, args, args.out, args.report_out)
+    hr_grid = lr.grid.scaled(args.factor)
+    kernel = _degradation(args).kernel_spectrum(hr_grid)
+    cfg = SolverConfig(tau=args.tau, kernel=kernel, d=args.factor, prior=args.prior)
+    reports: list = []
+    sr = superresolve_dataset(lr, cfg, hr_grid, reports=reports)
+    save_dataset(sr, args.out)
+    if args.report_out:
+        _write_text(args.report_out, _solve_report_csv(reports))
     total = sum(rep.wall_time_s for _, _, rep in reports)
     print(f"wrote {args.out}: fsr tau={args.tau:g} to {sr.grid.dims} ({total:.2f} s of solves)")
     return 0
@@ -167,22 +151,12 @@ def _summary_lines(report: EvalReport, methods) -> list[str]:
     ]
 
 
-def _eval(sr, ref, baseline, mask_threshold, labels, out) -> EvalReport:
-    """Score ``sr`` and ``baseline`` (or None), labelled ``labels``, against ``ref``; write the CSV.
-
-    Each is a dataset or a volume file's path, as :func:`evaluate` takes them.
-    """
-    report = evaluate(sr, ref, baseline=baseline, mask_threshold=mask_threshold,
-                      sr_method=labels[0], baseline_method=labels[1])
-    _write_text(out, report.to_csv())
-    return report
-
-
 def cmd_eval(args) -> int:
     # evaluate reads the files in lockstep, one channel of each at a time
     baseline = args.baseline or None
     labels = (args.sr_label, args.baseline_label)
-    report = _eval(args.sr, args.ref, baseline, args.mask_threshold, labels, args.out)
+    report = evaluate(args.sr, args.ref, baseline, args.mask_threshold, *labels)
+    _write_text(args.out, report.to_csv())
     print("\n".join(_summary_lines(report, labels if baseline is not None else labels[:1])))
     print(f"wrote {args.out}: {len(report.records)} records")
     return 0
@@ -196,9 +170,7 @@ def _oracle_cases(args):
 
 
 def cmd_oracle_check(args) -> int:
-    if args.seed < 0:  # numpy's own message is a bare ValueError
-        raise ParameterError(f"seed must be >= 0, got {args.seed}")
-    rng = np.random.default_rng(args.seed)
+    rng = seeded_rng(args.seed)
     t0 = time.perf_counter()
     rels = []
     for dims, factor, kernel_kind, taus in _oracle_cases(args):
@@ -260,35 +232,58 @@ def cmd_pipeline(args) -> int:
     path = lambda name: os.path.join(out_dir, name)
     t0 = time.perf_counter()
 
-    hr = _make_phantom(rc)
-    save_dataset(hr, path("hr.flw4"))
-    lr, _ = _degrade(hr, rc, path("lr.flw4"))
-    sr_fsr, _ = _fsr(lr, rc, path("sr_fsr.flw4"), path("solve_reports.csv"))
-
-    sr_base = upsample_dataset(lr, rc.factor, rc.baseline)
-    save_dataset(sr_base, path(f"sr_{rc.baseline}.flw4"))
-
-    report = _eval(sr_fsr, hr, sr_base, rc.mask_threshold, ("fsr", rc.baseline), path("metrics.csv"))
-    _write_text(path("effective.cfg"), format_config_text(rc))
-
-    # both methods' records come frame by frame, channel by channel
-    def beats(metric, better):
-        return all(map(better, report.values("fsr", metric), report.values(rc.baseline, metric)))
-
-    psnr_wins = beats("psnr_db", operator.gt)
-    mre_wins = beats("mre_percent", operator.lt)
-    elapsed = time.perf_counter() - t0
-
-    lines = [
-        f"phantom={rc.phantom} dims={rc.dims} factor={rc.factor} "
-        f"noise_psnr={rc.noise_psnr} seed={rc.seed} tau={rc.tau:g}",
-        *_summary_lines(report, ("fsr", rc.baseline)),
-    ]
-    lines.append(f"fsr beats {rc.baseline} on every frame/channel PSNR: {'yes' if psnr_wins else 'NO'}")
-    lines.append(f"fsr beats {rc.baseline} on every frame MRE: {'yes' if mre_wins else 'NO'}")
-    lines.append(f"elapsed: {elapsed:.1f} s")
-    summary = "\n".join(lines) + "\n"
-    _write_text(path("summary.txt"), summary)
+    # one frame at a time: pass 1 writes the HR frames and keeps their clean LR
+    # spectra for the calibration; pass 2 rebuilds each HR frame, then acquires,
+    # solves, upsamples and scores it.  Every file is committed at the end, so a
+    # failure leaves no partial run
+    phantom = _phantom_args(rc)
+    hr_grid, params, single = phantom["grid"], AcquisitionParams(rc.venc, rc.frames), AcquisitionParams(rc.venc)
+    degradation = _degradation(rc)
+    acq = Acquisition(hr_grid, rc.venc, degradation)
+    cfg = SolverConfig(tau=rc.tau, kernel=acq.kernel, d=rc.factor, prior=rc.prior)
+    records, reports, cleans = [], [], []
+    with StreamWriter() as out:
+        hr_file = out.volume(path("hr.flw4"), hr_grid, params)
+        for f_idx, frame in enumerate(tube_frames(rc.phantom, **phantom)):
+            hr_file.write_frame(f_idx, frame)
+            cleans.append(None if rc.noise_psnr is None else acq.clean(frame))
+        cal = acq.calibrate(cleans)
+        files = [out.volume(path(name), grid, params) for name, grid in (
+            ("lr.flw4", acq.lr_grid), ("sr_fsr.flw4", hr_grid), (f"sr_{rc.baseline}.flw4", hr_grid))]
+        for f_idx, frame in enumerate(tube_frames(rc.phantom, **phantom)):
+            lr = VelocityDataset(single, (acq.frame(f_idx, frame, cal, cleans[f_idx]),))
+            cleans[f_idx] = None
+            # one-frame datasets through each stage's own call; their frame 0 is frame f_idx
+            solved = []
+            sr_fsr = superresolve_dataset(lr, cfg, hr_grid, reports=solved)
+            reports += [(f_idx, ch, rep) for _, ch, rep in solved]
+            sr_base = upsample_dataset(lr, rc.factor, rc.baseline)
+            for file, ds in zip(files, (lr, sr_fsr, sr_base)):
+                file.write_frame(f_idx, ds.frames[0])
+            scored = evaluate(sr_fsr, VelocityDataset(single, (frame,)), sr_base, rc.mask_threshold,
+                              "fsr", rc.baseline)
+            records += [dataclasses.replace(r, frame=f_idx) for r in scored.records]
+            del frame, lr, sr_fsr, sr_base, ds  # before the next frame is made
+        report = EvalReport(tuple(records))
+        # both methods' records come frame by frame, channel by channel
+        psnr_wins, mre_wins = (
+            all(map(better, report.values("fsr", metric), report.values(rc.baseline, metric)))
+            for metric, better in (("psnr_db", operator.gt), ("mre_percent", operator.lt))
+        )
+        summary = "\n".join([
+            f"phantom={rc.phantom} dims={rc.dims} factor={rc.factor} "
+            f"noise_psnr={rc.noise_psnr} seed={rc.seed} tau={rc.tau:g}",
+            *_summary_lines(report, ("fsr", rc.baseline)),
+            f"fsr beats {rc.baseline} on every frame/channel PSNR: {'yes' if psnr_wins else 'NO'}",
+            f"fsr beats {rc.baseline} on every frame MRE: {'yes' if mre_wins else 'NO'}",
+            f"elapsed: {time.perf_counter() - t0:.1f} s",
+        ]) + "\n"
+        for name, text in (("lr.flw4.cal", _calibration_text(cal, degradation)),
+                           ("solve_reports.csv", _solve_report_csv(reports)),
+                           ("metrics.csv", report.to_csv()), ("effective.cfg", format_config_text(rc)),
+                           ("summary.txt", summary)):
+            out.file(path(name)).write(text.encode("utf-8"))
+        out.commit()
     print(summary, end="")
     print(f"artifacts in {out_dir}")
     return 0

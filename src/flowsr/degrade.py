@@ -40,17 +40,19 @@ from .volume import (
     VelocityFrame,
     _adopt,
     extract_velocity,
-    map_channels,
+    map_frame,
     synthesize_complex,
 )
 
 __all__ = [
+    "Acquisition",
     "DegradationConfig",
     "NoiseCalibration",
     "apply_SH",
     "apply_SH_adjoint",
     "calibrate_noise",
     "degrade_dataset",
+    "seeded_rng",
 ]
 
 KERNEL_KINDS = ("ideal", "gaussian")
@@ -136,6 +138,18 @@ def apply_SH_adjoint(
     return ComplexVolume(hr_grid, ifftn_unitary(spec))
 
 
+def seeded_rng(seed: int, *stream: int) -> np.random.Generator:
+    """The generator of ``seed`` or of its sub-stream ``stream``; every seeded draw comes from here.
+
+    SeedSequence splitting keeps ``(seed, *stream)`` streams independent, where
+    XOR-style mixing would collide for permuted indices.  A negative seed
+    raises ``ParameterError`` (numpy's own message is a bare ValueError).
+    """
+    if seed < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng([seed, *stream])
+
+
 def calibrate_noise(
     clean_lr_magnitude: ScalarVolume, target_psnr_db: float, seed: int = 0
 ) -> NoiseCalibration:
@@ -152,110 +166,109 @@ def calibrate_noise(
     """
     if not np.isfinite(target_psnr_db):
         raise ParameterError(f"target PSNR must be finite, got {target_psnr_db}")
-    if seed < 0:  # numpy's own message is a bare ValueError
-        raise ParameterError(f"seed must be >= 0, got {seed}")
+    rng = seeded_rng(seed)
     peak = float(clean_lr_magnitude.data.max())
     if peak <= 0:
         raise CalibrationError("cannot calibrate noise against an all-zero magnitude")
     sigma = peak * 10.0 ** (-target_psnr_db / 20.0) / np.sqrt(2.0)
-    noise = _complex_noise(clean_lr_magnitude.grid.dims, sigma, np.random.default_rng(seed))
+    noise = _complex_noise(clean_lr_magnitude.grid.dims, sigma, rng)
     mse = float(np.mean(np.abs(noise) ** 2))
     achieved = 10.0 * np.log10(peak**2 / mse)
     return NoiseCalibration(sigma=sigma, achieved_psnr_db=achieved, target_psnr_db=target_psnr_db)
-
-
-def _channel_rng(seed: int, frame: int, channel: int) -> np.random.Generator:
-    # SeedSequence splitting keeps (frame, channel) streams independent;
-    # XOR-style mixing would collide for permuted index pairs.
-    return np.random.default_rng([seed, frame, channel])
 
 
 def _complex_noise(shape, sigma: float, rng: np.random.Generator) -> np.ndarray:
     return sigma * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
+class Acquisition:
+    """The simulated acquisition of frames on one HR grid (its kernel built once), frame by frame.
+
+    Per velocity channel: synthesize the complex signal, add calibrated
+    complex Gaussian k-space noise, apply the kernel and decimation, return
+    to image space, and extract velocity (and u's magnitude, which the frame
+    keeps; README, model notes).  Noise streams split per (frame, channel)
+    from ``cfg.rng_seed``, so a fixed seed reproduces each frame bit-for-bit.
+    One noise level serves all frames: :meth:`calibrate` sets it from the
+    peak noiseless LR magnitude of every frame's :meth:`clean` spectra, those
+    of ``sqrt(d) S H x`` (LR-sized), and :meth:`frame` adds noise to them.
+    Amplitudes are sqrt(d) times those of a bare ``S H``; velocities are not.
+    """
+
+    def __init__(self, hr_grid: Grid3, venc: float, cfg: DegradationConfig):
+        self.cfg, self.venc = cfg, venc
+        self.kernel = cfg.kernel_spectrum(hr_grid)
+        self.lr_grid = hr_grid.decimated(cfg.d)
+        # the ideal kernel draws HR noise; at rate 1 it is the identity, where a
+        # transform round trip would give zero-magnitude voxels arbitrary phase
+        self._ideal = self.kernel.lowpass_rates == cfg.d
+        self._identity = self._ideal and self.lr_grid.dims == hr_grid.dims
+
+    def clean(self, frame: VelocityFrame) -> list[np.ndarray]:
+        """The noiseless LR spectra of u, v and w (under the identity, the signals)."""
+        signals = (synthesize_complex(frame.magnitude, frame.channel(ch), self.venc).data for ch in CHANNELS)
+        if self._identity:
+            return list(signals)
+        return [filtered_alias_sum(self.kernel, fftn_unitary(sig), self.cfg.d) for sig in signals]
+
+    def calibrate(self, cleans) -> NoiseCalibration:
+        """The noise for ``cfg.noise_psnr_db`` given all frames' :meth:`clean` spectra (unread when noiseless)."""
+        if self.cfg.noise_psnr_db is None:
+            return NoiseCalibration(sigma=0.0, achieved_psnr_db=np.inf, target_psnr_db=None)
+        peak, peak_volume = -1.0, None
+        for clean in (spectrum for spectra in cleans for spectrum in spectra):
+            clean_mag = np.abs(clean if self._identity else ifftn_unitary(clean))
+            if float(clean_mag.max()) > peak:
+                peak, peak_volume = float(clean_mag.max()), clean_mag
+        if peak <= 0:
+            raise CalibrationError("noiseless LR magnitude is zero everywhere")
+        return calibrate_noise(ScalarVolume(self.lr_grid, peak_volume), self.cfg.noise_psnr_db,
+                               seed=self.cfg.rng_seed)
+
+    def frame(self, f_idx: int, frame: VelocityFrame, cal: NoiseCalibration, cleans=None) -> VelocityFrame:
+        """Frame ``f_idx`` acquired with ``cal``'s noise, from its :meth:`clean` spectra when given."""
+        d = self.cfg.d
+        cleans = self.clean(frame) if cleans is None else cleans
+        # one HR buffer that the frame's full-k-space draws go through
+        draws = np.empty(self.kernel.grid.dims) if self._ideal and cal.sigma > 0 else None
+
+        def lr_channel(f_idx: int, frame: VelocityFrame, ch: str, keep_magnitude: bool):
+            clean = cleans[CHANNELS.index(ch)]
+            if cal.sigma == 0:
+                signal = clean if self._identity else ifftn_unitary(clean)
+            else:
+                rng = seeded_rng(self.cfg.rng_seed, f_idx, CHANNELS.index(ch))
+                if self._ideal:
+                    # literal protocol: noise over the full HR k-space, then
+                    # truncation.  Truncation only selects, so truncating each draw
+                    # first gives the same bits with the arithmetic at LR size
+                    real = filtered_alias_sum(self.kernel, rng.standard_normal(out=draws), d)
+                    imag = filtered_alias_sum(self.kernel, rng.standard_normal(out=draws), d)
+                    noise = cal.sigma * (real + 1j * imag)
+                else:
+                    # white noise on the LR k-space keeps the noise white per the
+                    # forward model (a subsample after the filter would otherwise
+                    # fold kernel-shaped noise)
+                    noise = _complex_noise(self.lr_grid.dims, cal.sigma, rng)
+                signal = ifftn_unitary((fftn_unitary(clean) if self._identity else clean) + noise)
+            # finite by construction; extract_velocity checks the magnitude it takes
+            return extract_velocity(_adopt(ComplexVolume, self.lr_grid, signal), self.venc,
+                                    magnitude=keep_magnitude)
+
+        return map_frame(f_idx, frame, lr_channel)
+
+
 def degrade_dataset(
     hr: VelocityDataset, cfg: DegradationConfig
 ) -> tuple[VelocityDataset, NoiseCalibration]:
-    """Simulate the low-resolution acquisition of a high-resolution dataset.
-
-    Per frame and velocity channel: synthesize the complex signal, add
-    calibrated complex Gaussian k-space noise, apply the kernel and
-    decimation, return to image space, and extract magnitude and velocity.
-    Noise streams are split per (frame, channel) from ``cfg.rng_seed``; a
-    fixed seed reproduces the dataset bit-for-bit.
-
-    The noise std is calibrated once against the global peak of the
-    noiseless LR magnitudes over all frames and channels, so one noise level
-    serves the whole dataset.  That calibration pass keeps each channel's
-    noiseless LR spectrum, that of ``sqrt(d) S H x``, as a plain array, and the
-    noisy pass adds noise to it, so every channel is synthesized and
-    transformed once and wrapped only as the LR signal whose velocity is
-    extracted.  The stored LR magnitude comes from the u channel; the others
-    differ from it even without noise (README, model notes).
-    Note the pipeline scales amplitudes by sqrt(d) relative to a bare
-    ``S H``; velocities, living in the phase, are unaffected.
+    """Simulate the low-resolution acquisition of a high-resolution dataset (see :class:`Acquisition`).
 
     Returns the LR dataset and the calibration used (sigma 0 and an
     infinite achieved PSNR when ``cfg.noise_psnr_db`` is None).
     """
-    d = cfg.d
-    lr_grid = hr.grid.decimated(d)
-    venc = hr.params.venc
-    kernel = cfg.kernel_spectrum(hr.grid)
-    # the ideal kernel draws HR noise; at rate 1 it is the identity, where a
-    # transform round trip would give zero-magnitude voxels arbitrary phase
-    ideal = kernel.lowpass_rates == d
-    identity = ideal and lr_grid.dims == hr.grid.dims
-
-    def clean_channel(frame: VelocityFrame, ch: str) -> np.ndarray:
-        # the noiseless LR spectrum (the signal itself under the identity)
-        sig = synthesize_complex(frame.magnitude, frame.channel(ch), venc).data
-        return sig if identity else filtered_alias_sum(kernel, fftn_unitary(sig), d)
-
-    cleans = None
-    if cfg.noise_psnr_db is None:
-        cal = NoiseCalibration(sigma=0.0, achieved_psnr_db=np.inf, target_psnr_db=None)
-    else:
-        cleans = {}
-        peak_volume = None
-        peak = -1.0
-        for f_idx, frame in enumerate(hr.frames):
-            for ch in CHANNELS:
-                cleans[f_idx, ch] = clean = clean_channel(frame, ch)
-                clean_mag = np.abs(clean if identity else ifftn_unitary(clean))
-                if float(clean_mag.max()) > peak:
-                    peak = float(clean_mag.max())
-                    peak_volume = clean_mag
-        if peak <= 0:
-            raise CalibrationError("noiseless LR magnitude is zero everywhere")
-        cal = calibrate_noise(
-            ScalarVolume(lr_grid, peak_volume), cfg.noise_psnr_db, seed=cfg.rng_seed
-        )
-
-    # one HR buffer that every channel's full-k-space draws go through
-    draws = np.empty(hr.grid.dims) if ideal and cal.sigma > 0 else None
-
-    def lr_channel(f_idx: int, frame: VelocityFrame, ch: str, keep_magnitude: bool):
-        clean = clean_channel(frame, ch) if cleans is None else cleans.pop((f_idx, ch))
-        if cal.sigma == 0:
-            signal = clean if identity else ifftn_unitary(clean)
-        else:
-            rng = _channel_rng(cfg.rng_seed, f_idx, CHANNELS.index(ch))
-            if ideal:
-                # literal protocol: noise over the full HR k-space, then
-                # truncation.  Truncation only selects, so truncating each draw
-                # first gives the same bits with the arithmetic at LR size
-                real = filtered_alias_sum(kernel, rng.standard_normal(out=draws), d)
-                imag = filtered_alias_sum(kernel, rng.standard_normal(out=draws), d)
-                noise = cal.sigma * (real + 1j * imag)
-            else:
-                # white noise on the LR k-space keeps the noise white per the
-                # forward model (a subsample after the filter would otherwise
-                # fold kernel-shaped noise)
-                noise = _complex_noise(lr_grid.dims, cal.sigma, rng)
-            signal = ifftn_unitary((fftn_unitary(clean) if identity else clean) + noise)
-        # finite by construction; extract_velocity checks the magnitude it takes
-        return extract_velocity(_adopt(ComplexVolume, lr_grid, signal), venc, magnitude=keep_magnitude)
-
-    return map_channels(hr, lr_channel), cal
+    acq = Acquisition(hr.grid, hr.params.venc, cfg)
+    cleans = None if cfg.noise_psnr_db is None else [acq.clean(frame) for frame in hr.frames]
+    cal = acq.calibrate(cleans)
+    frames = [acq.frame(f_idx, frame, cal, cleans.pop(0) if cleans else None)
+              for f_idx, frame in enumerate(hr.frames)]
+    return VelocityDataset(hr.params, tuple(frames)), cal

@@ -10,7 +10,7 @@ magnitude volume, and channels that are zero throughout share one zero volume.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -21,9 +21,10 @@ from .volume import (
     ScalarVolume,
     VelocityDataset,
     VelocityFrame,
+    _adopt,
 )
 
-__all__ = ["PHANTOMS", "pulsatile_profile", "poiseuille_phantom", "helix_phantom"]
+__all__ = ["PHANTOMS", "pulsatile_profile", "tube_frames", "poiseuille_phantom", "helix_phantom"]
 
 PHANTOMS = ("poiseuille", "helix")
 
@@ -59,15 +60,29 @@ def _tube_geometry(grid: Grid3, axis: str, radius_voxels: float):
     return ax, trans, a, b, inside, parabola
 
 
-def _tube_dataset(
-    profiles, grid, radius_voxels, vmax_per_frame, venc, axis, magnitude_in, magnitude_out,
-) -> VelocityDataset:
-    """Check a tube phantom's settings and assemble its frames.
+def tube_frames(
+    phantom: str,
+    grid: Grid3,
+    radius_voxels: float,
+    vmax_per_frame: Sequence[float],
+    venc: float,
+    axis: str = "z",
+    magnitude_in: float = 1.0,
+    magnitude_out: float = 0.0,
+    axial_fraction: float = 0.6,
+) -> Iterator[VelocityFrame]:
+    """The frames of a tube phantom, one of :data:`PHANTOMS`, made one at a time.
 
-    ``profiles(*geometry)`` maps a channel index to ``(factor, shape)``: at
-    peak speed ``v`` that channel is ``factor * v * shape``.  A channel
-    missing from the map is the zero volume shared by all frames.
+    The settings are checked and the tube's geometry is built when this is
+    called; each frame is made when the iteration reaches it, so a caller
+    that drops each frame in turn holds one frame's velocities.  The flows
+    are those of :func:`poiseuille_phantom` and :func:`helix_phantom`,
+    ``axial_fraction`` being the helix's.
     """
+    if phantom not in PHANTOMS:
+        raise ParameterError(f"phantom must be one of {PHANTOMS}, got {phantom!r}")
+    if not 0 < axial_fraction < 1:
+        raise ParameterError(f"axial_fraction must be in (0, 1), got {axial_fraction}")
     if magnitude_in < 0 or magnitude_out < 0:
         raise ParameterError("magnitudes must be nonnegative")
     vmax = tuple(float(v) for v in vmax_per_frame)
@@ -78,20 +93,24 @@ def _tube_dataset(
             f"peak speed {max(abs(v) for v in vmax):g} reaches venc {venc:g}; "
             "encoding would alias"
         )
-    geometry = _tube_geometry(grid, axis, radius_voxels)
-    shapes = profiles(*geometry)
-    magnitude = ScalarVolume(grid, np.where(geometry[4], magnitude_in, magnitude_out))
+    ax, trans, a, b, inside, parabola = _tube_geometry(grid, axis, radius_voxels)
+    # at peak speed v, channel c is factor * v * shape, (factor, shape) = shapes[c];
+    # a channel missing from the map is the zero volume shared by all frames
+    shapes = {ax: (1.0, parabola)}
+    if phantom == "helix":
+        swirl_scale = np.sqrt(1.0 - axial_fraction**2) / radius_voxels
+        shapes = {
+            trans[0]: (1.0, np.where(inside, -b * swirl_scale, 0.0)),  # -omega * second coord
+            trans[1]: (1.0, np.where(inside, a * swirl_scale, 0.0)),
+            ax: (axial_fraction, parabola),
+        }
+    magnitude = ScalarVolume(grid, np.where(inside, magnitude_in, magnitude_out))
     zero = ScalarVolume(grid, np.zeros(grid.dims)) if len(shapes) < 3 else None
 
-    frames = []
-    for v_peak in vmax:
-        u, v, w = (
-            ScalarVolume(grid, shapes[c][0] * v_peak * shapes[c][1]) if c in shapes else zero
-            for c in range(3)
-        )
-        frames.append(VelocityFrame(magnitude=magnitude, u=u, v=v, w=w))
-    params = AcquisitionParams(venc=venc, frame_count=len(vmax))
-    return VelocityDataset(params, tuple(frames))
+    def channel(c: int, v_peak: float) -> ScalarVolume:  # finite: so are the shapes, and v_peak < venc
+        return _adopt(ScalarVolume, grid, shapes[c][0] * v_peak * shapes[c][1]) if c in shapes else zero
+
+    return (VelocityFrame(magnitude, *(channel(c, v_peak) for c in range(3))) for v_peak in vmax)
 
 
 def poiseuille_phantom(
@@ -110,10 +129,9 @@ def poiseuille_phantom(
     inside and ``magnitude_out`` outside, so a magnitude threshold recovers
     the tube exactly when the outside value is smaller.
     """
-    return _tube_dataset(
-        lambda ax, trans, a, b, inside, parabola: {ax: (1.0, parabola)},
-        grid, radius_voxels, vmax_per_frame, venc, axis, magnitude_in, magnitude_out,
-    )
+    frames = tuple(tube_frames("poiseuille", grid, radius_voxels, vmax_per_frame, venc, axis,
+                               magnitude_in, magnitude_out))
+    return VelocityDataset(AcquisitionParams(venc=venc, frame_count=len(frames)), frames)
 
 
 def helix_phantom(
@@ -135,17 +153,6 @@ def helix_phantom(
     ``vmax`` everywhere.  Every term is independent of the axial coordinate
     and the swirl is solenoidal, so the analytic divergence is zero.
     """
-    if not 0 < axial_fraction < 1:
-        raise ParameterError(f"axial_fraction must be in (0, 1), got {axial_fraction}")
-
-    def profiles(ax, trans, a, b, inside, parabola):
-        swirl_scale = np.sqrt(1.0 - axial_fraction**2) / radius_voxels
-        return {
-            trans[0]: (1.0, np.where(inside, -b * swirl_scale, 0.0)),  # -omega * second coord
-            trans[1]: (1.0, np.where(inside, a * swirl_scale, 0.0)),
-            ax: (axial_fraction, parabola),
-        }
-
-    return _tube_dataset(
-        profiles, grid, radius_voxels, vmax_per_frame, venc, axis, magnitude_in, magnitude_out,
-    )
+    frames = tuple(tube_frames("helix", grid, radius_voxels, vmax_per_frame, venc, axis,
+                               magnitude_in, magnitude_out, axial_fraction))
+    return VelocityDataset(AcquisitionParams(venc=venc, frame_count=len(frames)), frames)

@@ -72,7 +72,7 @@ from .volume import (
     _check_finite,
     _phase_encode,
     extract_velocity,
-    map_channels,
+    map_frame,
 )
 
 __all__ = [
@@ -259,4 +259,5 @@ def superresolve_dataset(
             reports.append((f_idx, ch, rep))
         return extract_velocity(x_hat, venc, magnitude=keep_magnitude)
 
-    return map_channels(lr, sr_channel)
+    frames = (map_frame(f_idx, frame, sr_channel) for f_idx, frame in enumerate(lr.frames))
+    return VelocityDataset(lr.params, tuple(frames))

@@ -20,8 +20,10 @@ offset size   field
 ====== ====== =======================================================
 
 Writes are atomic (temp file in the target directory, then rename), so an
-interrupted run never leaves a truncated file that parses.  :func:`atomic_write`
-is the one writer behind this and every other file the command line writes.
+interrupted run never leaves a truncated file that parses.  :class:`StreamWriter`
+is the one writer behind this and every other file the command line writes:
+it takes volume files block by block, in file order, and commits a set of
+files together.  :func:`save_dataset` and :func:`atomic_write` wrap it.
 
 :func:`open_channels` is the one read path: it checks the header and the
 file size before any sample, then yields the payload one channel block at a
@@ -51,7 +53,8 @@ from .volume import (
 )
 
 __all__ = [
-    "MAGIC", "VERSION", "HEADER_SIZE", "atomic_write", "save_dataset", "open_channels", "load_dataset",
+    "MAGIC", "VERSION", "HEADER_SIZE", "StreamWriter", "VolumeStream", "atomic_write", "save_dataset",
+    "open_channels", "load_dataset",
 ]
 
 MAGIC = b"FLW4"
@@ -60,36 +63,103 @@ LAYOUT_MAG_UVW = 1
 _HEADER = struct.Struct("<4sHH4I4d")
 HEADER_SIZE = _HEADER.size  # 56
 _CHANNELS = ("magnitude", "u", "v", "w")
+_SLAB = 16  # x and z extent of the slabs a transposing copy walks
 
 
-def _channel_bytes(frame: VelocityFrame, f_idx: int, channel: str) -> np.ndarray:
-    # one float32 copy in file order; the flat view of it is the chunk's buffer
+def _channel_bytes(data: np.ndarray, f_idx: int, channel: str) -> np.ndarray:
+    # one float32 copy in file order (x fastest): out[z, y, x] = data[x, y, z].  A
+    # C-ordered volume is transposed slab by slab, 16 x n x 16, which stays in
+    # cache where one transposing cast of a 128^3 volume does not
+    out = np.empty(data.shape[::-1], dtype="<f4")
+    src = data.T
     with np.errstate(over="ignore"):  # overflow is reported below, by channel
-        data = np.asfortranarray(getattr(frame, channel).data, dtype="<f4").ravel(order="F")
-    if not np.isfinite(data).all():
+        if src.flags.c_contiguous:  # an x-fastest volume, such as a loaded one, casts in one pass
+            out[...] = src
+        else:
+            for z in range(0, out.shape[0], _SLAB):
+                for x in range(0, out.shape[2], _SLAB):
+                    out[z:z + _SLAB, :, x:x + _SLAB] = src[z:z + _SLAB, :, x:x + _SLAB]
+    out = out.reshape(-1)
+    if not np.isfinite(out).all():
         raise ParameterError(f"frame {f_idx} channel {channel} overflows float32")
-    return data
+    return out
+
+
+class StreamWriter:
+    """Files written piece by piece to temp files beside their targets, committed all or nothing.
+
+    :meth:`commit` checks that each :meth:`volume` stream has all its blocks,
+    closes the temp files and renames each over its target.  Leaving the
+    ``with`` block uncommitted removes every temp file, so each target keeps
+    what it had; only a failing rename can leave some targets replaced.
+    """
+
+    def __init__(self):
+        self._files, self._volumes = [], []  # (target, temp path, temp file); streams
+
+    def __enter__(self) -> "StreamWriter":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        for _, tmp_path, fh in self._files:
+            fh.close()
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)
+
+    def file(self, path):  # a binary temp file, to replace ``path`` at the commit
+        fd, tmp_path = tempfile.mkstemp(prefix=".flowsr-", dir=os.path.dirname(os.path.abspath(path)))
+        self._files.append((os.fspath(path), tmp_path, os.fdopen(fd, "wb")))
+        return self._files[-1][2]
+
+    def volume(self, path, grid: Grid3, params: AcquisitionParams) -> "VolumeStream":
+        self._volumes.append(VolumeStream(self.file(path), os.fspath(path), grid, params))
+        return self._volumes[-1]
+
+    def commit(self) -> None:
+        for stream in self._volumes:
+            stream.check_complete()
+        for _, _, fh in self._files:
+            fh.close()
+        for path, tmp_path, _ in self._files:
+            os.replace(tmp_path, path)
+
+
+class VolumeStream:
+    """One version-1 volume file of a :class:`StreamWriter`: its header, then its blocks."""
+
+    def __init__(self, fh, path: str, grid: Grid3, params: AcquisitionParams):
+        self._fh, self._path, self._dims = fh, path, grid.dims
+        self._due = itertools.product(range(params.frame_count), _CHANNELS)
+        self._next = next(self._due)
+        fh.write(_HEADER.pack(MAGIC, VERSION, LAYOUT_MAG_UVW, *grid.dims, params.frame_count,
+                              params.venc, *grid.spacing))
+
+    def write(self, frame: int, channel: str, data: np.ndarray) -> None:
+        """Append block ``(frame, channel)``, due frame by frame: magnitude, u, v, w (``FormatError`` if not)."""
+        if (frame, channel) != self._next or data.shape != self._dims:
+            raise FormatError(f"{self._path}: got frame {frame} channel {channel} shaped {data.shape}, "
+                              f"expected {self._next or 'no block'} shaped {self._dims}")
+        self._fh.write(_channel_bytes(data, frame, channel))
+        self._next = next(self._due, None)
+
+    def write_frame(self, f_idx: int, frame: VelocityFrame) -> None:
+        for ch in _CHANNELS:
+            self.write(f_idx, ch, frame.channel(ch).data)
+
+    def check_complete(self) -> None:
+        if self._next is not None:
+            raise FormatError(f"{self._path}: blocks missing from (frame, channel) {self._next} on")
 
 
 def atomic_write(path, chunks) -> None:
-    """Write the bytes-like ``chunks`` to ``path``, all or nothing.
+    """Write the bytes-like ``chunks`` to ``path`` through a :class:`StreamWriter`, all or nothing.
 
-    The bytes go to a temp file in the target directory, which replaces
-    ``path`` only once the last chunk is written; on any failure the temp
-    file is removed and ``path`` keeps what it had.  ``chunks`` is consumed
-    lazily and each chunk is released before the next is made, so a
-    generator keeps one chunk in memory at a time.
+    ``chunks`` is consumed lazily and each chunk is released before the next
+    is made, so a generator keeps one chunk in memory at a time.
     """
-    path = os.fspath(path)
-    fd, tmp_path = tempfile.mkstemp(prefix=".flowsr-", dir=os.path.dirname(os.path.abspath(path)))
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp_path, path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+    with StreamWriter() as out:
+        out.file(path).writelines(chunks)
+        out.commit()
 
 
 def save_dataset(ds: VelocityDataset, path) -> None:
@@ -98,20 +168,11 @@ def save_dataset(ds: VelocityDataset, path) -> None:
     Samples are stored as float32; a channel with values beyond its range
     raises ``ParameterError`` and leaves ``path`` as it was.
     """
-    grid = ds.grid
-    header = _HEADER.pack(
-        MAGIC,
-        VERSION,
-        LAYOUT_MAG_UVW,
-        grid.m,
-        grid.n,
-        grid.s,
-        len(ds.frames),
-        ds.params.venc,
-        *grid.spacing,
-    )
-    channels = (_channel_bytes(f, i, ch) for i, f in enumerate(ds.frames) for ch in _CHANNELS)
-    atomic_write(path, itertools.chain([header], channels))
+    with StreamWriter() as out:
+        stream = out.volume(path, ds.grid, ds.params)
+        for f_idx, frame in enumerate(ds.frames):
+            stream.write_frame(f_idx, frame)
+        out.commit()
 
 
 @contextlib.contextmanager

@@ -36,7 +36,7 @@ __all__ = [
     "unravel_lex",
     "synthesize_complex",
     "extract_velocity",
-    "map_channels",
+    "map_frame",
 ]
 
 CHANNELS = ("u", "v", "w")
@@ -298,26 +298,23 @@ def extract_velocity(
     return mag, _adopt(ScalarVolume, signal.grid, vel)
 
 
-def map_channels(
-    ds: VelocityDataset,
+def map_frame(
+    f_idx: int,
+    frame: VelocityFrame,
     channel_fn: Callable[[int, VelocityFrame, str, bool], tuple[ScalarVolume | None, ScalarVolume]],
-) -> VelocityDataset:
-    """Build a dataset by mapping every frame and velocity channel of ``ds``.
+) -> VelocityFrame:
+    """Build frame ``f_idx`` of an output by mapping each velocity channel of its input ``frame``.
 
-    ``channel_fn(frame_index, frame, channel, keep_magnitude)`` returns the
-    ``(magnitude, velocity)`` pair of one channel, and is called frame by
-    frame in :data:`CHANNELS` order.  Each output frame keeps every
-    channel's velocity and the u channel's magnitude (the others differ from
-    it where a low-pass filters their phase), so ``keep_magnitude`` is true
-    for u alone, and the magnitude returned for v and w, None or not, is
-    dropped.  The output keeps ``ds.params``.
+    ``channel_fn(f_idx, frame, channel, keep_magnitude)`` returns the
+    ``(magnitude, velocity)`` pair of one channel, and is called in
+    :data:`CHANNELS` order.  The output frame keeps every channel's velocity
+    and the u channel's magnitude (the others differ from it where a
+    low-pass filters their phase), so ``keep_magnitude`` is true for u
+    alone, and the magnitude returned for v and w, None or not, is dropped.
     """
-    frames = []
-    for f_idx, frame in enumerate(ds.frames):
-        out: dict[str, ScalarVolume] = {}
-        for ch in CHANNELS:
-            mag, out[ch] = channel_fn(f_idx, frame, ch, ch == "u")
-            if ch == "u":
-                out["magnitude"] = mag
-        frames.append(VelocityFrame(**out))
-    return VelocityDataset(ds.params, tuple(frames))
+    out: dict[str, ScalarVolume] = {}
+    for ch in CHANNELS:
+        mag, out[ch] = channel_fn(f_idx, frame, ch, ch == "u")
+        if ch == "u":
+            out["magnitude"] = mag
+    return VelocityFrame(**out)

@@ -8,7 +8,25 @@ import scipy.fft
 import flowsr.cli
 import flowsr.interp
 import flowsr.solver
-from flowsr import EvalReport, FormatError, RunConfig, VelocityDataset, evaluate, load_dataset, save_dataset
+import flowsr.volio
+from flowsr import (
+    DegradationConfig,
+    EvalReport,
+    FormatError,
+    Grid3,
+    RunConfig,
+    SolverConfig,
+    VelocityDataset,
+    degrade_dataset,
+    evaluate,
+    format_config_text,
+    helix_phantom,
+    load_dataset,
+    pulsatile_profile,
+    save_dataset,
+    superresolve_dataset,
+    upsample_dataset,
+)
 from flowsr.cli import main
 from flowsr.interp import _axis_weights
 from flowsr.volio import HEADER_SIZE, atomic_write
@@ -506,6 +524,78 @@ class TestPipeline:
         assert run("pipeline", "--out-dir", str(out2), "--config", str(out1 / "effective.cfg")) == 0
         for name in ("hr.flw4", "lr.flw4", "sr_fsr.flw4", "sr_trilinear.flw4", "metrics.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_outputs_equal_those_of_the_whole_dataset_stages(self, tmp_path):
+        # pipeline streams frame by frame through the cores that the dataset calls wrap
+        rc = RunConfig(phantom="helix", dims=(12, 8, 10), frames=3, factor=(2, 2, 1),
+                       kernel="gaussian", noise_psnr=12.0, seed=5, tau=0.3, prior="zero-fill",
+                       baseline="tricubic", mask_threshold=0.2)
+        config = tmp_path / "run.cfg"
+        config.write_text(format_config_text(rc))
+        run_dir = tmp_path / "run"
+        assert run("pipeline", "--out-dir", str(run_dir), "--config", str(config)) == 0
+
+        hr = helix_phantom(Grid3(*rc.dims), radius_voxels=rc.effective_radius(),
+                           vmax_per_frame=pulsatile_profile(rc.vmax, rc.frames), venc=rc.venc)
+        degradation = DegradationConfig(d=rc.factor, kernel=rc.kernel, noise_psnr_db=rc.noise_psnr,
+                                        rng_seed=rc.seed)
+        lr, _ = degrade_dataset(hr, degradation)
+        cfg = SolverConfig(tau=rc.tau, kernel=degradation.kernel_spectrum(hr.grid), d=rc.factor,
+                           prior=rc.prior)
+        reports = []
+        sr = superresolve_dataset(lr, cfg, hr.grid, reports=reports)
+        base = upsample_dataset(lr, rc.factor, rc.baseline)
+        for name, ds in (("hr.flw4", hr), ("lr.flw4", lr), ("sr_fsr.flw4", sr), ("sr_tricubic.flw4", base)):
+            save_dataset(ds, tmp_path / name)
+            assert (run_dir / name).read_bytes() == (tmp_path / name).read_bytes(), name
+        report = evaluate(sr, hr, base, rc.mask_threshold, "fsr", rc.baseline)
+        assert (run_dir / "metrics.csv").read_text() == report.to_csv()
+        # each solve keeps its true frame index
+        rows = [line.rsplit(",", 1)[0] for line in (run_dir / "solve_reports.csv").read_text().splitlines()]
+        assert rows[1:] == [f"{f},{ch},{r.residual_norm!r},{r.prior_distance!r},{r.objective!r}"
+                            for f, ch, r in reports]
+        assert [row.split(",")[:2] for row in rows[1:]] == [[str(f), c] for f in range(3) for c in "uvw"]
+
+    def test_a_late_failure_leaves_every_file_as_it_was(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        argv = ["pipeline", "--out-dir", str(out), "--dims", "16,16,8", "--frames", "3",
+                "--factor", "2,2,2", "--seed", "4"]
+        assert run(*argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        calls = []
+        real = flowsr.volio._channel_bytes
+
+        def fail_in_the_last_block(data, f_idx, channel):
+            # the last frame's w goes to hr, lr, sr_fsr and then sr_trilinear
+            calls.append((f_idx, channel))
+            if calls.count((2, "w")) == 4:
+                raise OSError("no space left on device")
+            return real(data, f_idx, channel)
+
+        monkeypatch.setattr(flowsr.volio, "_channel_bytes", fail_in_the_last_block)
+        assert run(*argv[:-1], "5") == 1
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        # a first run that fails leaves nothing at all
+        calls.clear()
+        fresh = tmp_path / "fresh"
+        assert run(*argv[:2], str(fresh), *argv[3:]) == 1
+        assert list(fresh.iterdir()) == []
+
+    def test_peak_memory_does_not_grow_with_the_frame_count(self, tmp_path):
+        # one frame at a time: 2 to 8 frames adds less than one HR frame in float64
+        def peak(frames):
+            argv = ["pipeline", "--out-dir", str(tmp_path / f"f{frames}"), "--dims", "16,16,16",
+                    "--factor", "4,4,4", "--frames", str(frames)]
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert run(*argv) == 0
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # caches warm: interpolation weights, FFT plans
+        assert peak(8) - peak(2) < 4 * 8 * 16**3
 
     def test_nonpositive_noise_psnr_means_noiseless(self, tmp_path):
         out = tmp_path / "run"

@@ -24,6 +24,8 @@ from flowsr import (
     poiseuille_phantom,
     synthesize_complex,
 )
+from flowsr.degrade import Acquisition, seeded_rng
+from flowsr.phantom import tube_frames
 from flowsr.spectral import alias_sum
 
 from conftest import random_complex, rel_err, reverse_frames, swap_axes
@@ -400,3 +402,37 @@ class TestDegradationConfig:
         cfg = DegradationConfig(d=(2, 2, 2), kernel="gaussian")
         spec = cfg.kernel_spectrum(Grid3(8, 8, 8))
         assert abs(spec.values[2, 0, 0] - 0.5) < 1e-12  # half gain at L/2 bins
+
+
+class TestSeededRng:
+    def test_negative_seed_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="seed must be >= 0, got -3"):
+            seeded_rng(-3)
+        with pytest.raises(ParameterError, match="seed must be >= 0, got -1"):
+            seeded_rng(-1, 0, 2)
+
+    def test_streams_are_numpys_seed_sequences(self):
+        # the key flowsr has always drawn from: default_rng(seed) and default_rng([seed, frame, channel])
+        assert np.array_equal(seeded_rng(9).standard_normal(4),
+                              np.random.default_rng(9).standard_normal(4))
+        assert np.array_equal(seeded_rng(9, 1, 2).standard_normal(4),
+                              np.random.default_rng([9, 1, 2]).standard_normal(4))
+        assert not np.array_equal(seeded_rng(9, 1, 2).standard_normal(4),
+                                  seeded_rng(9, 2, 1).standard_normal(4))
+
+
+class TestAcquisition:
+    @pytest.mark.parametrize("kernel, noise", [("ideal", 15.0), ("gaussian", 10.0), ("ideal", None)])
+    def test_frame_by_frame_equals_degrade_dataset(self, kernel, noise):
+        # the per-frame core, fed one rebuilt phantom frame at a time, is degrade_dataset's
+        g = Grid3(12, 8, 6)
+        kwargs = dict(radius_voxels=2.5, vmax_per_frame=[90.0, 60.0, 30.0], venc=120.0)
+        cfg = DegradationConfig(d=(2, 2, 3), kernel=kernel, noise_psnr_db=noise, rng_seed=4)
+        lr, cal = degrade_dataset(helix_phantom(g, **kwargs), cfg)
+        acq = Acquisition(g, 120.0, cfg)
+        cleans = [None if noise is None else acq.clean(f) for f in tube_frames("helix", g, **kwargs)]
+        assert acq.calibrate(cleans) == cal
+        for f_idx, frame in enumerate(tube_frames("helix", g, **kwargs)):
+            mine = acq.frame(f_idx, frame, cal, cleans[f_idx])
+            for ch in ("magnitude", "u", "v", "w"):
+                assert np.array_equal(mine.channel(ch).data, lr.frames[f_idx].channel(ch).data)

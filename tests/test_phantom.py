@@ -8,6 +8,7 @@ from flowsr import (
     poiseuille_phantom,
     pulsatile_profile,
 )
+from flowsr.phantom import tube_frames
 
 
 class TestPulsatileProfile:
@@ -146,3 +147,32 @@ class TestHelix:
     def test_axial_fraction_domain(self):
         with pytest.raises(ParameterError):
             helix_phantom(Grid3(16, 16, 8), 5, [90.0], 150.0, axial_fraction=1.0)
+
+
+class TestTubeFrames:
+    @pytest.mark.parametrize("phantom, build", [("poiseuille", poiseuille_phantom), ("helix", helix_phantom)])
+    def test_frames_are_the_phantoms(self, phantom, build):
+        g = Grid3(10, 9, 6)
+        kwargs = dict(radius_voxels=3, vmax_per_frame=[80.0, 55.0, 30.0], venc=120.0, axis="y",
+                      magnitude_out=0.2)
+        ds = build(g, **kwargs)
+        frames = list(tube_frames(phantom, g, **kwargs))
+        assert len(frames) == 3
+        for mine, theirs in zip(frames, ds.frames):
+            for ch in ("magnitude", "u", "v", "w"):
+                assert np.array_equal(mine.channel(ch).data, theirs.channel(ch).data)
+                assert not mine.channel(ch).data.flags.writeable
+
+    def test_settings_are_checked_before_any_frame(self):
+        with pytest.raises(ParameterError, match="reaches venc"):
+            tube_frames("poiseuille", Grid3(8, 8, 8), radius_voxels=2, vmax_per_frame=[200.0], venc=100.0)
+        with pytest.raises(ParameterError, match="phantom"):
+            tube_frames("sphere", Grid3(8, 8, 8), radius_voxels=2, vmax_per_frame=[50.0], venc=100.0)
+
+    def test_each_frame_is_made_when_reached(self):
+        frames = tube_frames("helix", Grid3(8, 8, 8), radius_voxels=2, vmax_per_frame=[50.0, 20.0],
+                             venc=100.0)
+        first = next(frames)
+        second = next(frames)
+        assert first.u is not second.u and first.magnitude is second.magnitude
+        assert next(frames, None) is None

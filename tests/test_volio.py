@@ -20,7 +20,7 @@ from flowsr import (
     poiseuille_phantom,
     save_dataset,
 )
-from flowsr.volio import HEADER_SIZE, MAGIC, VERSION, atomic_write, open_channels
+from flowsr.volio import HEADER_SIZE, MAGIC, VERSION, StreamWriter, atomic_write, open_channels
 
 from conftest import swap_axes
 
@@ -218,6 +218,134 @@ class TestAtomicWrite:
         with pytest.raises(OSError, match="no space"):
             save_dataset(dataset, tmp_path / "new.flw4")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ds.flw4"]
+
+
+class TestChannelBytes:
+    @pytest.mark.parametrize("dims", [(33, 17, 19), (64, 64, 32), (16, 1, 40), (1, 1, 1)])
+    @pytest.mark.parametrize("order", ["C", "F", "strided"])
+    def test_bytes_of_the_one_pass_cast(self, rng, dims, order):
+        # the slab-by-slab transpose writes what one transposing cast writes
+        data = rng.standard_normal(dims) * 1e3
+        if order == "F":
+            data = np.asfortranarray(data)
+        elif order == "strided":
+            data = rng.standard_normal((2 * dims[0], dims[1], dims[2]))[::2]
+        got = flowsr.volio._channel_bytes(data, 0, "u")
+        assert got.dtype == np.dtype("<f4") and got.shape == (data.size,)
+        assert got.tobytes() == np.asfortranarray(data, dtype="<f4").ravel(order="F").tobytes()
+
+
+def _stream_targets(tmp_path, dataset, names=("a", "b", "c", "d")):
+    # four targets holding old bytes, as a pipeline rerun finds them
+    paths = [tmp_path / f"{name}.flw4" for name in names]
+    for path in paths:
+        path.write_bytes(b"old " + path.name.encode())
+    return paths
+
+
+def _targets_unchanged(tmp_path, paths):
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths)
+    for path in paths:
+        assert path.read_bytes() == b"old " + path.name.encode()
+
+
+class TestStreamWriter:
+    def test_streamed_files_equal_saved_ones(self, tmp_path, dataset):
+        save_dataset(dataset, tmp_path / "saved.flw4")
+        with StreamWriter() as out:
+            streams = [out.volume(tmp_path / f"{i}.flw4", dataset.grid, dataset.params) for i in range(2)]
+            for f_idx, frame in enumerate(dataset.frames):  # interleaved, frame by frame
+                for stream in streams:
+                    stream.write_frame(f_idx, frame)
+            out.file(tmp_path / "notes.txt").write(b"done\n")
+            assert sorted(p.name for p in tmp_path.iterdir() if not p.name.startswith(".")) == ["saved.flw4"]
+            out.commit()
+        for i in range(2):
+            assert (tmp_path / f"{i}.flw4").read_bytes() == (tmp_path / "saved.flw4").read_bytes()
+        assert (tmp_path / "notes.txt").read_bytes() == b"done\n"
+        assert not list(tmp_path.glob(".flowsr-*"))
+
+    def test_overflow_in_a_late_frame_keeps_all_four_targets(self, tmp_path, dataset):
+        paths = _stream_targets(tmp_path, dataset)
+        huge = np.full(dataset.grid.dims, 1e39)
+        with pytest.raises(ParameterError, match="frame 1 channel w overflows float32"):
+            with StreamWriter() as out:
+                streams = [out.volume(p, dataset.grid, dataset.params) for p in paths]
+                streams[0].write_frame(0, dataset.frames[0])
+                streams[0].write_frame(1, dataset.frames[1])
+                for stream in streams[1:]:
+                    stream.write_frame(0, dataset.frames[0])
+                frame = dataset.frames[1]
+                for ch in ("magnitude", "u", "v"):
+                    streams[3].write(1, ch, frame.channel(ch).data)
+                streams[3].write(1, "w", huge)
+        _targets_unchanged(tmp_path, paths)
+
+    def test_oserror_in_a_late_frame_keeps_all_four_targets(self, tmp_path, dataset, monkeypatch):
+        paths = _stream_targets(tmp_path, dataset)
+        calls = []
+        real = flowsr.volio._channel_bytes
+
+        def fail_late(*args):
+            calls.append(args)
+            if len(calls) == 16 + 3 * 4 + 3:  # frame 1's v block in the last of the four files
+                raise OSError("no space left on device")
+            return real(*args)
+
+        monkeypatch.setattr(flowsr.volio, "_channel_bytes", fail_late)
+        with pytest.raises(OSError, match="no space"):
+            with StreamWriter() as out:
+                streams = [out.volume(p, dataset.grid, dataset.params) for p in paths]
+                for f_idx, frame in enumerate(dataset.frames):
+                    for stream in streams:
+                        stream.write_frame(f_idx, frame)
+                out.commit()
+        assert calls[-1][1:] == (1, "v")
+        _targets_unchanged(tmp_path, paths)
+
+    @pytest.mark.parametrize("block", [(0, "u"), (1, "magnitude"), (0, "velocity")])
+    def test_block_out_of_order_is_a_format_error(self, tmp_path, dataset, block):
+        path = tmp_path / "ds.flw4"
+        with pytest.raises(FormatError, match=r"expected \(0, 'magnitude'\)"):
+            with StreamWriter() as out:
+                out.volume(path, dataset.grid, dataset.params).write(*block, np.zeros(dataset.grid.dims))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_block_after_the_last_is_a_format_error(self, tmp_path, dataset):
+        with pytest.raises(FormatError, match="expected no block"):
+            with StreamWriter() as out:
+                stream = out.volume(tmp_path / "ds.flw4", dataset.grid, dataset.params)
+                for f_idx, frame in enumerate(dataset.frames):
+                    stream.write_frame(f_idx, frame)
+                stream.write_frame(2, dataset.frames[0])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_block_of_another_shape_is_a_format_error(self, tmp_path, dataset):
+        with pytest.raises(FormatError, match="shaped"):
+            with StreamWriter() as out:
+                out.volume(tmp_path / "ds.flw4", dataset.grid, dataset.params).write(
+                    0, "magnitude", np.zeros((2, 2, 2)))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_blocks_fail_the_commit(self, tmp_path, dataset):
+        paths = _stream_targets(tmp_path, dataset, names=("full", "short"))
+        with pytest.raises(FormatError, match=r"short.flw4: blocks missing from .*\(1, 'w'\)"):
+            with StreamWriter() as out:
+                full, short = (out.volume(p, dataset.grid, dataset.params) for p in paths)
+                for f_idx, frame in enumerate(dataset.frames):
+                    full.write_frame(f_idx, frame)
+                short.write_frame(0, dataset.frames[0])
+                for ch in ("magnitude", "u", "v"):
+                    short.write(1, ch, dataset.frames[1].channel(ch).data)
+                out.commit()
+        _targets_unchanged(tmp_path, paths)
+
+    def test_leaving_without_a_commit_writes_nothing(self, tmp_path, dataset):
+        with StreamWriter() as out:
+            stream = out.volume(tmp_path / "ds.flw4", dataset.grid, dataset.params)
+            for f_idx, frame in enumerate(dataset.frames):
+                stream.write_frame(f_idx, frame)
+        assert list(tmp_path.iterdir()) == []
 
 
 def _header(magic=MAGIC, version=VERSION, layout=1, dims=(2, 2, 2), frames=1,
