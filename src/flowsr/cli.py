@@ -237,7 +237,8 @@ def cmd_pipeline(args) -> int:
     # solves, upsamples and scores it.  Every file is committed at the end, so a
     # failure leaves no partial run
     phantom = _phantom_args(rc)
-    hr_grid, params, single = phantom["grid"], AcquisitionParams(rc.venc, rc.frames), AcquisitionParams(rc.venc)
+    hr_grid, params = phantom["grid"], AcquisitionParams(rc.venc, rc.frames)
+    single = AcquisitionParams(rc.venc)  # of the one-frame datasets
     degradation = _degradation(rc)
     acq = Acquisition(hr_grid, rc.venc, degradation)
     cfg = SolverConfig(tau=rc.tau, kernel=acq.kernel, d=rc.factor, prior=rc.prior)

@@ -206,13 +206,14 @@ class Acquisition:
 
     def clean(self, frame: VelocityFrame) -> list[np.ndarray]:
         """The noiseless LR spectra of u, v and w (under the identity, the signals)."""
-        signals = (synthesize_complex(frame.magnitude, frame.channel(ch), self.venc).data for ch in CHANNELS)
+        signals = (synthesize_complex(frame.magnitude, frame.channel(ch), self.venc).data
+                   for ch in CHANNELS)
         if self._identity:
             return list(signals)
         return [filtered_alias_sum(self.kernel, fftn_unitary(sig), self.cfg.d) for sig in signals]
 
     def calibrate(self, cleans) -> NoiseCalibration:
-        """The noise for ``cfg.noise_psnr_db`` given all frames' :meth:`clean` spectra (unread when noiseless)."""
+        """Noise for ``cfg.noise_psnr_db`` from all frames' :meth:`clean` spectra (unread if noiseless)."""
         if self.cfg.noise_psnr_db is None:
             return NoiseCalibration(sigma=0.0, achieved_psnr_db=np.inf, target_psnr_db=None)
         peak, peak_volume = -1.0, None
@@ -225,7 +226,8 @@ class Acquisition:
         return calibrate_noise(ScalarVolume(self.lr_grid, peak_volume), self.cfg.noise_psnr_db,
                                seed=self.cfg.rng_seed)
 
-    def frame(self, f_idx: int, frame: VelocityFrame, cal: NoiseCalibration, cleans=None) -> VelocityFrame:
+    def frame(self, f_idx: int, frame: VelocityFrame, cal: NoiseCalibration,
+              cleans=None) -> VelocityFrame:
         """Frame ``f_idx`` acquired with ``cal``'s noise, from its :meth:`clean` spectra when given."""
         d = self.cfg.d
         cleans = self.clean(frame) if cleans is None else cleans

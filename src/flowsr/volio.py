@@ -135,7 +135,7 @@ class VolumeStream:
                               params.venc, *grid.spacing))
 
     def write(self, frame: int, channel: str, data: np.ndarray) -> None:
-        """Append block ``(frame, channel)``, due frame by frame: magnitude, u, v, w (``FormatError`` if not)."""
+        """Append block ``(frame, channel)``: frame by frame, magnitude, u, v, w, or ``FormatError``."""
         if (frame, channel) != self._next or data.shape != self._dims:
             raise FormatError(f"{self._path}: got frame {frame} channel {channel} shaped {data.shape}, "
                               f"expected {self._next or 'no block'} shaped {self._dims}")
