@@ -6,6 +6,7 @@ the encoding limit by construction.  Being analytic, they can be sampled on
 the high-resolution grid directly, which makes them exact references for
 end-to-end experiments.  Volumes are immutable, so all frames share one
 magnitude volume, and channels that are zero throughout share one zero volume.
+:func:`tube_frames` makes the frames one at a time; the phantoms collect them.
 """
 
 from __future__ import annotations

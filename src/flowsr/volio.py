@@ -67,18 +67,15 @@ _SLAB = 16  # x and z extent of the slabs a transposing copy walks
 
 
 def _channel_bytes(data: np.ndarray, f_idx: int, channel: str) -> np.ndarray:
-    # one float32 copy in file order (x fastest): out[z, y, x] = data[x, y, z].  A
-    # C-ordered volume is transposed slab by slab, 16 x n x 16, which stays in
-    # cache where one transposing cast of a 128^3 volume does not
+    # one float32 copy in file order (x fastest): out[z, y, x] = data[x, y, z].
+    # flowsr's volumes are C-ordered, so this transposes; slab by slab, 16 x n x 16,
+    # it stays in cache where one transposing cast of a 128^3 volume does not
     out = np.empty(data.shape[::-1], dtype="<f4")
     src = data.T
     with np.errstate(over="ignore"):  # overflow is reported below, by channel
-        if src.flags.c_contiguous:  # an x-fastest volume, such as a loaded one, casts in one pass
-            out[...] = src
-        else:
-            for z in range(0, out.shape[0], _SLAB):
-                for x in range(0, out.shape[2], _SLAB):
-                    out[z:z + _SLAB, :, x:x + _SLAB] = src[z:z + _SLAB, :, x:x + _SLAB]
+        for z in range(0, out.shape[0], _SLAB):
+            for x in range(0, out.shape[2], _SLAB):
+                out[z:z + _SLAB, :, x:x + _SLAB] = src[z:z + _SLAB, :, x:x + _SLAB]
     out = out.reshape(-1)
     if not np.isfinite(out).all():
         raise ParameterError(f"frame {f_idx} channel {channel} overflows float32")
