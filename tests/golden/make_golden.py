@@ -164,7 +164,7 @@ def run_case(name: str) -> dict:
     return _run_cli(case) if case.get("cli") else _run_library(case)
 
 
-def main_make() -> int:
+def write_references() -> int:
     for name in CASES:
         np.savez_compressed(HERE / f"{name}.npz", **run_case(name))
     (HERE / "meta.json").write_text(json.dumps(environment(), indent=1) + "\n", encoding="utf-8")
@@ -174,4 +174,4 @@ def main_make() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main_make())
+    sys.exit(write_references())

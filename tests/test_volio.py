@@ -235,7 +235,7 @@ class TestChannelBytes:
         assert got.tobytes() == np.asfortranarray(data, dtype="<f4").ravel(order="F").tobytes()
 
 
-def _stream_targets(tmp_path, dataset, names=("a", "b", "c", "d")):
+def _stream_targets(tmp_path, names=("a", "b", "c", "d")):
     # four targets holding old bytes, as a pipeline rerun finds them
     paths = [tmp_path / f"{name}.flw4" for name in names]
     for path in paths:
@@ -266,7 +266,7 @@ class TestStreamWriter:
         assert not list(tmp_path.glob(".flowsr-*"))
 
     def test_overflow_in_a_late_frame_keeps_all_four_targets(self, tmp_path, dataset):
-        paths = _stream_targets(tmp_path, dataset)
+        paths = _stream_targets(tmp_path)
         huge = np.full(dataset.grid.dims, 1e39)
         with pytest.raises(ParameterError, match="frame 1 channel w overflows float32"):
             with StreamWriter() as out:
@@ -282,7 +282,7 @@ class TestStreamWriter:
         _targets_unchanged(tmp_path, paths)
 
     def test_oserror_in_a_late_frame_keeps_all_four_targets(self, tmp_path, dataset, monkeypatch):
-        paths = _stream_targets(tmp_path, dataset)
+        paths = _stream_targets(tmp_path)
         calls = []
         real = flowsr.volio._channel_bytes
 
@@ -328,7 +328,7 @@ class TestStreamWriter:
         assert list(tmp_path.iterdir()) == []
 
     def test_missing_blocks_fail_the_commit(self, tmp_path, dataset):
-        paths = _stream_targets(tmp_path, dataset, names=("full", "short"))
+        paths = _stream_targets(tmp_path, names=("full", "short"))
         with pytest.raises(FormatError, match=r"short.flw4: blocks missing from .*\(1, 'w'\)"):
             with StreamWriter() as out:
                 full, short = (out.volume(p, dataset.grid, dataset.params) for p in paths)
