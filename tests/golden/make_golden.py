@@ -1,14 +1,17 @@
 """Golden end-to-end references: seeded runs of small configurations, stored in float64.
 
-    PYTHONPATH=src python tests/golden/make_golden.py
+    PYTHONPATH=src python tests/golden/make_golden.py [case ...]
 
-writes one ``<case>.npz`` per entry of :data:`CASES` and ``meta.json`` (the
-numpy, scipy and platform that made them) next to this file.
+writes one ``<case>.npz`` per entry of :data:`CASES` (or per named case) and
+``meta.json`` (the numpy, scipy and platform that made them) next to this
+file.
 ``tests/test_golden.py`` reruns every case and compares.  The cases cover
 both phantoms, both kernels, both priors, noise on and off, an anisotropic
-factor with an odd low-res length, and two or three frames; ``cli_pipeline``
-runs ``flowsr pipeline`` and reads its files back, so the writer and the
-CSVs are covered too.
+factor with an odd low-res length, and two or three frames.  The ``cli_*``
+cases run ``flowsr pipeline`` and read its files back, so the writer and the
+CSVs are covered too: ``cli_pipeline`` on the ideal kernel, and
+``cli_helix_gaussian`` on the general-kernel path over three noisy frames,
+where a frame-order slip between the pipeline's two passes would show.
 
 Regenerating is a deliberate act: it replaces what the test guards.  A
 change that does it says which outputs moved, by how much and why.
@@ -53,6 +56,9 @@ CASES = {
     "cli_pipeline": dict(cli=True, phantom="poiseuille", dims=(12, 8, 8), frames=2, d=(2, 2, 2),
                          kernel="ideal", prior="trilinear", noise=15.0, seed=7, tau=0.5,
                          baseline="trilinear", axis="z", magnitude_out=0.0),
+    "cli_helix_gaussian": dict(cli=True, phantom="helix", dims=(8, 8, 6), frames=3, d=(2, 2, 1),
+                               kernel="gaussian", prior="trilinear", noise=14.0, seed=9, tau=0.2,
+                               baseline="tricubic", axis="z", magnitude_out=0.0),
     "helix_gaussian_zero_fill_noiseless": dict(
         phantom="helix", dims=(8, 8, 6), frames=3, d=(2, 2, 1), kernel="gaussian",
         prior="zero-fill", noise=None, seed=0, tau=0.05, baseline="tricubic", axis="z",
@@ -164,14 +170,18 @@ def run_case(name: str) -> dict:
     return _run_cli(case) if case.get("cli") else _run_library(case)
 
 
-def write_references() -> int:
-    for name in CASES:
+def write_references(names=()) -> int:
+    """Write the named cases' references (every case when none is named) and ``meta.json``."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown case(s): {', '.join(unknown)}")
+    for name in names or CASES:
         np.savez_compressed(HERE / f"{name}.npz", **run_case(name))
     (HERE / "meta.json").write_text(json.dumps(environment(), indent=1) + "\n", encoding="utf-8")
     total = sum(p.stat().st_size for p in HERE.glob("*.npz"))
-    print(f"wrote {len(CASES)} references, {total} bytes")
+    print(f"wrote {len(names or CASES)} reference(s); {total} bytes in all")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(write_references())
+    sys.exit(write_references(sys.argv[1:]))
