@@ -13,13 +13,14 @@ import itertools
 import operator
 import os
 import sys
+import tempfile
 import time
 
 import numpy as np
 
 from .config import RunConfig, _key_value_text, _parse_triple, format_config_text, parse_config_text
 from .degrade import KERNEL_KINDS, Acquisition, DegradationConfig, degrade_dataset, seeded_rng
-from .errors import FlowSRError
+from .errors import FlowSRError, FormatError
 from .interp import METHODS, upsample_dataset
 from .metrics import EvalReport, evaluate
 from .oracle import _dense_solve_priors, build_dense
@@ -219,6 +220,16 @@ def _apply_overrides(rc: RunConfig, args) -> RunConfig:
     return dataclasses.replace(rc, **overrides)
 
 
+def _read_spectra(fh, dims) -> list[np.ndarray]:
+    """The next u, v and w spectra of shape ``dims`` in ``fh``; ``FormatError`` on a short read."""
+    spectra = [np.empty(dims, dtype=np.complex128) for _ in range(3)]
+    for spectrum in spectra:
+        offset = fh.tell()
+        if fh.readinto(spectrum) != spectrum.nbytes:
+            raise FormatError(f"clean spectra spill: short read at byte offset {offset}")
+    return spectra
+
+
 def cmd_pipeline(args) -> int:
     rc = RunConfig()
     if args.config:
@@ -232,28 +243,34 @@ def cmd_pipeline(args) -> int:
     path = lambda name: os.path.join(out_dir, name)
     t0 = time.perf_counter()
 
-    # one frame at a time: pass 1 writes the HR frames and keeps their clean LR
-    # spectra for the calibration; pass 2 rebuilds each HR frame, then acquires,
-    # solves, upsamples and scores it.  Every file is committed at the end, so a
-    # failure leaves no partial run
+    # one frame at a time: pass 1 writes the HR frames and, when noisy, spills
+    # their clean LR spectra to an unnamed file, keeping only the peak that
+    # calibrates the noise; pass 2 rebuilds each HR frame, reads its spectra
+    # back, then acquires, solves, upsamples and scores it.  Every file is
+    # committed at the end, so a failure leaves no partial run
     phantom = _phantom_args(rc)
     hr_grid, params = phantom["grid"], AcquisitionParams(rc.venc, rc.frames)
     single = AcquisitionParams(rc.venc)  # of the one-frame datasets
     degradation = _degradation(rc)
     acq = Acquisition(hr_grid, rc.venc, degradation)
     cfg = SolverConfig(tau=rc.tau, kernel=acq.kernel, d=rc.factor, prior=rc.prior)
-    records, reports, cleans = [], [], []
-    with StreamWriter() as out:
+    records, reports, peak = [], [], 0.0
+    with StreamWriter() as out, tempfile.TemporaryFile(dir=out_dir) as spill:
         hr_file = out.volume(path("hr.flw4"), hr_grid, params)
         for f_idx, frame in enumerate(tube_frames(rc.phantom, **phantom)):
             hr_file.write_frame(f_idx, frame)
-            cleans.append(None if rc.noise_psnr is None else acq.clean(frame))
-        cal = acq.calibrate(cleans)
+            if rc.noise_psnr is not None:
+                cleans = acq.clean(frame)
+                peak = max(peak, acq.peak(cleans))
+                spill.writelines(cleans)
+        cal = acq.calibrate(peak)
+        spill.seek(0)
         files = [out.volume(path(name), grid, params) for name, grid in (
             ("lr.flw4", acq.lr_grid), ("sr_fsr.flw4", hr_grid), (f"sr_{rc.baseline}.flw4", hr_grid))]
         for f_idx, frame in enumerate(tube_frames(rc.phantom, **phantom)):
-            lr = VelocityDataset(single, (acq.frame(f_idx, frame, cal, cleans[f_idx]),))
-            cleans[f_idx] = None
+            cleans = None if rc.noise_psnr is None else _read_spectra(spill, acq.lr_grid.dims)
+            lr = VelocityDataset(single, (acq.frame(f_idx, frame, cal, cleans),))
+            cleans = None
             # one-frame datasets through each stage's own call; their frame 0 is frame f_idx
             solved = []
             sr_fsr = superresolve_dataset(lr, cfg, hr_grid, reports=solved)

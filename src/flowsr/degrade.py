@@ -164,14 +164,19 @@ def calibrate_noise(
     The achieved value is measured on one seeded realization; it differs from
     the target only through the sampled noise power.
     """
+    return _calibration(float(clean_lr_magnitude.data.max()), clean_lr_magnitude.grid.dims,
+                        target_psnr_db, seed)
+
+
+def _calibration(peak: float, lr_dims, target_psnr_db: float, seed: int) -> NoiseCalibration:
+    # calibrate_noise from the peak clean magnitude and the LR dims alone
     if not np.isfinite(target_psnr_db):
         raise ParameterError(f"target PSNR must be finite, got {target_psnr_db}")
     rng = seeded_rng(seed)
-    peak = float(clean_lr_magnitude.data.max())
     if peak <= 0:
-        raise CalibrationError("cannot calibrate noise against an all-zero magnitude")
+        raise CalibrationError("noiseless LR magnitude is zero everywhere")
     sigma = peak * 10.0 ** (-target_psnr_db / 20.0) / np.sqrt(2.0)
-    noise = _complex_noise(clean_lr_magnitude.grid.dims, sigma, rng)
+    noise = _complex_noise(lr_dims, sigma, rng)
     mse = float(np.mean(np.abs(noise) ** 2))
     achieved = 10.0 * np.log10(peak**2 / mse)
     return NoiseCalibration(sigma=sigma, achieved_psnr_db=achieved, target_psnr_db=target_psnr_db)
@@ -190,8 +195,8 @@ class Acquisition:
     keeps; README, model notes).  Noise streams split per (frame, channel)
     from ``cfg.rng_seed``, so a fixed seed reproduces each frame bit-for-bit.
     One noise level serves all frames: :meth:`calibrate` sets it from the
-    peak noiseless LR magnitude of every frame's :meth:`clean` spectra, those
-    of ``sqrt(d) S H x`` (LR-sized), and :meth:`frame` adds noise to them.
+    running maximum of each frame's :meth:`peak`, that of its :meth:`clean`
+    spectra of ``sqrt(d) S H x`` (LR-sized), to which :meth:`frame` adds noise.
     Amplitudes are sqrt(d) times those of a bare ``S H``; velocities are not.
     """
 
@@ -212,19 +217,15 @@ class Acquisition:
             return list(signals)
         return [filtered_alias_sum(self.kernel, fftn_unitary(sig), self.cfg.d) for sig in signals]
 
-    def calibrate(self, cleans) -> NoiseCalibration:
-        """Noise for ``cfg.noise_psnr_db`` from all frames' :meth:`clean` spectra (unread if noiseless)."""
+    def peak(self, spectra) -> float:
+        """The peak noiseless LR magnitude of one frame's :meth:`clean` spectra."""
+        return max(float(np.abs(s if self._identity else ifftn_unitary(s)).max()) for s in spectra)
+
+    def calibrate(self, peak: float) -> NoiseCalibration:
+        """Noise for ``cfg.noise_psnr_db`` at ``peak``, the top frame :meth:`peak` (unread if noiseless)."""
         if self.cfg.noise_psnr_db is None:
             return NoiseCalibration(sigma=0.0, achieved_psnr_db=np.inf, target_psnr_db=None)
-        peak, peak_volume = -1.0, None
-        for clean in (spectrum for spectra in cleans for spectrum in spectra):
-            clean_mag = np.abs(clean if self._identity else ifftn_unitary(clean))
-            if float(clean_mag.max()) > peak:
-                peak, peak_volume = float(clean_mag.max()), clean_mag
-        if peak <= 0:
-            raise CalibrationError("noiseless LR magnitude is zero everywhere")
-        return calibrate_noise(ScalarVolume(self.lr_grid, peak_volume), self.cfg.noise_psnr_db,
-                               seed=self.cfg.rng_seed)
+        return _calibration(peak, self.lr_grid.dims, self.cfg.noise_psnr_db, self.cfg.rng_seed)
 
     def frame(self, f_idx: int, frame: VelocityFrame, cal: NoiseCalibration,
               cleans=None) -> VelocityFrame:
@@ -266,11 +267,13 @@ def degrade_dataset(
     """Simulate the low-resolution acquisition of a high-resolution dataset (see :class:`Acquisition`).
 
     Returns the LR dataset and the calibration used (sigma 0 and an
-    infinite achieved PSNR when ``cfg.noise_psnr_db`` is None).
+    infinite achieved PSNR when ``cfg.noise_psnr_db`` is None).  It calibrates
+    from every frame's :meth:`Acquisition.peak`, as ``flowsr pipeline`` does,
+    but keeps the clean spectra in memory: it holds the HR dataset whole anyway.
     """
     acq = Acquisition(hr.grid, hr.params.venc, cfg)
-    cleans = None if cfg.noise_psnr_db is None else [acq.clean(frame) for frame in hr.frames]
-    cal = acq.calibrate(cleans)
+    cleans = [] if cfg.noise_psnr_db is None else [acq.clean(frame) for frame in hr.frames]
+    cal = acq.calibrate(max(map(acq.peak, cleans), default=0.0))
     frames = [acq.frame(f_idx, frame, cal, cleans.pop(0) if cleans else None)
               for f_idx, frame in enumerate(hr.frames)]
     return VelocityDataset(hr.params, tuple(frames)), cal

@@ -269,9 +269,16 @@ def synthesize_complex(magnitude: ScalarVolume, vel: ScalarVolume, venc: float) 
 
 def _phase_encode(magnitude: ScalarVolume, vel: ScalarVolume, venc: float) -> ComplexVolume:
     # the signal model itself, with none of synthesize_complex's guards; finite
-    # magnitudes times unit phasors stay finite, so the product is adopted
-    phase = np.pi * vel.data / venc
-    return _adopt(ComplexVolume, magnitude.grid, magnitude.data * np.exp(1j * phase))
+    # magnitudes times unit phasors stay finite, so the product is adopted.  The
+    # phasor is cos + i sin, exp(1j * phase)'s bits without its complex
+    # temporaries: + 0.0 turns -0 into +0 as ``1j * phase`` does, and a complex
+    # multiply keeps m * exp's signed zeros where m is 0
+    phase = np.pi * vel.data / venc + 0.0
+    unit = np.empty_like(phase, dtype=np.complex128)
+    np.cos(phase, out=unit.real)
+    np.sin(phase, out=unit.imag)
+    unit *= magnitude.data
+    return _adopt(ComplexVolume, magnitude.grid, unit)
 
 
 def extract_velocity(

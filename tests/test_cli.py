@@ -1,4 +1,5 @@
 import dataclasses
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -34,6 +35,37 @@ from flowsr.volio import HEADER_SIZE, atomic_write
 
 def run(*argv):
     return main(list(argv))
+
+
+class _BrokenSpill:
+    """``flowsr pipeline``'s spill file with one fault: a failing write or read, or a lost byte."""
+
+    def __init__(self, fh, fault):
+        self._fh, self._fault = fh, fault
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._fh.close()
+
+    def writelines(self, chunks):
+        if self._fault == "write":
+            raise OSError("no space left on device")
+        self._fh.writelines(chunks)
+
+    def seek(self, offset):
+        if self._fault == "truncate":
+            self._fh.truncate(self._fh.tell() - 1)
+        return self._fh.seek(offset)
+
+    def tell(self):
+        return self._fh.tell()
+
+    def readinto(self, buffer):
+        if self._fault == "read":
+            raise OSError("input/output error")
+        return self._fh.readinto(buffer)
 
 
 @pytest.fixture
@@ -505,7 +537,8 @@ class TestPipeline:
             "--tau", "1.0",
         )
         assert code == 0
-        for name in (
+        # these and nothing else: the spilled spectra had no name
+        assert sorted(p.name for p in out1.iterdir()) == sorted([
             "hr.flw4",
             "lr.flw4",
             "lr.flw4.cal",
@@ -515,8 +548,7 @@ class TestPipeline:
             "solve_reports.csv",
             "summary.txt",
             "effective.cfg",
-        ):
-            assert (out1 / name).exists(), name
+        ])
         assert "mean PSNR" in (out1 / "summary.txt").read_text()
 
         capsys.readouterr()
@@ -581,11 +613,44 @@ class TestPipeline:
         assert run(*argv[:2], str(fresh), *argv[3:]) == 1
         assert list(fresh.iterdir()) == []
 
-    def test_peak_memory_does_not_grow_with_the_frame_count(self, tmp_path):
-        # one frame at a time: 2 to 8 frames adds less than one HR frame in float64
+    @pytest.mark.parametrize("fault, message", [
+        ("write", "no space left on device"), ("read", "input/output error"),
+        ("truncate", "clean spectra spill: short read at byte offset"),
+    ])
+    def test_a_failing_spill_leaves_every_file_as_it_was(self, tmp_path, monkeypatch, capsys,
+                                                         fault, message):
+        out = tmp_path / "run"
+        argv = ["pipeline", "--out-dir", str(out), "--dims", "16,16,8", "--frames", "3",
+                "--factor", "2,2,2", "--seed", "4"]
+        assert run(*argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        real = tempfile.TemporaryFile
+
+        def broken_spill(*args, dir, **kwargs):
+            assert dir == argv[2]  # the spill lives beside the outputs
+            return _BrokenSpill(real(*args, dir=dir, **kwargs), fault)
+
+        monkeypatch.setattr(flowsr.cli.tempfile, "TemporaryFile", broken_spill)
+        capsys.readouterr()
+        assert run(*argv[:-1], "5") == 1
+        assert message in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        # a first run that fails leaves nothing at all
+        fresh = tmp_path / "fresh"
+        argv[2] = str(fresh)
+        assert run(*argv) == 1
+        assert list(fresh.iterdir()) == []
+
+    @pytest.mark.parametrize("factor, bound", [
+        ("4,4,4", 4 * 8 * 16**3),  # one HR frame in float64
+        ("1,1,1", 3 * 16 * 16**3),  # one frame's clean spectra: 3/D of an HR complex128 array
+        ("2,2,1", 3 * 16 * 16**3 // 4),
+    ])
+    def test_peak_memory_does_not_grow_with_the_frame_count(self, tmp_path, factor, bound):
+        # one frame at a time, noisy (the default): 2 to 8 frames adds less than the bound
         def peak(frames):
             argv = ["pipeline", "--out-dir", str(tmp_path / f"f{frames}"), "--dims", "16,16,16",
-                    "--factor", "4,4,4", "--frames", str(frames)]
+                    "--factor", factor, "--frames", str(frames)]
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
@@ -595,7 +660,7 @@ class TestPipeline:
                 tracemalloc.stop()
 
         peak(2)  # caches warm: interpolation weights, FFT plans
-        assert peak(8) - peak(2) < 4 * 8 * 16**3
+        assert peak(8) - peak(2) < bound
 
     def test_nonpositive_noise_psnr_means_noiseless(self, tmp_path):
         out = tmp_path / "run"

@@ -26,7 +26,7 @@ from flowsr import (
 )
 from flowsr.degrade import Acquisition, seeded_rng
 from flowsr.phantom import tube_frames
-from flowsr.spectral import alias_sum
+from flowsr.spectral import alias_sum, ifftn_unitary
 
 from conftest import random_complex, rel_err, reverse_frames, swap_axes
 
@@ -431,8 +431,44 @@ class TestAcquisition:
         lr, cal = degrade_dataset(helix_phantom(g, **kwargs), cfg)
         acq = Acquisition(g, 120.0, cfg)
         cleans = [None if noise is None else acq.clean(f) for f in tube_frames("helix", g, **kwargs)]
-        assert acq.calibrate(cleans) == cal
+        peak = 0.0  # the running maximum, frame by frame
+        for spectra in cleans:
+            peak = peak if spectra is None else max(peak, acq.peak(spectra))
+        assert acq.calibrate(peak) == cal
         for f_idx, frame in enumerate(tube_frames("helix", g, **kwargs)):
             mine = acq.frame(f_idx, frame, cal, cleans[f_idx])
             for ch in ("magnitude", "u", "v", "w"):
                 assert np.array_equal(mine.channel(ch).data, lr.frames[f_idx].channel(ch).data)
+
+    @pytest.mark.parametrize("kernel, d", [("ideal", (2, 2, 3)), ("gaussian", (2, 1, 3)),
+                                           ("ideal", (1, 1, 1))])
+    def test_peak_is_that_of_the_clean_lr_magnitudes(self, kernel, d):
+        g = Grid3(12, 8, 6)
+        frame = helix_phantom(g, radius_voxels=2.5, vmax_per_frame=[90.0], venc=120.0).frames[0]
+        acq = Acquisition(g, 120.0, DegradationConfig(d=d, kernel=kernel, noise_psnr_db=10.0))
+        spectra = acq.clean(frame)
+        signals = spectra if d == (1, 1, 1) else [ifftn_unitary(s) for s in spectra]
+        assert acq.peak(spectra) == max(float(np.abs(s).max()) for s in signals)
+
+    @pytest.mark.parametrize("peak", [1.0, 0.37, 12.5])
+    def test_calibrate_is_calibrate_noise_at_that_peak(self, peak):
+        # one calibration path: the same fields as a volume whose maximum is the peak
+        g = Grid3(12, 8, 6)
+        acq = Acquisition(g, 120.0, DegradationConfig(d=(2, 2, 3), noise_psnr_db=13.0, rng_seed=6))
+        volume = np.full(acq.lr_grid.dims, peak / 2)
+        volume[1, 2, 0] = peak
+        expected = calibrate_noise(ScalarVolume(acq.lr_grid, volume), 13.0, seed=6)
+        got = acq.calibrate(peak)
+        for field in ("sigma", "achieved_psnr_db", "target_psnr_db"):
+            assert getattr(got, field) == getattr(expected, field), field
+
+    def test_calibrate_without_noise_reads_no_peak(self):
+        acq = Acquisition(Grid3(4, 4, 4), 120.0, DegradationConfig(d=(2, 2, 2)))
+        cal = acq.calibrate(0.0)
+        assert (cal.sigma, cal.achieved_psnr_db, cal.target_psnr_db) == (0.0, np.inf, None)
+
+    @pytest.mark.parametrize("peak", [0.0, -1.0])
+    def test_calibrate_rejects_a_nonpositive_peak(self, peak):
+        acq = Acquisition(Grid3(4, 4, 4), 120.0, DegradationConfig(d=(2, 2, 2), noise_psnr_db=10.0))
+        with pytest.raises(CalibrationError, match="noiseless LR magnitude is zero everywhere"):
+            acq.calibrate(peak)

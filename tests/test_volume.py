@@ -188,6 +188,21 @@ class TestComplexSynthesis:
         sig = synthesize_complex(mag, vel, 100.0)
         assert np.allclose(np.abs(sig.data), mag.data, rtol=1e-14, atol=1e-14)
 
+    def test_bits_equal_magnitude_times_exp(self, rng):
+        # cos + i sin times the magnitude: m * exp(i pi v / venc) bit for bit,
+        # signed zeros included, on random phases, zero magnitudes and +-0 speeds
+        g = Grid3(8, 6, 5)
+        mag = rng.random(g.dims) + 0.1
+        vel = 149.9 * (2 * rng.random(g.dims) - 1)
+        mag[0] = 0.0
+        mag[1, :, :2] = -0.0
+        vel[:, 0] = 0.0
+        vel[:, 1] = -0.0
+        vel[0, 2] = 149.9
+        sig = synthesize_complex(ScalarVolume(g, mag), ScalarVolume(g, vel), 150.0)
+        expected = mag * np.exp(1j * (np.pi * vel / 150.0))
+        assert np.array_equal(sig.data.view(np.uint64), expected.view(np.uint64))
+
     def test_aliasing_is_hard_error_with_count(self):
         g = Grid3(2, 2, 2)
         vel = np.zeros(g.dims)
