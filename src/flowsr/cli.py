@@ -62,6 +62,44 @@ def _positive_float(text: str) -> float:
     return value
 
 
+# one flag per RunConfig field, spelt --field-name: its add_argument keywords.
+# Each command adds the fields it takes with its own defaults (_add_settings)
+SETTINGS = {
+    "phantom": dict(choices=PHANTOMS),
+    "dims": dict(type=_triple(int, 1), metavar="M,N,S"),
+    "frames": dict(type=int),
+    "venc": dict(type=_positive_float, help="cm/s"),
+    "vmax": dict(type=_positive_float, help="peak speed, cm/s"),
+    "radius": dict(type=float, help="tube radius in voxels (0 = auto)"),
+    "axis": dict(choices=("x", "y", "z")),
+    "magnitude_in": dict(type=float),
+    "magnitude_out": dict(type=float),
+    "spacing": dict(type=_triple(float), metavar="X,Y,Z"),
+    "factor": dict(type=_triple(int, 1), metavar="DR,DC,DS"),
+    "kernel": dict(choices=KERNEL_KINDS),
+    "kernel_fwhm": dict(type=_triple(float), metavar="FX,FY,FZ"),
+    "noise_psnr": dict(type=float, help="target PSNR in dB; degrade: any value, 0 included "
+                                        "(omit for noiseless); pipeline: <= 0 is noiseless"),
+    "seed": dict(type=int),
+    "tau": dict(type=_positive_float),
+    "prior": dict(choices=PRIOR_MODES),
+    "baseline": dict(choices=METHODS),
+    "mask_threshold": dict(type=float),
+}
+
+
+def _add_settings(p, names, required=(), **defaults) -> None:
+    """Add the flags of RunConfig fields ``names``; one without a default is unset when omitted."""
+    for name in names:
+        p.add_argument("--" + name.replace("_", "-"), required=name in required,
+                       default=defaults.get(name, argparse.SUPPRESS), **SETTINGS[name])
+
+
+def _settings(args) -> dict:
+    """The RunConfig fields that the parsed flags set."""
+    return {name: value for name, value in vars(args).items() if name in SETTINGS}
+
+
 def _write_text(path, text: str) -> None:
     atomic_write(path, [text.encode("utf-8")])
 
@@ -79,7 +117,7 @@ def _phantom_args(rc: RunConfig) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    rc = _apply_overrides(RunConfig(factor=(1, 1, 1)), args)
+    rc = RunConfig(factor=(1, 1, 1), **_settings(args))
     ds = (poiseuille_phantom if rc.phantom == "poiseuille" else helix_phantom)(**_phantom_args(rc))
     save_dataset(ds, args.out)
     print(f"wrote {args.out}: {rc.phantom} phantom, dims {rc.dims}, {rc.frames} frame(s)")
@@ -94,16 +132,14 @@ def _calibration_text(cal, cfg: DegradationConfig) -> str:
     )
 
 
-def _degradation(src) -> DegradationConfig:
-    """The degradation ``src`` (parsed flags or a RunConfig) sets; sr's flags set no noise or seed."""
-    return DegradationConfig(d=src.factor, kernel=src.kernel, gaussian_fwhm_bins=src.kernel_fwhm,
-                             noise_psnr_db=getattr(src, "noise_psnr", None),
-                             rng_seed=getattr(src, "seed", 0))
+def _degradation(rc: RunConfig) -> DegradationConfig:
+    return DegradationConfig(d=rc.factor, kernel=rc.kernel, gaussian_fwhm_bins=rc.kernel_fwhm,
+                             noise_psnr_db=rc.noise_psnr, rng_seed=rc.seed)
 
 
 def cmd_degrade(args) -> int:
     hr = load_dataset(args.infile)
-    cfg = _degradation(args)
+    cfg = _degradation(RunConfig(dims=hr.grid.dims, **_settings(args)))
     lr, cal = degrade_dataset(hr, cfg)
     save_dataset(lr, args.out)
     _write_text(args.calibration_out or args.out + ".cal", _calibration_text(cal, cfg))
@@ -125,21 +161,22 @@ def _solve_report_csv(reports) -> str:
 
 def cmd_sr(args) -> int:
     lr = load_dataset(args.infile)
+    hr_grid = lr.grid.scaled(args.factor)
+    rc = RunConfig(dims=hr_grid.dims, **_settings(args))
     if args.method in METHODS:
-        sr = upsample_dataset(lr, args.factor, args.method)
+        sr = upsample_dataset(lr, rc.factor, args.method)
         save_dataset(sr, args.out)
         print(f"wrote {args.out}: {args.method} upsampling to {sr.grid.dims}")
         return 0
-    hr_grid = lr.grid.scaled(args.factor)
-    kernel = _degradation(args).kernel_spectrum(hr_grid)
-    cfg = SolverConfig(tau=args.tau, kernel=kernel, d=args.factor, prior=args.prior)
+    kernel = _degradation(rc).kernel_spectrum(hr_grid)
+    cfg = SolverConfig(tau=rc.tau, kernel=kernel, d=rc.factor, prior=rc.prior)
     reports: list = []
     sr = superresolve_dataset(lr, cfg, hr_grid, reports=reports)
     save_dataset(sr, args.out)
     if args.report_out:
         _write_text(args.report_out, _solve_report_csv(reports))
     total = sum(rep.wall_time_s for _, _, rep in reports)
-    print(f"wrote {args.out}: fsr tau={args.tau:g} to {sr.grid.dims} ({total:.2f} s of solves)")
+    print(f"wrote {args.out}: fsr tau={rc.tau:g} to {sr.grid.dims} ({total:.2f} s of solves)")
     return 0
 
 
@@ -208,18 +245,6 @@ def cmd_oracle_check(args) -> int:
     return 0
 
 
-def _apply_overrides(rc: RunConfig, args) -> RunConfig:
-    """``rc`` with every RunConfig field the flags set; ``--noise-psnr <= 0`` means noiseless."""
-    overrides = {
-        f.name: getattr(args, f.name)
-        for f in dataclasses.fields(RunConfig)
-        if getattr(args, f.name, None) is not None
-    }
-    if overrides.get("noise_psnr", 1) <= 0:
-        overrides["noise_psnr"] = None
-    return dataclasses.replace(rc, **overrides)
-
-
 def _read_spectra(fh, dims) -> list[np.ndarray]:
     """The next u, v and w spectra of shape ``dims`` in ``fh``; ``FormatError`` on a short read."""
     spectra = [np.empty(dims, dtype=np.complex128) for _ in range(3)]
@@ -235,7 +260,9 @@ def cmd_pipeline(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             rc = parse_config_text(fh.read())
-    rc = _apply_overrides(rc, args)
+    if getattr(args, "noise_psnr", 1) <= 0:  # the flag alone: a config line's 0 is 0 dB
+        args.noise_psnr = None
+    rc = dataclasses.replace(rc, **_settings(args))
     rc.check_flow_mask()
 
     out_dir = args.out_dir
@@ -316,48 +343,33 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("simulate", help="generate an analytic phantom dataset")
-    p.add_argument("--phantom", choices=PHANTOMS)
-    p.add_argument("--dims", type=_triple(int, 1), metavar="M,N,S")
-    p.add_argument("--frames", type=int)
-    p.add_argument("--venc", type=_positive_float, help="cm/s")
-    p.add_argument("--vmax", type=_positive_float, help="peak speed, cm/s")
-    p.add_argument("--radius", type=float, help="tube radius in voxels (0 = auto)")
-    p.add_argument("--axis", choices=("x", "y", "z"))
-    p.add_argument("--magnitude-in", type=float)
-    p.add_argument("--magnitude-out", type=float)
-    p.add_argument("--spacing", type=_triple(float), metavar="X,Y,Z")
+    _add_settings(p, ("phantom", "dims", "frames", "venc", "vmax", "radius", "axis",
+                      "magnitude_in", "magnitude_out", "spacing"))
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("degrade", help="simulate the low-resolution noisy acquisition")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--factor", type=_triple(int, 1), required=True, metavar="DR,DC,DS")
-    p.add_argument("--noise-psnr", type=float, default=None, help="target PSNR in dB, 0 included (omit for noiseless)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kernel", choices=KERNEL_KINDS, default="ideal")
-    p.add_argument("--kernel-fwhm", type=_triple(float), default=None, metavar="FX,FY,FZ")
+    _add_settings(p, ("factor", "noise_psnr", "seed", "kernel", "kernel_fwhm"),
+                  required=("factor",), noise_psnr=None, seed=0)
     p.add_argument("--calibration-out", default=None, help="default: <out>.cal")
     p.set_defaults(func=cmd_degrade)
 
     p = sub.add_parser("sr", help="super-resolve a low-resolution dataset")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--factor", type=_triple(int, 1), required=True, metavar="DR,DC,DS")
     p.add_argument("--method", choices=("fsr",) + METHODS, default="fsr")
-    p.add_argument("--tau", type=_positive_float, default=0.01)
-    p.add_argument("--prior", choices=PRIOR_MODES, default="trilinear")
-    p.add_argument("--kernel", choices=KERNEL_KINDS, default="ideal")
-    p.add_argument("--kernel-fwhm", type=_triple(float), default=None, metavar="FX,FY,FZ")
+    _add_settings(p, ("factor", "tau", "prior", "kernel", "kernel_fwhm"), required=("factor",))
     p.add_argument("--report-out", default=None, help="per-solve diagnostics CSV")
     p.set_defaults(func=cmd_sr)
 
     p = sub.add_parser("eval", help="score reconstructions against a reference")
     p.add_argument("--sr", required=True)
     p.add_argument("--ref", required=True)
-    p.add_argument("--baseline", default=None)
+    p.add_argument("--baseline", default=None)  # a file, not the setting
     p.add_argument("--out", required=True)
-    p.add_argument("--mask-threshold", type=float, default=0.1)
+    _add_settings(p, ("mask_threshold",), mask_threshold=0.1)
     p.add_argument("--sr-label", default="fsr")
     p.add_argument("--baseline-label", default="trilinear")
     p.set_defaults(func=cmd_eval)
@@ -366,32 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
         "oracle-check",
         help="verify the closed-form solver against the dense brute-force solution",
     )
-    p.add_argument("--dims", type=_triple(int, 1), default=None, metavar="M,N,S")
-    p.add_argument("--factor", type=_triple(int, 1), default=(2, 2, 2), metavar="DR,DC,DS")
-    p.add_argument("--tau", type=_positive_float, default=0.05)
-    p.add_argument("--kernel", choices=KERNEL_KINDS, default="ideal")
-    p.add_argument("--seed", type=int, default=0)
+    _add_settings(p, ("dims", "factor", "tau", "kernel", "seed"),
+                  dims=None, factor=(2, 2, 2), tau=0.05, kernel="ideal", seed=0)
     p.set_defaults(func=cmd_oracle_check)
 
     p = sub.add_parser("pipeline", help="simulate, degrade, super-resolve and evaluate in one run")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", default=None, help="key=value run configuration file")
-    p.add_argument("--phantom", choices=PHANTOMS, default=None)
-    p.add_argument("--dims", type=_triple(int, 1), default=None, metavar="M,N,S")
-    p.add_argument("--frames", type=int, default=None)
-    p.add_argument("--venc", type=_positive_float, default=None)
-    p.add_argument("--vmax", type=_positive_float, default=None)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--axis", choices=("x", "y", "z"), default=None)
-    p.add_argument("--factor", type=_triple(int, 1), default=None, metavar="DR,DC,DS")
-    p.add_argument("--kernel", choices=KERNEL_KINDS, default=None)
-    p.add_argument("--kernel-fwhm", type=_triple(float), default=None, metavar="FX,FY,FZ")
-    p.add_argument("--noise-psnr", type=float, default=None, help="<= 0 disables noise")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tau", type=_positive_float, default=None)
-    p.add_argument("--prior", choices=PRIOR_MODES, default=None)
-    p.add_argument("--baseline", choices=METHODS, default=None)
-    p.add_argument("--mask-threshold", type=float, default=None)
+    _add_settings(p, SETTINGS)
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -162,7 +162,8 @@ def calibrate_noise(
     ``2 sigma^2``, so ``sigma = peak * 10**(-target/20) / sqrt(2)``.
 
     The achieved value is measured on one seeded realization; it differs from
-    the target only through the sampled noise power.
+    the target only through the sampled noise power.  ``CalibrationError``
+    when the magnitude is zero everywhere or the noise underflows to 0.
     """
     return _calibration(float(clean_lr_magnitude.data.max()), clean_lr_magnitude.grid.dims,
                         target_psnr_db, seed)
@@ -178,6 +179,8 @@ def _calibration(peak: float, lr_dims, target_psnr_db: float, seed: int) -> Nois
     sigma = peak * 10.0 ** (-target_psnr_db / 20.0) / np.sqrt(2.0)
     noise = _complex_noise(lr_dims, sigma, rng)
     mse = float(np.mean(np.abs(noise) ** 2))
+    if mse == 0:
+        raise CalibrationError(f"target PSNR {target_psnr_db:g} dB is too high: the noise underflows to 0")
     achieved = 10.0 * np.log10(peak**2 / mse)
     return NoiseCalibration(sigma=sigma, achieved_psnr_db=achieved, target_psnr_db=target_psnr_db)
 

@@ -167,8 +167,7 @@ class AcquisitionParams:
     frame_count: int = 1
 
     def __post_init__(self):
-        if not 0 < self.venc < np.inf:
-            raise ParameterError(f"venc must be finite and > 0, got {self.venc}")
+        _check_venc(self.venc)
         if self.frame_count < 1:
             raise ParameterError(f"frame_count must be >= 1, got {self.frame_count}")
 

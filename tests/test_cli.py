@@ -1,4 +1,7 @@
 import dataclasses
+import pathlib
+import re
+import shlex
 import tempfile
 import tracemalloc
 
@@ -28,7 +31,7 @@ from flowsr import (
     superresolve_dataset,
     upsample_dataset,
 )
-from flowsr.cli import main
+from flowsr.cli import build_parser, main
 from flowsr.interp import _axis_weights
 from flowsr.volio import HEADER_SIZE, atomic_write
 
@@ -197,6 +200,24 @@ class TestDegrade:
                    "--noise-psnr", "15", "--seed", "-2")
         assert code == 1
         assert "error:" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "o.flw4.cal").exists()
+
+
+    def test_zero_noise_psnr_calibrates_to_0_db(self, hr_file, tmp_path):
+        # only pipeline's flag reads <= 0 as noiseless
+        out = tmp_path / "o.flw4"
+        assert run("degrade", "--in", str(hr_file), "--out", str(out), "--factor", "2,2,2",
+                   "--noise-psnr", "0") == 0
+        side = (tmp_path / "o.flw4.cal").read_text()
+        entries = dict(line.split(" = ") for line in side.strip().splitlines())
+        assert entries["target_psnr_db"] == "0.0"
+        assert float(entries["sigma"]) > 0
+
+    def test_noise_target_that_underflows_is_runtime_error(self, hr_file, tmp_path, capsys):
+        out = tmp_path / "o.flw4"
+        assert run("degrade", "--in", str(hr_file), "--out", str(out), "--factor", "2,2,2",
+                   "--noise-psnr", "7000") == 1
+        assert "error: target PSNR 7000 dB is too high" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "o.flw4.cal").exists()
 
 
@@ -669,6 +690,46 @@ class TestPipeline:
         assert "noise_psnr = none\n" in (out / "effective.cfg").read_text()
         assert (out / "lr.flw4.cal").read_text().startswith("sigma = 0.0\n")
 
+    def test_noise_target_that_underflows_is_runtime_error(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run("pipeline", "--out-dir", str(out), "--dims", "8,8,8", "--frames", "1",
+                   "--factor", "2,2,2", "--noise-psnr", "7000") == 1
+        assert "error: target PSNR 7000 dB is too high" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_takes_every_run_config_field_as_a_flag(self):
+        rc = RunConfig(kernel_fwhm=(2.0, 3.0, 4.0))  # no field None, so each has a flag value
+        argv = ["pipeline", "--out-dir", "run"]
+        for line in format_config_text(rc).splitlines():
+            key, value = line.split(" = ")
+            argv.append(f"--{key.replace('_', '-')}={value}")
+        args = build_parser().parse_args(argv)
+        assert RunConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(RunConfig)}) == rc
+
+    def test_magnitude_and_spacing_flags_equal_their_config_lines(self, tmp_path):
+        small = ("--dims", "8,8,8", "--frames", "2", "--factor", "2,2,2")
+        config = tmp_path / "run.cfg"
+        config.write_text("magnitude_in = 0.8\nmagnitude_out = 0.2\nspacing = 1.5,1,2\n")
+        assert run("pipeline", "--out-dir", str(tmp_path / "flags"), *small, "--magnitude-in", "0.8",
+                   "--magnitude-out", "0.2", "--spacing", "1.5,1,2") == 0
+        assert run("pipeline", "--out-dir", str(tmp_path / "config"), *small,
+                   "--config", str(config)) == 0
+        assert "spacing = 1.5,1.0,2.0\n" in (tmp_path / "flags" / "effective.cfg").read_text()
+
+        def untimed(path):
+            # the same files but for the elapsed line and the solves' wall times
+            lines = path.read_bytes().splitlines()
+            if path.name == "summary.txt":
+                return [line for line in lines if not line.startswith(b"elapsed:")]
+            if path.name == "solve_reports.csv":
+                return [line.rsplit(b",", 1)[0] for line in lines]
+            return lines
+
+        names = sorted(p.name for p in (tmp_path / "flags").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "config").iterdir())
+        for name in names:
+            assert untimed(tmp_path / "flags" / name) == untimed(tmp_path / "config" / name), name
+
     def test_infinite_venc_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             run("pipeline", "--out-dir", str(tmp_path / "run"), "--venc", "inf")
@@ -712,3 +773,16 @@ class TestPipeline:
                    "--factor", "2,2,2", "--radius", "-3") == 1
         assert "radius" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_readme_commands_parse():
+    # every flowsr command in README's "Command line" block, continuation lines joined
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n.*?```sh\n(.*?)```", readme, re.S).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    commands = [words for words in commands if words]
+    assert all(words[0] == "flowsr" for words in commands)
+    assert {words[1] for words in commands} == {"simulate", "degrade", "sr", "eval", "oracle-check",
+                                               "pipeline"}
+    for words in commands:
+        build_parser().parse_args(words[1:])

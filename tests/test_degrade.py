@@ -143,6 +143,13 @@ class TestCalibration:
         cal = calibrate_noise(ScalarVolume(g, np.ones(g.dims)), 300.0)
         assert cal.sigma < 1e-14
 
+    @pytest.mark.parametrize("target", [3300.0, 7000.0])
+    def test_target_whose_noise_underflows_rejected(self, target):
+        # at 3300 dB sigma is > 0 but its square underflows; at 7000 dB sigma itself does
+        g = Grid3(2, 2, 2)
+        with pytest.raises(CalibrationError, match="too high"):
+            calibrate_noise(ScalarVolume(g, np.ones(g.dims)), target)
+
     def test_all_zero_magnitude_rejected(self):
         g = Grid3(2, 2, 2)
         with pytest.raises(CalibrationError):
