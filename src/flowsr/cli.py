@@ -15,17 +15,19 @@ import os
 import sys
 import tempfile
 import time
+import typing
 
 import numpy as np
 
-from .config import RunConfig, _key_value_text, _parse_triple, format_config_text, parse_config_text
+from .config import (CHOICES, RunConfig, _convert, _key_value_text, format_config_text,
+                     parse_config_text)
 from .degrade import KERNEL_KINDS, Acquisition, DegradationConfig, degrade_dataset, seeded_rng
 from .errors import FlowSRError, FormatError
 from .interp import METHODS, upsample_dataset
 from .metrics import EvalReport, evaluate
 from .oracle import _dense_solve_priors, build_dense
-from .phantom import PHANTOMS, helix_phantom, poiseuille_phantom, pulsatile_profile, tube_frames
-from .solver import PRIOR_MODES, SolverConfig, build_prior, fsr_solve, superresolve_dataset
+from .phantom import helix_phantom, poiseuille_phantom, pulsatile_profile, tube_frames
+from .solver import SolverConfig, build_prior, fsr_solve, superresolve_dataset
 from .spectral import gaussian_spectrum, ideal_lowpass_spectrum  # noqa: F401  perfbench traces them
 from .volio import StreamWriter, atomic_write, load_dataset, save_dataset
 from .volume import AcquisitionParams, ComplexVolume, Grid3, VelocityDataset
@@ -38,66 +40,49 @@ ORACLE_TAUS = [1e-3, 0.05, 1.0]
 ORACLE_TOLERANCE = 1e-8
 
 
-# argparse reports an ArgumentTypeError's message; a ValueError only names the parser
-def _triple(kind, minimum=None):
+# one flag per RunConfig field, spelt --field-name, parsed by the field's type
+HINTS = typing.get_type_hints(RunConfig)
+# the flags' metavars and help. Choices are config.CHOICES, a RunConfig checks
+# ranges, and each command adds the fields it takes with its own defaults
+SETTINGS = {
+    "dims": dict(metavar="M,N,S"),
+    "venc": dict(help="cm/s"),
+    "vmax": dict(help="peak speed, cm/s"),
+    "radius": dict(help="tube radius in voxels (0 = auto)"),
+    "spacing": dict(metavar="X,Y,Z"),
+    "factor": dict(metavar="DR,DC,DS"),
+    "kernel_fwhm": dict(metavar="FX,FY,FZ"),
+    "noise_psnr": dict(help="target PSNR in dB; degrade: any value, 0 included "
+                            "(omit for noiseless); pipeline: <= 0 is noiseless"),
+}
+
+
+def _flag_type(hint):
+    """A flag's parser: its config line's (``_convert``), save that a flag refuses ``none``."""
+
     def parse(text: str):
         try:
-            values = _parse_triple(text, kind)
-        except ValueError as exc:
+            value = _convert(text, hint, text=True)
+        except ValueError as exc:  # argparse reports an ArgumentTypeError's message
             raise argparse.ArgumentTypeError(str(exc)) from None
-        if minimum is not None and min(values) < minimum:
-            raise argparse.ArgumentTypeError(f"values must be >= {minimum}, got {text!r}")
-        return values
+        if value is None:
+            raise argparse.ArgumentTypeError(f"none is for a config line only, got {text!r}")
+        return value
 
     return parse
-
-
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = np.nan
-    if not 0 < value < np.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
-    return value
-
-
-# one flag per RunConfig field, spelt --field-name: its add_argument keywords.
-# Each command adds the fields it takes with its own defaults (_add_settings)
-SETTINGS = {
-    "phantom": dict(choices=PHANTOMS),
-    "dims": dict(type=_triple(int, 1), metavar="M,N,S"),
-    "frames": dict(type=int),
-    "venc": dict(type=_positive_float, help="cm/s"),
-    "vmax": dict(type=_positive_float, help="peak speed, cm/s"),
-    "radius": dict(type=float, help="tube radius in voxels (0 = auto)"),
-    "axis": dict(choices=("x", "y", "z")),
-    "magnitude_in": dict(type=float),
-    "magnitude_out": dict(type=float),
-    "spacing": dict(type=_triple(float), metavar="X,Y,Z"),
-    "factor": dict(type=_triple(int, 1), metavar="DR,DC,DS"),
-    "kernel": dict(choices=KERNEL_KINDS),
-    "kernel_fwhm": dict(type=_triple(float), metavar="FX,FY,FZ"),
-    "noise_psnr": dict(type=float, help="target PSNR in dB; degrade: any value, 0 included "
-                                        "(omit for noiseless); pipeline: <= 0 is noiseless"),
-    "seed": dict(type=int),
-    "tau": dict(type=_positive_float),
-    "prior": dict(choices=PRIOR_MODES),
-    "baseline": dict(choices=METHODS),
-    "mask_threshold": dict(type=float),
-}
 
 
 def _add_settings(p, names, required=(), **defaults) -> None:
     """Add the flags of RunConfig fields ``names``; one without a default is unset when omitted."""
     for name in names:
-        p.add_argument("--" + name.replace("_", "-"), required=name in required,
-                       default=defaults.get(name, argparse.SUPPRESS), **SETTINGS[name])
+        p.add_argument("--" + name.replace("_", "-"), type=_flag_type(HINTS[name]),
+                       choices=CHOICES.get(name), required=name in required,
+                       default=defaults.get(name, argparse.SUPPRESS), **SETTINGS.get(name, {}))
 
 
 def _settings(args) -> dict:
     """The RunConfig fields that the parsed flags set."""
-    return {name: value for name, value in vars(args).items() if name in SETTINGS}
+    return {name: value for name, value in vars(args).items() if name in HINTS}
 
 
 def _write_text(path, text: str) -> None:
@@ -161,8 +146,8 @@ def _solve_report_csv(reports) -> str:
 
 def cmd_sr(args) -> int:
     lr = load_dataset(args.infile)
-    hr_grid = lr.grid.scaled(args.factor)
-    rc = RunConfig(dims=hr_grid.dims, **_settings(args))
+    rc = RunConfig(dims=np.multiply(lr.grid.dims, args.factor), **_settings(args))
+    hr_grid = lr.grid.scaled(rc.factor)
     if args.method in METHODS:
         sr = upsample_dataset(lr, rc.factor, args.method)
         save_dataset(sr, args.out)
@@ -190,10 +175,11 @@ def _summary_lines(report: EvalReport, methods) -> list[str]:
 
 
 def cmd_eval(args) -> int:
+    rc = RunConfig(mask_threshold=args.mask_threshold)  # its --baseline is a file
     # evaluate reads the files in lockstep, one channel of each at a time
     baseline = args.baseline or None
     labels = (args.sr_label, args.baseline_label)
-    report = evaluate(args.sr, args.ref, baseline, args.mask_threshold, *labels)
+    report = evaluate(args.sr, args.ref, baseline, rc.mask_threshold, *labels)
     _write_text(args.out, report.to_csv())
     print("\n".join(_summary_lines(report, labels if baseline is not None else labels[:1])))
     print(f"wrote {args.out}: {len(report.records)} records")
@@ -208,6 +194,8 @@ def _oracle_cases(args):
 
 
 def cmd_oracle_check(args) -> int:
+    # every flag is range-checked, those the default matrix ignores too
+    RunConfig(**{**_settings(args), "dims": args.dims or args.factor})
     rng = seeded_rng(args.seed)
     t0 = time.perf_counter()
     rels = []
@@ -385,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="simulate, degrade, super-resolve and evaluate in one run")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", default=None, help="key=value run configuration file")
-    _add_settings(p, SETTINGS)
+    _add_settings(p, HINTS)
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -7,6 +7,7 @@ comments and blank lines ignored, keys unordered, unknown keys rejected.
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import dataclass, fields
 
@@ -16,15 +17,11 @@ from .interp import METHODS
 from .phantom import PHANTOMS
 from .solver import PRIOR_MODES
 
-__all__ = ["RunConfig", "parse_config_text", "format_config_text"]
+__all__ = ["CHOICES", "RunConfig", "parse_config_text", "format_config_text"]
 
-
-def _parse_triple(text: str, kind) -> tuple:
-    """Three ``kind`` values separated by commas or blanks; ``ValueError`` otherwise."""
-    parts = text.replace(",", " ").split()
-    if len(parts) != 3:
-        raise ValueError(f"expected 3 comma-separated values, got {text!r}")
-    return tuple(kind(p) for p in parts)
+# the values a choice setting takes: RunConfig checks them and each flag offers them
+CHOICES = {"phantom": PHANTOMS, "axis": ("x", "y", "z"), "kernel": KERNEL_KINDS,
+           "prior": PRIOR_MODES, "baseline": METHODS}
 
 
 @dataclass(frozen=True)
@@ -57,16 +54,9 @@ class RunConfig:
                 object.__setattr__(self, name, _convert(getattr(self, name), hint))
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"{name}: {exc}") from exc
-        if self.phantom not in PHANTOMS:
-            raise ConfigError(f"phantom must be one of {PHANTOMS}, got {self.phantom!r}")
-        if self.kernel not in KERNEL_KINDS:
-            raise ConfigError(f"kernel must be one of {KERNEL_KINDS}, got {self.kernel!r}")
-        if self.prior not in PRIOR_MODES:
-            raise ConfigError(f"prior must be one of {PRIOR_MODES}, got {self.prior!r}")
-        if self.baseline not in METHODS:
-            raise ConfigError(f"baseline must be one of {METHODS}, got {self.baseline!r}")
-        if self.axis not in ("x", "y", "z"):
-            raise ConfigError(f"axis must be x, y or z, got {self.axis!r}")
+        for name, values in CHOICES.items():
+            if getattr(self, name) not in values:
+                raise ConfigError(f"{name} must be one of {values}, got {getattr(self, name)!r}")
         if min(self.dims) < 1 or min(self.factor) < 1:
             raise ConfigError("dims and factor entries must be >= 1")
         for dim, rate in zip(self.dims, self.factor):
@@ -82,7 +72,7 @@ class RunConfig:
             raise ConfigError(f"radius must be finite and >= 0 (0 = auto), got {self.radius}")
         if self.kernel_fwhm is not None and not all(v > 0 for v in self.kernel_fwhm):
             raise ConfigError(f"kernel_fwhm entries must be > 0 (inf = all-pass), got {self.kernel_fwhm}")
-        if self.noise_psnr is not None and abs(self.noise_psnr) == float("inf"):
+        if self.noise_psnr is not None and not math.isfinite(self.noise_psnr):
             raise ConfigError(f"noise_psnr must be finite (none = noiseless), got {self.noise_psnr}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
@@ -118,7 +108,8 @@ def _convert(value, hint, text=False):
     # the field's annotation says how to hold a value: ``X | None`` also takes
     # None (``none`` in text), ``tuple[T, T, T]`` takes three values (comma-
     # or blank-separated in text), anything else is T(value); a value given
-    # in code must equal T(value), so 32.0 becomes 32 while 32.5 and "32" fail
+    # in code must equal T(value), so 32.0 becomes 32 while 32.5 and "32" fail;
+    # a NaN equals its converted self, so that the range checks report it
     args = typing.get_args(hint)
     if type(None) in args:
         if value is None or text and value.lower() == "none":
@@ -126,13 +117,13 @@ def _convert(value, hint, text=False):
         (hint,) = (a for a in args if a is not type(None))
         args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
-        if text:
-            return _parse_triple(value, args[0])
-        if len(value) != 3:
+        parts = value.replace(",", " ").split() if text else value
+        if len(parts) != 3:
             raise ValueError(f"expected 3 values, got {value!r}")
-        return tuple(_convert(v, args[0]) for v in value)
+        return tuple(_convert(v, args[0], text) for v in parts)
     held = hint(value)
-    if not text and (held != value or isinstance(value, bool)):
+    same = held == value or held != held and value != value
+    if not text and (not same or isinstance(value, bool)):
         raise ValueError(f"expected {hint.__name__}, got {value!r}")
     return held
 

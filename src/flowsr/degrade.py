@@ -23,7 +23,6 @@ from .errors import CalibrationError, GridMismatchError, ParameterError
 from .spectral import (
     KernelSpectrum,
     _check_divisible,
-    _check_rates,
     add_spread,
     fftn_unitary,
     filtered_alias_sum,
@@ -39,6 +38,7 @@ from .volume import (
     VelocityDataset,
     VelocityFrame,
     _adopt,
+    _check_rates,
     extract_velocity,
     map_frame,
     synthesize_complex,

@@ -31,8 +31,8 @@ import scipy.fft
 from scipy.ndimage import map_coordinates
 
 from .errors import ParameterError
-from .spectral import _check_rates
-from .volume import CHANNELS, ScalarVolume, VelocityDataset, VelocityFrame, _adopt, _check_finite
+from .volume import (CHANNELS, ScalarVolume, VelocityDataset, VelocityFrame, _adopt,
+                     _check_finite, _check_rates)
 
 __all__ = ["METHODS", "upsample_array", "upsample_spectrum", "upsample_dataset"]
 

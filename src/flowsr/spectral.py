@@ -27,7 +27,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import GridMismatchError, ParameterError
-from .volume import ComplexVolume, Grid3
+from .volume import ComplexVolume, Grid3, _check_rates
 
 __all__ = [
     "KernelSpectrum",
@@ -115,13 +115,6 @@ class _IdealLowpass(KernelSpectrum):
         values[_box(self.grid.dims, self.grid.decimated(self.lowpass_rates).dims)] = 1.0
         values.setflags(write=False)
         return values
-
-
-def _check_rates(d) -> tuple[int, int, int]:
-    d = tuple(int(v) for v in d)
-    if len(d) != 3 or min(d) < 1:
-        raise ParameterError(f"decimation rates must be 3 ints >= 1, got {d}")
-    return d
 
 
 def _check_divisible(hr: Grid3, d: tuple[int, int, int]) -> tuple[int, int, int]:

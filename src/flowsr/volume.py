@@ -42,6 +42,13 @@ __all__ = [
 CHANNELS = ("u", "v", "w")
 
 
+def _check_rates(d) -> tuple[int, int, int]:
+    d = tuple(int(v) for v in d)
+    if len(d) != 3 or min(d) < 1:
+        raise ParameterError(f"decimation rates must be 3 ints >= 1, got {d}")
+    return d
+
+
 @dataclass(frozen=True)
 class Grid3:
     """Regular 3D voxel lattice: counts per axis plus physical spacing in mm."""
@@ -69,7 +76,7 @@ class Grid3:
 
     def scaled(self, factor: tuple[int, int, int]) -> "Grid3":
         """Grid with ``factor``-times the voxel count per axis, same physical extent."""
-        fr, fc, fs = factor
+        fr, fc, fs = _check_rates(factor)
         return Grid3(
             self.m * fr,
             self.n * fc,
@@ -79,7 +86,7 @@ class Grid3:
 
     def decimated(self, factor: tuple[int, int, int]) -> "Grid3":
         """Grid with every ``factor``-th voxel per axis; dims must divide evenly."""
-        fr, fc, fs = factor
+        fr, fc, fs = _check_rates(factor)
         if self.m % fr or self.n % fc or self.s % fs:
             raise GridMismatchError(
                 f"decimation {factor} does not divide grid dims {self.dims}"

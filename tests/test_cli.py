@@ -14,6 +14,7 @@ import flowsr.interp
 import flowsr.solver
 import flowsr.volio
 from flowsr import (
+    ConfigError,
     DegradationConfig,
     EvalReport,
     FormatError,
@@ -26,6 +27,7 @@ from flowsr import (
     format_config_text,
     helix_phantom,
     load_dataset,
+    parse_config_text,
     pulsatile_profile,
     save_dataset,
     superresolve_dataset,
@@ -246,22 +248,44 @@ class TestSr:
                    "--method", "trilinear") == 0
         assert load_dataset(out).grid.dims == (16, 16, 16)
 
-    def test_zero_tau_is_usage_error(self, lr_file):
-        with pytest.raises(SystemExit) as excinfo:
-            run("sr", "--in", str(lr_file), "--out", "x", "--factor", "2,2,2", "--tau", "0")
-        assert excinfo.value.code == 2
+    def test_zero_tau_is_runtime_error(self, lr_file):
+        assert run("sr", "--in", str(lr_file), "--out", "x", "--factor", "2,2,2", "--tau", "0") == 1
 
-    def test_infinite_tau_is_usage_error(self, lr_file, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            run("sr", "--in", str(lr_file), "--out", "x", "--factor", "2,2,2", "--tau", "inf")
-        assert excinfo.value.code == 2
+    def test_infinite_tau_is_runtime_error(self, lr_file, capsys):
+        assert run("sr", "--in", str(lr_file), "--out", "x", "--factor", "2,2,2", "--tau", "inf") == 1
         assert "must be finite and > 0" in capsys.readouterr().err
 
-    def test_factor_below_one_is_usage_error(self, lr_file, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            run("sr", "--in", str(lr_file), "--out", "x", "--factor", "0,1,1")
-        assert excinfo.value.code == 2
+    def test_factor_below_one_is_runtime_error(self, lr_file, capsys):
+        assert run("sr", "--in", str(lr_file), "--out", "x", "--factor", "0,1,1") == 1
         assert ">= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("simulate", "--dims", "0,8,8", "--out", "{out}"), "dims and factor entries must be >= 1"),
+    (("degrade", "--in", "{hr}", "--out", "{out}", "--factor", "0,1,1"),
+     "dims and factor entries must be >= 1"),
+    (("degrade", "--in", "{hr}", "--out", "{out}", "--factor", "2,2,2", "--noise-psnr", "nan"),
+     "noise_psnr must be finite"),
+    (("degrade", "--in", "{hr}", "--out", "{out}", "--factor", "2,2,2", "--kernel", "gaussian",
+      "--kernel-fwhm=nan,2,2"), "kernel_fwhm entries must be > 0"),
+    (("sr", "--in", "{lr}", "--out", "{out}", "--factor", "2,2,2", "--tau", "nan"),
+     "tau must be finite and > 0"),
+    (("sr", "--in", "{lr}", "--out", "{out}", "--factor", "2,2,2", "--kernel", "gaussian",
+      "--kernel-fwhm=nan,2,2"), "kernel_fwhm entries must be > 0"),
+    (("eval", "--sr", "{hr}", "--ref", "{hr}", "--out", "{out}", "--mask-threshold", "1.5"),
+     "mask_threshold must be in (0, 1)"),
+    (("oracle-check", "--factor", "0,1,1"), "dims and factor entries must be >= 1"),
+    (("pipeline", "--out-dir", "{out}", "--venc", "inf"), "venc must be finite and > 0"),
+    (("pipeline", "--out-dir", "{out}", "--noise-psnr", "nan"), "noise_psnr must be finite"),
+    (("pipeline", "--out-dir", "{out}", "--vmax", "nan"), "vmax must satisfy"),
+])
+def test_out_of_range_setting_fails_before_a_write(tmp_path, lr_file, capsys, argv, message):
+    # in every command, RunConfig's message and exit 1, as for a config line; NaN included
+    files = sorted(tmp_path.rglob("*"))
+    paths = dict(hr=tmp_path / "hr.flw4", lr=lr_file, out=tmp_path / "out")
+    assert run(*(arg.format(**paths) for arg in argv)) == 1
+    assert "error: " + message in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == files
 
 
 class TestEval:
@@ -470,6 +494,15 @@ class TestOracleCheck:
     def test_negative_seed_is_runtime_error(self, capsys):
         assert run("oracle-check", "--dims", "4,4,4", "--factor", "2,2,2", "--seed", "-1") == 1
         assert "error: seed must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [("--factor", "0,1,1"), ("--tau", "nan"),
+                                      ("--dims", "4,4,4", "--tau", "0")])
+    def test_out_of_range_setting_fails_before_any_solve(self, capsys, argv):
+        # without --dims the matrix ignores --factor and --tau, but RunConfig checks them
+        assert run("oracle-check", *argv) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "[ok]" not in captured.out
 
     def test_tolerance_is_not_an_option(self, capsys):
         # ORACLE_TOLERANCE is the judge; no flag can loosen it
@@ -730,10 +763,8 @@ class TestPipeline:
         for name in names:
             assert untimed(tmp_path / "flags" / name) == untimed(tmp_path / "config" / name), name
 
-    def test_infinite_venc_is_usage_error(self, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            run("pipeline", "--out-dir", str(tmp_path / "run"), "--venc", "inf")
-        assert excinfo.value.code == 2
+    def test_infinite_venc_is_runtime_error(self, tmp_path):
+        assert run("pipeline", "--out-dir", str(tmp_path / "run"), "--venc", "inf") == 1
 
     def test_nonpositive_kernel_fwhm_is_runtime_error(self, tmp_path, capsys):
         # rejected with the config, before any file is written
@@ -785,4 +816,68 @@ def test_readme_commands_parse():
     assert {words[1] for words in commands} == {"simulate", "degrade", "sr", "eval", "oracle-check",
                                                "pipeline"}
     for words in commands:
-        build_parser().parse_args(words[1:])
+        _run_config_of(build_parser().parse_args(words[1:]))
+
+
+def _run_config_of(args) -> RunConfig:
+    """The RunConfig ``args``' command builds; dims the factor divides stand in for an input file's."""
+    settings = flowsr.cli._settings(args)
+    if args.command == "simulate":
+        return RunConfig(factor=(1, 1, 1), **settings)
+    if args.command == "eval":  # its --baseline is a file
+        return RunConfig(mask_threshold=args.mask_threshold)
+    if args.command in ("degrade", "sr", "oracle-check"):
+        settings["dims"] = settings.get("dims") or settings["factor"]
+    return RunConfig(**settings)
+
+
+# texts for each RunConfig field, in range and out; no noise_psnr <= 0, which
+# the pipeline command alone reads as noiseless
+SETTING_TEXTS = {
+    "phantom": ["helix", "sphere"],
+    "dims": ["8,8,8", "8 8 8", "0,8,8", "8,8", "8.5,8,8"],
+    "frames": ["2", "0", "2.5"],
+    "venc": ["150", "0", "inf", "nan"],
+    "vmax": ["100", "-100", "200", "nan"],
+    "radius": ["3", "-3", "nan"],
+    "axis": ["y", "q"],
+    "magnitude_in": ["0.5", "-1", "x"],
+    "magnitude_out": ["0.2"],
+    "spacing": ["1.5,1,2", "inf,1,1"],
+    "factor": ["2,2,2", "0,1,1", "3,3,3"],
+    "kernel": ["gaussian", "box"],
+    "kernel_fwhm": ["2,3,4", "inf,2,2", "nan,2,2", "0,2,2", "none"],
+    "noise_psnr": ["15", "nan", "inf", "none", "NONE"],
+    "seed": ["7", "-1", "1.5"],
+    "tau": ["0.5", "0", "nan", "inf"],
+    "prior": ["zero-fill", "none"],
+    "baseline": ["tricubic", "fsr"],
+    "mask_threshold": ["0.2", "1.5", "nan"],
+}
+
+
+def _from_flag(name, text):
+    """The RunConfig of one ``pipeline`` flag, or None when it is refused."""
+    try:
+        args = build_parser().parse_args(["pipeline", "--out-dir", "run",
+                                          f"--{name.replace('_', '-')}={text}"])
+        return RunConfig(**flowsr.cli._settings(args))
+    except (SystemExit, ConfigError):
+        return None
+
+
+def _from_config_line(name, text):
+    try:
+        return parse_config_text(f"{name} = {text}\n")
+    except ConfigError:
+        return None
+
+
+@pytest.mark.parametrize("name, text", [(f.name, text) for f in dataclasses.fields(RunConfig)
+                                        for text in SETTING_TEXTS[f.name]])
+def test_flag_parses_and_checks_as_its_config_line(name, text):
+    line = _from_config_line(name, text)
+    if line is not None and getattr(line, name) is None:  # only a config line clears a setting
+        assert _from_flag(name, text) is None
+    else:
+        assert repr(_from_flag(name, text)) == repr(line)

@@ -68,11 +68,19 @@ class TestRunConfig:
             {"seed": -1},  # numpy's generators take no negative seed
             {"noise_psnr": float("inf")},  # none is noiseless; inf would fail in degrade
             {"noise_psnr": float("-inf")},
+            {"noise_psnr": float("nan")},
+            {"tau": float("nan")},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
+
+    @pytest.mark.parametrize("name", ["venc", "vmax", "radius", "noise_psnr", "tau", "mask_threshold"])
+    def test_nan_fails_its_range_check(self, name):
+        # not the annotation check: NaN equals its converted self there
+        with pytest.raises(ConfigError, match=f"^{name} must (be|satisfy)"):
+            RunConfig(**{name: float("nan")})
 
     def test_infinite_kernel_fwhm_is_the_all_pass_limit(self):
         rc = RunConfig(kernel="gaussian", kernel_fwhm=(float("inf"), 2.0, 2.0))

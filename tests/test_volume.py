@@ -44,6 +44,11 @@ class TestGrid3:
         with pytest.raises(GridMismatchError):
             Grid3(4, 6, 8).decimated((3, 1, 1))
 
+    @pytest.mark.parametrize("method", ["scaled", "decimated"])
+    def test_rate_below_one_is_a_parameter_error(self, method):
+        with pytest.raises(ParameterError, match=">= 1"):
+            getattr(Grid3(8, 8, 8), method)((0, 1, 1))
+
 
 class TestVolumes:
     def test_scalar_volume_validates_size(self):
