@@ -239,7 +239,7 @@ def _read_spectra(fh, dims) -> list[np.ndarray]:
     for spectrum in spectra:
         offset = fh.tell()
         if fh.readinto(spectrum) != spectrum.nbytes:
-            raise FormatError(f"clean spectra spill: short read at byte offset {offset}")
+            raise FormatError(f"spectra spill: short read at byte offset {offset}")
     return spectra
 
 
@@ -259,7 +259,8 @@ def cmd_pipeline(args) -> int:
     t0 = time.perf_counter()
 
     # one frame at a time: pass 1 writes the HR frames and, when noisy, spills
-    # their clean LR spectra to an unnamed file, keeping only the peak that
+    # their clean LR spectra (and the ideal kernel's unit noise, drawn on a
+    # second thread meanwhile) to an unnamed file, keeping only the peak that
     # calibrates the noise; pass 2 rebuilds each HR frame, reads its spectra
     # back, then acquires, solves, upsamples and scores it.  Every file is
     # committed at the end, so a failure leaves no partial run
@@ -269,23 +270,26 @@ def cmd_pipeline(args) -> int:
     degradation = _degradation(rc)
     acq = Acquisition(hr_grid, rc.venc, degradation)
     cfg = SolverConfig(tau=rc.tau, kernel=acq.kernel, d=rc.factor, prior=rc.prior)
-    records, reports, peak = [], [], 0.0
+    records, reports, peak, cleans, units = [], [], 0.0, None, None
     with StreamWriter() as out, tempfile.TemporaryFile(dir=out_dir) as spill:
         hr_file = out.volume(path("hr.flw4"), hr_grid, params)
         for f_idx, frame in enumerate(tube_frames(rc.phantom, **phantom)):
             hr_file.write_frame(f_idx, frame)
             if rc.noise_psnr is not None:
-                cleans = acq.clean(frame)
+                cleans, units = acq.inputs(f_idx, frame)
                 peak = max(peak, acq.peak(cleans))
-                spill.writelines(cleans)
+                spill.writelines(cleans + (units or []))
         cal = acq.calibrate(peak)
+        spilled_units = units is not None  # with the ideal kernel only
         spill.seek(0)
         files = [out.volume(path(name), grid, params) for name, grid in (
             ("lr.flw4", acq.lr_grid), ("sr_fsr.flw4", hr_grid), (f"sr_{rc.baseline}.flw4", hr_grid))]
         for f_idx, frame in enumerate(tube_frames(rc.phantom, **phantom)):
-            cleans = None if rc.noise_psnr is None else _read_spectra(spill, acq.lr_grid.dims)
-            lr = VelocityDataset(single, (acq.frame(f_idx, frame, cal, cleans),))
-            cleans = None
+            if rc.noise_psnr is not None:
+                cleans = _read_spectra(spill, acq.lr_grid.dims)
+                units = _read_spectra(spill, acq.lr_grid.dims) if spilled_units else None
+            lr = VelocityDataset(single, (acq.frame(f_idx, frame, cal, cleans, units),))
+            cleans = units = None
             # one-frame datasets through each stage's own call; their frame 0 is frame f_idx
             solved = []
             sr_fsr = superresolve_dataset(lr, cfg, hr_grid, reports=solved)

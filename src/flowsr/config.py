@@ -70,6 +70,11 @@ class RunConfig:
             raise ConfigError(f"vmax must satisfy 0 < |vmax| < venc, got {self.vmax}")
         if not 0 <= self.radius < float("inf"):
             raise ConfigError(f"radius must be finite and >= 0 (0 = auto), got {self.radius}")
+        for name in ("magnitude_in", "magnitude_out"):
+            if not 0 <= getattr(self, name) < float("inf"):
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        if not all(0 < v < float("inf") for v in self.spacing):
+            raise ConfigError(f"spacing entries must be finite and > 0, got {self.spacing}")
         if self.kernel_fwhm is not None and not all(v > 0 for v in self.kernel_fwhm):
             raise ConfigError(f"kernel_fwhm entries must be > 0 (inf = all-pass), got {self.kernel_fwhm}")
         if self.noise_psnr is not None and not math.isfinite(self.noise_psnr):

@@ -15,6 +15,7 @@ kernel, which the tests pin down.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import CalibrationError, GridMismatchError, ParameterError
 from .spectral import (
     KernelSpectrum,
     _check_divisible,
+    _copy_box,
     add_spread,
     fftn_unitary,
     filtered_alias_sum,
@@ -200,6 +202,8 @@ class Acquisition:
     One noise level serves all frames: :meth:`calibrate` sets it from the
     running maximum of each frame's :meth:`peak`, that of its :meth:`clean`
     spectra of ``sqrt(d) S H x`` (LR-sized), to which :meth:`frame` adds noise.
+    :meth:`inputs` gives a frame's clean spectra together with the ideal
+    kernel's unit noise, drawn on a second thread meanwhile.
     Amplitudes are sqrt(d) times those of a bare ``S H``; velocities are not.
     """
 
@@ -230,31 +234,65 @@ class Acquisition:
             return NoiseCalibration(sigma=0.0, achieved_psnr_db=np.inf, target_psnr_db=None)
         return _calibration(peak, self.lr_grid.dims, self.cfg.noise_psnr_db, self.cfg.rng_seed)
 
+    def inputs(self, f_idx: int,
+               frame: VelocityFrame) -> tuple[list[np.ndarray], list[np.ndarray] | None]:
+        """Frame ``f_idx``'s :meth:`clean` spectra and its unit noise for :meth:`frame`.
+
+        With the ideal kernel and a noise target, a second thread draws the
+        unit noise while this one computes the clean spectra (numpy drops the
+        GIL while it fills a buffer).  Otherwise the units are None: the
+        gaussian kernel's LR white noise is drawn in :meth:`frame`.
+        """
+        if not self._ideal or self.cfg.noise_psnr_db is None:
+            return self.clean(frame), None
+        # the buffers are made on this thread: the worker's own allocations
+        # would stay in its thread's malloc arena after it ends
+        draws, units = self._noise_buffers()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            drawn = pool.submit(self._draw_units, f_idx, draws, units)
+            cleans = self.clean(frame)
+            drawn.result()
+        return cleans, units
+
+    def _noise_buffers(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        # the HR scratch that the full-k-space draws go through, and the LR
+        # units of u, v and w that they fill
+        return np.empty(self.kernel.grid.dims), [np.empty(self.lr_grid.dims, dtype=np.complex128)
+                                                 for _ in CHANNELS]
+
+    def _draw_units(self, f_idx: int, draws: np.ndarray, units: list[np.ndarray]) -> None:
+        # the ideal kernel's unit-sigma LR noise of frame f_idx, real + 1j * imag
+        # per channel.  Literal protocol: noise over the full HR k-space, then
+        # truncation.  Truncation only selects, so truncating each draw first
+        # gives the same bits with the arithmetic at LR size; each draw's box
+        # goes straight into the unit, so the worker allocates nothing sizable
+        for c_idx, unit in enumerate(units):
+            rng = seeded_rng(self.cfg.rng_seed, f_idx, c_idx)
+            _copy_box(unit.real, rng.standard_normal(out=draws))
+            _copy_box(unit.imag, rng.standard_normal(out=draws))
+
     def frame(self, f_idx: int, frame: VelocityFrame, cal: NoiseCalibration,
-              cleans=None) -> VelocityFrame:
-        """Frame ``f_idx`` acquired with ``cal``'s noise, from its :meth:`clean` spectra when given."""
-        d = self.cfg.d
+              cleans=None, units=None) -> VelocityFrame:
+        """Frame ``f_idx`` acquired with ``cal``'s noise, from its :meth:`inputs` when given."""
         cleans = self.clean(frame) if cleans is None else cleans
-        # one HR buffer that the frame's full-k-space draws go through
-        draws = np.empty(self.kernel.grid.dims) if self._ideal and cal.sigma > 0 else None
+        if units is None and self._ideal and cal.sigma > 0:
+            draws, units = self._noise_buffers()
+            self._draw_units(f_idx, draws, units)
+            del draws
 
         def lr_channel(f_idx: int, frame: VelocityFrame, ch: str, keep_magnitude: bool):
-            clean = cleans[CHANNELS.index(ch)]
+            c_idx = CHANNELS.index(ch)
+            clean = cleans[c_idx]
             if cal.sigma == 0:
                 signal = clean if self._identity else ifftn_unitary(clean)
             else:
-                rng = seeded_rng(self.cfg.rng_seed, f_idx, CHANNELS.index(ch))
                 if self._ideal:
-                    # literal protocol: noise over the full HR k-space, then
-                    # truncation.  Truncation only selects, so truncating each draw
-                    # first gives the same bits with the arithmetic at LR size
-                    real = filtered_alias_sum(self.kernel, rng.standard_normal(out=draws), d)
-                    imag = filtered_alias_sum(self.kernel, rng.standard_normal(out=draws), d)
-                    noise = cal.sigma * (real + 1j * imag)
+                    noise = cal.sigma * units[c_idx]
                 else:
                     # white noise on the LR k-space keeps the noise white per the
                     # forward model (a subsample after the filter would otherwise
                     # fold kernel-shaped noise)
+                    rng = seeded_rng(self.cfg.rng_seed, f_idx, c_idx)
                     noise = _complex_noise(self.lr_grid.dims, cal.sigma, rng)
                 signal = ifftn_unitary((fftn_unitary(clean) if self._identity else clean) + noise)
             # finite by construction; extract_velocity checks the magnitude it takes
@@ -272,11 +310,14 @@ def degrade_dataset(
     Returns the LR dataset and the calibration used (sigma 0 and an
     infinite achieved PSNR when ``cfg.noise_psnr_db`` is None).  It calibrates
     from every frame's :meth:`Acquisition.peak`, as ``flowsr pipeline`` does,
-    but keeps the clean spectra in memory: it holds the HR dataset whole anyway.
+    but keeps every frame's :meth:`Acquisition.inputs` in memory, the clean
+    spectra and, with the ideal kernel, the unit noise: it holds the HR
+    dataset whole anyway.
     """
     acq = Acquisition(hr.grid, hr.params.venc, cfg)
-    cleans = [] if cfg.noise_psnr_db is None else [acq.clean(frame) for frame in hr.frames]
-    cal = acq.calibrate(max(map(acq.peak, cleans), default=0.0))
-    frames = [acq.frame(f_idx, frame, cal, cleans.pop(0) if cleans else None)
+    inputs = [] if cfg.noise_psnr_db is None else [acq.inputs(f_idx, frame)
+                                                   for f_idx, frame in enumerate(hr.frames)]
+    cal = acq.calibrate(max((acq.peak(cleans) for cleans, _ in inputs), default=0.0))
+    frames = [acq.frame(f_idx, frame, cal, *(inputs.pop(0) if inputs else ()))
               for f_idx, frame in enumerate(hr.frames)]
     return VelocityDataset(hr.params, tuple(frames)), cal

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import GridMismatchError, ParameterError, SizeGuardError
 from .solver import SolverConfig
@@ -107,7 +106,10 @@ def dense_solve(
 
 def _dense_solve_priors(y: ComplexVolume, priors, ops: DenseOperators, tau: float) -> list[ComplexVolume]:
     # dense_solve for each prior, every right-hand side against one
-    # factorization of the system matrix
+    # factorization of the system matrix; scipy.linalg is imported here, where
+    # it is used, so that no other command pays for its import
+    import scipy.linalg
+
     if tau <= 0:
         raise ParameterError(f"tau must be > 0 for a definite system, got {tau}")
     A = ops.normal + 2.0 * tau * np.eye(ops.hr_grid.voxel_count)

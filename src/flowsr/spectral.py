@@ -21,6 +21,7 @@ apply a kernel; the ideal low-pass at its own rates touches its retained box alo
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,11 +208,27 @@ def fold_spectrum(spec: KernelSpectrum, d: tuple[int, int, int]) -> np.ndarray:
 def filtered_alias_sum(kernel: KernelSpectrum, spec: np.ndarray, d: tuple[int, int, int]) -> np.ndarray:
     """``alias_sum(kernel.values * spec, d)``, the LR spectrum of ``sqrt(d) S H x`` from x's.
 
-    ``spec`` may be real.  The ideal low-pass at rates ``d`` gathers its box.
+    ``spec`` may be real.  The ideal low-pass at rates ``d`` copies its box.
     """
     if kernel.lowpass_rates == d:
-        return spec[_box(spec.shape, kernel.grid.decimated(d).dims)]
+        return _copy_box(np.empty(kernel.grid.decimated(d).dims, dtype=spec.dtype), spec)
     return alias_sum(kernel.values * spec, d)
+
+
+def _copy_box(out: np.ndarray, spec: np.ndarray) -> np.ndarray:
+    """Copy the retained box of ``spec`` into the smaller ``out``, which it returns.
+
+    Corner block by corner block through basic slices, so, unlike indexing by
+    :func:`_box`, it makes no index arrays and no temporary copy.
+    """
+    axes = []
+    for hr_dim, lr_dim in zip(spec.shape, out.shape):
+        lo = (lr_dim + 1) // 2  # as retained_axis_indices: nonnegative, then negative bins
+        axes.append(((slice(0, lo), slice(0, lo)),
+                     (slice(lo, lr_dim), slice(hr_dim - lr_dim + lo, hr_dim))))
+    for blocks in itertools.product(*axes):
+        out[tuple(lr for lr, _ in blocks)] = spec[tuple(hr for _, hr in blocks)]
+    return out
 
 
 def add_spread(spec: np.ndarray, kernel: KernelSpectrum, u: np.ndarray, d: tuple[int, int, int]) -> None:

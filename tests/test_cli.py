@@ -3,6 +3,7 @@ import pathlib
 import re
 import shlex
 import tempfile
+import threading
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 import scipy.fft
 
 import flowsr.cli
+import flowsr.degrade
 import flowsr.interp
 import flowsr.solver
 import flowsr.volio
@@ -19,6 +21,7 @@ from flowsr import (
     EvalReport,
     FormatError,
     Grid3,
+    ParameterError,
     RunConfig,
     SolverConfig,
     VelocityDataset,
@@ -223,6 +226,20 @@ class TestDegrade:
         assert not out.exists() and not (tmp_path / "o.flw4.cal").exists()
 
 
+    def test_a_failing_noise_draw_writes_nothing(self, hr_file, tmp_path, monkeypatch, capsys):
+        def failing(*args):
+            raise ParameterError("the noise draw failed")
+
+        monkeypatch.setattr(flowsr.degrade, "seeded_rng", failing)
+        start = threading.active_count()
+        out = tmp_path / "lr.flw4"
+        assert run("degrade", "--in", str(hr_file), "--out", str(out), "--factor", "2,2,2",
+                   "--noise-psnr", "15") == 1
+        assert "error: the noise draw failed" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "lr.flw4.cal").exists()
+        assert threading.active_count() == start
+
+
 class TestSr:
     def test_fsr_with_reports(self, tmp_path, lr_file):
         out = tmp_path / "sr.flw4"
@@ -278,6 +295,14 @@ class TestSr:
     (("pipeline", "--out-dir", "{out}", "--venc", "inf"), "venc must be finite and > 0"),
     (("pipeline", "--out-dir", "{out}", "--noise-psnr", "nan"), "noise_psnr must be finite"),
     (("pipeline", "--out-dir", "{out}", "--vmax", "nan"), "vmax must satisfy"),
+    (("simulate", "--magnitude-out=nan", "--out", "{out}"), "magnitude_out must be finite and >= 0"),
+    (("simulate", "--magnitude-in=-1", "--out", "{out}"), "magnitude_in must be finite and >= 0"),
+    (("simulate", "--spacing=1,inf,1", "--out", "{out}"), "spacing entries must be finite and > 0"),
+    (("pipeline", "--out-dir", "{out}", "--magnitude-in=inf"),
+     "magnitude_in must be finite and >= 0"),
+    (("pipeline", "--out-dir", "{out}", "--magnitude-out=nan"),
+     "magnitude_out must be finite and >= 0"),
+    (("pipeline", "--out-dir", "{out}", "--spacing=0,1,1"), "spacing entries must be finite and > 0"),
 ])
 def test_out_of_range_setting_fails_before_a_write(tmp_path, lr_file, capsys, argv, message):
     # in every command, RunConfig's message and exit 1, as for a config line; NaN included
@@ -669,7 +694,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("fault, message", [
         ("write", "no space left on device"), ("read", "input/output error"),
-        ("truncate", "clean spectra spill: short read at byte offset"),
+        ("truncate", "spectra spill: short read at byte offset"),
     ])
     def test_a_failing_spill_leaves_every_file_as_it_was(self, tmp_path, monkeypatch, capsys,
                                                          fault, message):
@@ -694,6 +719,29 @@ class TestPipeline:
         argv[2] = str(fresh)
         assert run(*argv) == 1
         assert list(fresh.iterdir()) == []
+
+    def test_a_failing_noise_draw_fails_the_run_and_leaves_no_thread(self, tmp_path, monkeypatch,
+                                                                     capsys):
+        # the ideal kernel's noise is drawn on a second thread in the first pass;
+        # its error comes back through the future, and no thread outlives a run
+        argv = ["pipeline", "--dims", "16,16,8", "--frames", "3", "--factor", "2,2,2"]
+        start = threading.active_count()
+        assert run(*argv, "--out-dir", str(tmp_path / "good")) == 0
+        assert threading.active_count() == start
+        threads = []
+
+        def failing(*args):
+            threads.append(threading.current_thread())
+            raise ParameterError("the noise draw failed")
+
+        monkeypatch.setattr(flowsr.degrade, "seeded_rng", failing)
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert run(*argv, "--out-dir", str(out)) == 1
+        assert "error: the noise draw failed" in capsys.readouterr().err
+        assert threads and threading.main_thread() not in threads
+        assert list(out.iterdir()) == []
+        assert threading.active_count() == start
 
     @pytest.mark.parametrize("factor, bound", [
         ("4,4,4", 4 * 8 * 16**3),  # one HR frame in float64

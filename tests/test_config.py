@@ -70,17 +70,34 @@ class TestRunConfig:
             {"noise_psnr": float("-inf")},
             {"noise_psnr": float("nan")},
             {"tau": float("nan")},
+            {"magnitude_in": -1.0},
+            {"magnitude_in": float("inf")},
+            {"magnitude_in": float("nan")},
+            {"magnitude_out": -0.5},
+            {"magnitude_out": float("inf")},
+            {"magnitude_out": float("nan")},
+            {"spacing": (0.0, 1.0, 1.0)},
+            {"spacing": (1.0, -2.0, 1.0)},
+            {"spacing": (1.0, 1.0, float("inf"))},
+            {"spacing": (float("nan"), 1.0, 1.0)},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ConfigError):
             RunConfig(**kwargs)
 
-    @pytest.mark.parametrize("name", ["venc", "vmax", "radius", "noise_psnr", "tau", "mask_threshold"])
+    @pytest.mark.parametrize("name", ["venc", "vmax", "radius", "magnitude_in", "magnitude_out",
+                                      "noise_psnr", "tau", "mask_threshold"])
     def test_nan_fails_its_range_check(self, name):
         # not the annotation check: NaN equals its converted self there
         with pytest.raises(ConfigError, match=f"^{name} must (be|satisfy)"):
             RunConfig(**{name: float("nan")})
+
+    @pytest.mark.parametrize("spacing", [(0.0, 1.0, 1.0), (1.0, float("nan"), 1.0),
+                                         (1.0, 1.0, float("inf"))])
+    def test_spacing_fails_its_range_check(self, spacing):
+        with pytest.raises(ConfigError, match=r"^spacing entries must be finite and > 0"):
+            RunConfig(spacing=spacing)
 
     def test_infinite_kernel_fwhm_is_the_all_pass_limit(self):
         rc = RunConfig(kernel="gaussian", kernel_fwhm=(float("inf"), 2.0, 2.0))

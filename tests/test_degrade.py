@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -428,24 +430,88 @@ class TestSeededRng:
                                   seeded_rng(9, 2, 1).standard_normal(4))
 
 
+HELIX_12x8x6 = dict(radius_voxels=2.5, vmax_per_frame=[90.0, 60.0, 30.0], venc=120.0)
+
+
+def _assert_frames_equal(a, b):
+    for ch in ("magnitude", "u", "v", "w"):
+        assert np.array_equal(a.channel(ch).data, b.channel(ch).data), ch
+
+
 class TestAcquisition:
     @pytest.mark.parametrize("kernel, noise", [("ideal", 15.0), ("gaussian", 10.0), ("ideal", None)])
     def test_frame_by_frame_equals_degrade_dataset(self, kernel, noise):
         # the per-frame core, fed one rebuilt phantom frame at a time, is degrade_dataset's
         g = Grid3(12, 8, 6)
-        kwargs = dict(radius_voxels=2.5, vmax_per_frame=[90.0, 60.0, 30.0], venc=120.0)
         cfg = DegradationConfig(d=(2, 2, 3), kernel=kernel, noise_psnr_db=noise, rng_seed=4)
-        lr, cal = degrade_dataset(helix_phantom(g, **kwargs), cfg)
+        lr, cal = degrade_dataset(helix_phantom(g, **HELIX_12x8x6), cfg)
         acq = Acquisition(g, 120.0, cfg)
-        cleans = [None if noise is None else acq.clean(f) for f in tube_frames("helix", g, **kwargs)]
+        inputs = [(None, None) if noise is None else acq.inputs(f_idx, f)
+                  for f_idx, f in enumerate(tube_frames("helix", g, **HELIX_12x8x6))]
         peak = 0.0  # the running maximum, frame by frame
-        for spectra in cleans:
-            peak = peak if spectra is None else max(peak, acq.peak(spectra))
+        for cleans, _ in inputs:
+            peak = peak if cleans is None else max(peak, acq.peak(cleans))
         assert acq.calibrate(peak) == cal
-        for f_idx, frame in enumerate(tube_frames("helix", g, **kwargs)):
-            mine = acq.frame(f_idx, frame, cal, cleans[f_idx])
-            for ch in ("magnitude", "u", "v", "w"):
-                assert np.array_equal(mine.channel(ch).data, lr.frames[f_idx].channel(ch).data)
+        for f_idx, frame in enumerate(tube_frames("helix", g, **HELIX_12x8x6)):
+            _assert_frames_equal(acq.frame(f_idx, frame, cal, *inputs[f_idx]), lr.frames[f_idx])
+
+    @pytest.mark.parametrize("d", [(1, 1, 1), (2, 2, 2), (2, 2, 3)])
+    def test_units_from_inputs_give_the_inline_draw(self, d):
+        # the units drawn on the second thread are the retained box of two
+        # full-k-space draws per (frame, channel) stream, and feed frame to the
+        # bits of the draw frame makes itself
+        g = Grid3(12, 8, 6)
+        cfg = DegradationConfig(d=d, noise_psnr_db=12.0, rng_seed=8)
+        acq = Acquisition(g, 120.0, cfg)
+        cal = None
+        for f_idx, frame in enumerate(tube_frames("helix", g, **HELIX_12x8x6)):
+            cleans, units = acq.inputs(f_idx, frame)
+            cal = cal or acq.calibrate(acq.peak(cleans))
+            for c_idx, unit in enumerate(units):
+                rng = np.random.default_rng([cfg.rng_seed, f_idx, c_idx])
+                real, imag = (crop_kspace(ComplexVolume(g, rng.standard_normal(g.dims) + 0j),
+                                          acq.lr_grid).data.real for _ in range(2))
+                assert np.array_equal(unit, real + 1j * imag)
+            _assert_frames_equal(acq.frame(f_idx, frame, cal, cleans, units),
+                                 acq.frame(f_idx, frame, cal))
+
+    @pytest.mark.parametrize("kernel, noise", [("gaussian", 10.0), ("ideal", None),
+                                               ("gaussian", None)])
+    def test_inputs_give_no_units_but_for_the_noisy_ideal_kernel(self, kernel, noise):
+        g = Grid3(12, 8, 6)
+        acq = Acquisition(g, 120.0, DegradationConfig(d=(2, 2, 3), kernel=kernel,
+                                                      noise_psnr_db=noise))
+        frame = helix_phantom(g, **HELIX_12x8x6).frames[0]
+        cleans, units = acq.inputs(0, frame)
+        assert units is None
+        for mine, expected in zip(cleans, acq.clean(frame)):
+            assert np.array_equal(mine, expected)
+
+    def test_inputs_draw_on_a_second_thread_that_ends_with_the_call(self, monkeypatch):
+        import flowsr.degrade
+
+        g = Grid3(12, 8, 6)
+        acq = Acquisition(g, 120.0, DegradationConfig(d=(2, 2, 2), noise_psnr_db=12.0))
+        frame = helix_phantom(g, **HELIX_12x8x6).frames[0]
+        threads, original = [], flowsr.degrade.seeded_rng
+
+        def recording(*args):
+            threads.append(threading.current_thread())
+            return original(*args)
+
+        start = threading.active_count()
+        monkeypatch.setattr(flowsr.degrade, "seeded_rng", recording)
+        acq.inputs(0, frame)
+        assert len(threads) == 3 and threading.main_thread() not in threads
+        assert threading.active_count() == start
+
+        def failing(*args):
+            raise ParameterError("the draw failed")
+
+        monkeypatch.setattr(flowsr.degrade, "seeded_rng", failing)
+        with pytest.raises(ParameterError, match="the draw failed"):
+            acq.inputs(0, frame)
+        assert threading.active_count() == start
 
     @pytest.mark.parametrize("kernel, d", [("ideal", (2, 2, 3)), ("gaussian", (2, 1, 3)),
                                            ("ideal", (1, 1, 1))])

@@ -4,10 +4,14 @@
 them, so a name it traces stays bound in that module after the module stops
 calling it.  Those bindings are listed in ``ALLOWED`` with their reason; any
 other unused import is dead code.  ``__init__`` only re-exports, so it is
-not scanned.
+not scanned.  And importing ``flowsr.cli`` leaves ``scipy.linalg`` out, which
+only the dense oracle's solve imports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,3 +57,13 @@ def test_every_import_is_used(path):
 def test_each_allowed_name_is_bound_and_unused(module, name):
     # an entry goes once its module reads the name or stops importing it
     assert name in unused_imports(PACKAGE / f"{module}.py")
+
+
+def test_scipy_linalg_is_imported_only_by_the_dense_solve():
+    # every command imports flowsr.cli; only the oracle's dense solve needs scipy.linalg
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent),
+                                                         os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, flowsr.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"
