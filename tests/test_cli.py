@@ -225,7 +225,6 @@ class TestDegrade:
         assert "error: target PSNR 7000 dB is too high" in capsys.readouterr().err
         assert not out.exists() and not (tmp_path / "o.flw4.cal").exists()
 
-
     def test_a_failing_noise_draw_writes_nothing(self, hr_file, tmp_path, monkeypatch, capsys):
         def failing(*args):
             raise ParameterError("the noise draw failed")

@@ -93,12 +93,6 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match=f"^{name} must (be|satisfy)"):
             RunConfig(**{name: float("nan")})
 
-    @pytest.mark.parametrize("spacing", [(0.0, 1.0, 1.0), (1.0, float("nan"), 1.0),
-                                         (1.0, 1.0, float("inf"))])
-    def test_spacing_fails_its_range_check(self, spacing):
-        with pytest.raises(ConfigError, match=r"^spacing entries must be finite and > 0"):
-            RunConfig(spacing=spacing)
-
     def test_infinite_kernel_fwhm_is_the_all_pass_limit(self):
         rc = RunConfig(kernel="gaussian", kernel_fwhm=(float("inf"), 2.0, 2.0))
         assert parse_config_text(format_config_text(rc)) == rc
