@@ -27,7 +27,7 @@ from .spectral import (
     _copy_box,
     add_spread,
     fftn_unitary,
-    filtered_alias_sum,
+    filtered_alias_spectrum,
     gaussian_spectrum,
     ideal_lowpass_spectrum,
     ifftn_unitary,
@@ -121,7 +121,7 @@ def apply_SH(x: ComplexVolume, kernel: KernelSpectrum, d: tuple[int, int, int]) 
     """Filter a high-res volume by the kernel, then keep every d-th voxel (offset 0)."""
     d = _check_kernel_and_rates(x.grid, kernel, d)
     # the kept voxels' spectrum is the filtered one's alias sum over sqrt(d)
-    spec = filtered_alias_sum(kernel, fftn_unitary(x.data), d) / np.sqrt(np.prod(d))
+    spec = filtered_alias_spectrum(kernel, x.data, d) / np.sqrt(np.prod(d))
     return ComplexVolume(x.grid.decimated(d), ifftn_unitary(spec))
 
 
@@ -201,9 +201,10 @@ class Acquisition:
     from ``cfg.rng_seed``, so a fixed seed reproduces each frame bit-for-bit.
     One noise level serves all frames: :meth:`calibrate` sets it from the
     running maximum of each frame's :meth:`peak`, that of its :meth:`clean`
-    spectra of ``sqrt(d) S H x`` (LR-sized), to which :meth:`frame` adds noise.
-    :meth:`inputs` gives a frame's clean spectra together with the ideal
-    kernel's unit noise, drawn on a second thread meanwhile.
+    spectra of ``sqrt(d) S H x`` (LR-sized), to which :meth:`frame` adds noise:
+    ``cal.sigma`` times the frame's :meth:`units` with the ideal kernel.
+    :meth:`inputs` gives a frame's clean spectra and units together, the
+    units drawn on a second thread meanwhile.
     Amplitudes are sqrt(d) times those of a bare ``S H``; velocities are not.
     """
 
@@ -215,6 +216,7 @@ class Acquisition:
         # transform round trip would give zero-magnitude voxels arbitrary phase
         self._ideal = self.kernel.lowpass_rates == cfg.d
         self._identity = self._ideal and self.lr_grid.dims == hr_grid.dims
+        self._draws_units = self._ideal and cfg.noise_psnr_db is not None
 
     def clean(self, frame: VelocityFrame) -> list[np.ndarray]:
         """The noiseless LR spectra of u, v and w (under the identity, the signals)."""
@@ -222,7 +224,7 @@ class Acquisition:
                    for ch in CHANNELS)
         if self._identity:
             return list(signals)
-        return [filtered_alias_sum(self.kernel, fftn_unitary(sig), self.cfg.d) for sig in signals]
+        return [filtered_alias_spectrum(self.kernel, sig, self.cfg.d) for sig in signals]
 
     def peak(self, spectra) -> float:
         """The peak noiseless LR magnitude of one frame's :meth:`clean` spectra."""
@@ -236,23 +238,31 @@ class Acquisition:
 
     def inputs(self, f_idx: int,
                frame: VelocityFrame) -> tuple[list[np.ndarray], list[np.ndarray] | None]:
-        """Frame ``f_idx``'s :meth:`clean` spectra and its unit noise for :meth:`frame`.
+        """Frame ``f_idx``'s :meth:`clean` spectra and :meth:`units`, the units drawn meanwhile.
 
-        With the ideal kernel and a noise target, a second thread draws the
-        unit noise while this one computes the clean spectra (numpy drops the
-        GIL while it fills a buffer).  Otherwise the units are None: the
-        gaussian kernel's LR white noise is drawn in :meth:`frame`.
+        A second thread draws the units while this one computes the clean
+        spectra (numpy drops the GIL while it fills a buffer); it ends before
+        the call returns or raises.  Without units to draw, no thread starts.
         """
-        if not self._ideal or self.cfg.noise_psnr_db is None:
+        if not self._draws_units:
             return self.clean(frame), None
         # the buffers are made on this thread: the worker's own allocations
         # would stay in its thread's malloc arena after it ends
-        draws, units = self._noise_buffers()
+        buffers = self._noise_buffers()
         with ThreadPoolExecutor(max_workers=1) as pool:
-            drawn = pool.submit(self._draw_units, f_idx, draws, units)
+            drawn = pool.submit(self._draw_units, f_idx, *buffers)
             cleans = self.clean(frame)
-            drawn.result()
-        return cleans, units
+            return cleans, drawn.result()
+
+    def units(self, f_idx: int) -> list[np.ndarray] | None:
+        """Frame ``f_idx``'s unit-sigma k-space noise of u, v and w, which :meth:`frame` scales.
+
+        With the ideal kernel and a noise target, per channel ``real + 1j *
+        imag``, the retained boxes of two full-k-space draws from the
+        ``(frame, channel)`` stream; otherwise None, as the gaussian kernel's
+        LR white noise is drawn in :meth:`frame`.
+        """
+        return self._draw_units(f_idx, *self._noise_buffers()) if self._draws_units else None
 
     def _noise_buffers(self) -> tuple[np.ndarray, list[np.ndarray]]:
         # the HR scratch that the full-k-space draws go through, and the LR
@@ -260,25 +270,26 @@ class Acquisition:
         return np.empty(self.kernel.grid.dims), [np.empty(self.lr_grid.dims, dtype=np.complex128)
                                                  for _ in CHANNELS]
 
-    def _draw_units(self, f_idx: int, draws: np.ndarray, units: list[np.ndarray]) -> None:
-        # the ideal kernel's unit-sigma LR noise of frame f_idx, real + 1j * imag
-        # per channel.  Literal protocol: noise over the full HR k-space, then
-        # truncation.  Truncation only selects, so truncating each draw first
-        # gives the same bits with the arithmetic at LR size; each draw's box
-        # goes straight into the unit, so the worker allocates nothing sizable
+    def _draw_units(self, f_idx: int, draws: np.ndarray, units: list[np.ndarray]) -> list[np.ndarray]:
+        # Literal protocol: noise over the full HR k-space, then truncation.
+        # Truncation only selects, so truncating each draw first gives the same
+        # bits with the arithmetic at LR size; each draw's box goes straight
+        # into its unit, so no sizable array is allocated here
         for c_idx, unit in enumerate(units):
             rng = seeded_rng(self.cfg.rng_seed, f_idx, c_idx)
             _copy_box(unit.real, rng.standard_normal(out=draws))
             _copy_box(unit.imag, rng.standard_normal(out=draws))
+        return units
 
     def frame(self, f_idx: int, frame: VelocityFrame, cal: NoiseCalibration,
               cleans=None, units=None) -> VelocityFrame:
-        """Frame ``f_idx`` acquired with ``cal``'s noise, from its :meth:`inputs` when given."""
+        """Frame ``f_idx`` acquired with ``cal``'s noise, from its :meth:`clean` spectra when given.
+
+        Noise with the ideal kernel needs the frame's :meth:`units`.
+        """
         cleans = self.clean(frame) if cleans is None else cleans
         if units is None and self._ideal and cal.sigma > 0:
-            draws, units = self._noise_buffers()
-            self._draw_units(f_idx, draws, units)
-            del draws
+            raise ParameterError(f"frame {f_idx}: the ideal kernel's noise needs the frame's units")
 
         def lr_channel(f_idx: int, frame: VelocityFrame, ch: str, keep_magnitude: bool):
             c_idx = CHANNELS.index(ch)
@@ -310,14 +321,13 @@ def degrade_dataset(
     Returns the LR dataset and the calibration used (sigma 0 and an
     infinite achieved PSNR when ``cfg.noise_psnr_db`` is None).  It calibrates
     from every frame's :meth:`Acquisition.peak`, as ``flowsr pipeline`` does,
-    but keeps every frame's :meth:`Acquisition.inputs` in memory, the clean
-    spectra and, with the ideal kernel, the unit noise: it holds the HR
-    dataset whole anyway.
+    but keeps the clean spectra in memory: it holds the HR dataset whole
+    anyway.  Each frame's :meth:`Acquisition.units` are drawn as it is
+    acquired, on this thread, so no frame's noise is held beside another's.
     """
     acq = Acquisition(hr.grid, hr.params.venc, cfg)
-    inputs = [] if cfg.noise_psnr_db is None else [acq.inputs(f_idx, frame)
-                                                   for f_idx, frame in enumerate(hr.frames)]
-    cal = acq.calibrate(max((acq.peak(cleans) for cleans, _ in inputs), default=0.0))
-    frames = [acq.frame(f_idx, frame, cal, *(inputs.pop(0) if inputs else ()))
+    cleans = [] if cfg.noise_psnr_db is None else [acq.clean(frame) for frame in hr.frames]
+    cal = acq.calibrate(max(map(acq.peak, cleans), default=0.0))
+    frames = [acq.frame(f_idx, frame, cal, cleans.pop(0) if cleans else None, acq.units(f_idx))
               for f_idx, frame in enumerate(hr.frames)]
     return VelocityDataset(hr.params, tuple(frames)), cal

@@ -156,7 +156,9 @@ def _zero_fill_spectrum(y_spec: np.ndarray, d: tuple[int, int, int]) -> np.ndarr
     # the retained box of an otherwise zero high-res spectrum
     hr_dims = tuple(n * rate for n, rate in zip(y_spec.shape, d))
     spec = np.zeros(hr_dims, dtype=np.complex128)
-    spec[_box(hr_dims, y_spec.shape)] = np.sqrt(np.prod(d)) * y_spec
+    scaled = np.sqrt(np.prod(d)) * y_spec
+    for lr, hr in _box(hr_dims, y_spec.shape):
+        spec[hr] = scaled[lr]
     return spec
 
 

@@ -14,8 +14,9 @@ Frequency conventions, fixed once here and reused by every other module:
   ``1/sqrt(d)``: low-res bin ``kappa`` collects high-res bins ``kappa + b * L``
   for block index ``b in [0, d)``.
 
-Only :func:`filtered_alias_sum` (``sqrt(d) S H``) and its adjoint :func:`add_spread`
-apply a kernel; the ideal low-pass at its own rates touches its retained box alone.
+Only :func:`filtered_alias_sum` (``sqrt(d) S H``, or :func:`filtered_alias_spectrum`
+from the image) and its adjoint :func:`add_spread` apply a kernel; the ideal
+low-pass at its own rates touches its retained box alone.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ __all__ = [
     "alias_sum",
     "fold_spectrum",
     "filtered_alias_sum",
+    "filtered_alias_spectrum",
     "add_spread",
 ]
 
@@ -113,7 +115,8 @@ class _IdealLowpass(KernelSpectrum):
     @functools.cached_property
     def values(self) -> np.ndarray:
         values = np.zeros(self.grid.dims, dtype=np.complex128)
-        values[_box(self.grid.dims, self.grid.decimated(self.lowpass_rates).dims)] = 1.0
+        for _, hr in _box(self.grid.dims, self.grid.decimated(self.lowpass_rates).dims):
+            values[hr] = 1.0
         values.setflags(write=False)
         return values
 
@@ -141,12 +144,23 @@ def retained_axis_indices(hr_dim: int, lr_dim: int) -> np.ndarray:
     return np.concatenate([np.arange(lo), np.arange(hr_dim - hi, hr_dim)])
 
 
-def _box(hr_dims, lr_dims):
-    """``np.ix_`` index of the retained box of an ``hr_dims`` spectrum cropped to ``lr_dims``.
+def _box(hr_dims, lr_dims) -> list[tuple[tuple[slice, ...], tuple[slice, ...]]]:
+    """The retained box of an ``hr_dims`` spectrum cropped to ``lr_dims``, corner block by corner block.
 
+    One ``(lr, hr)`` pair of basic-slice indices per nonempty block of the
+    2³ (per axis, the nonnegative bins, then the negative ones, as
+    :func:`retained_axis_indices` orders them): HR block ``hr`` is LR block
+    ``lr``.  Basic slices make no index arrays and no gathered copies.
     Raises ``ParameterError`` when ``lr_dims`` exceeds ``hr_dims`` on an axis.
     """
-    return np.ix_(*(retained_axis_indices(h, l) for h, l in zip(hr_dims, lr_dims)))
+    axes = []
+    for h, l in zip(hr_dims, lr_dims):
+        if l > h:
+            raise ParameterError(f"cannot retain {l} bins from an axis of {h}")
+        lo = (l + 1) // 2
+        axes.append([(slice(0, lo), slice(0, lo))]
+                    + ([(slice(lo, l), slice(h - l + lo, h))] if lo < l else []))
+    return [tuple(zip(*blocks)) for blocks in itertools.product(*axes)]
 
 
 def ideal_lowpass_spectrum(hr: Grid3, d: tuple[int, int, int]) -> KernelSpectrum:
@@ -177,7 +191,7 @@ def gaussian_spectrum(hr: Grid3, fwhm_bins: tuple[float, float, float]) -> Kerne
 
 def crop_kspace(X: ComplexVolume, lr: Grid3) -> ComplexVolume:
     """Copy the retained low-frequency box of a spectrum into an LR-sized spectrum."""
-    return ComplexVolume(lr, X.data[_box(X.grid.dims, lr.dims)])
+    return ComplexVolume(lr, _copy_box(np.empty(lr.dims, dtype=X.data.dtype), X.data))
 
 
 def alias_sum(values: np.ndarray, d: tuple[int, int, int]) -> np.ndarray:
@@ -205,6 +219,31 @@ def fold_spectrum(spec: KernelSpectrum, d: tuple[int, int, int]) -> np.ndarray:
     return gram
 
 
+def filtered_alias_spectrum(kernel: KernelSpectrum, a: np.ndarray, d: tuple[int, int, int]) -> np.ndarray:
+    """``filtered_alias_sum(kernel, fftn_unitary(a), d)``, the LR spectrum of ``sqrt(d) S H a``.
+
+    The ideal low-pass at rates ``d`` keeps its box alone, so it transforms
+    axis by axis in ``fftn``'s order (x, y, z) and crops each axis before
+    the next: y and z transform only the lines the box keeps (at rate 4 per
+    axis, 44 % of ``fftn``'s line transforms).  Each line is the one
+    ``fftn`` computes, and the unitary scale is applied where scipy's
+    pocketfft applies it, to the first axis's output, as it computes it, in
+    long double: the result is ``fftn_unitary``'s box to the bit.
+    """
+    if kernel.lowpass_rates != d:
+        return filtered_alias_sum(kernel, fftn_unitary(a), d)
+    scale = float(np.longdouble(1) / np.sqrt(np.longdouble(a.size)))
+    for axis, (hr_dim, lr_dim) in enumerate(zip(a.shape, kernel.grid.decimated(d).dims)):
+        a = scipy.fft.fft(a, axis=axis, overwrite_x=axis > 0)
+        if lr_dim < hr_dim:
+            a = np.concatenate([a[(slice(None),) * axis + hr] for _, hr in _box((hr_dim,), (lr_dim,))],
+                               axis=axis)
+        if axis == 0:
+            floats = a.view(np.float64)
+            np.multiply(floats, scale, out=floats)
+    return a
+
+
 def filtered_alias_sum(kernel: KernelSpectrum, spec: np.ndarray, d: tuple[int, int, int]) -> np.ndarray:
     """``alias_sum(kernel.values * spec, d)``, the LR spectrum of ``sqrt(d) S H x`` from x's.
 
@@ -216,18 +255,9 @@ def filtered_alias_sum(kernel: KernelSpectrum, spec: np.ndarray, d: tuple[int, i
 
 
 def _copy_box(out: np.ndarray, spec: np.ndarray) -> np.ndarray:
-    """Copy the retained box of ``spec`` into the smaller ``out``, which it returns.
-
-    Corner block by corner block through basic slices, so, unlike indexing by
-    :func:`_box`, it makes no index arrays and no temporary copy.
-    """
-    axes = []
-    for hr_dim, lr_dim in zip(spec.shape, out.shape):
-        lo = (lr_dim + 1) // 2  # as retained_axis_indices: nonnegative, then negative bins
-        axes.append(((slice(0, lo), slice(0, lo)),
-                     (slice(lo, lr_dim), slice(hr_dim - lr_dim + lo, hr_dim))))
-    for blocks in itertools.product(*axes):
-        out[tuple(lr for lr, _ in blocks)] = spec[tuple(hr for _, hr in blocks)]
+    """Copy the retained box of ``spec`` into the smaller ``out``, which it returns."""
+    for lr, hr in _box(spec.shape, out.shape):
+        out[lr] = spec[hr]
     return out
 
 
@@ -238,7 +268,8 @@ def add_spread(spec: np.ndarray, kernel: KernelSpectrum, u: np.ndarray, d: tuple
     take one HR scratch array.
     """
     if kernel.lowpass_rates == d:
-        spec[_box(spec.shape, u.shape)] += u
+        for lr, hr in _box(spec.shape, u.shape):
+            spec[hr] += u[lr]
     else:
         scratch = _tile_into(np.empty(spec.shape, dtype=np.complex128), u, d)
         spec += np.multiply(kernel.conj_values, scratch, out=scratch)

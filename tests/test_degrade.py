@@ -456,24 +456,22 @@ class TestAcquisition:
             _assert_frames_equal(acq.frame(f_idx, frame, cal, *inputs[f_idx]), lr.frames[f_idx])
 
     @pytest.mark.parametrize("d", [(1, 1, 1), (2, 2, 2), (2, 2, 3)])
-    def test_units_from_inputs_give_the_inline_draw(self, d):
+    def test_units_from_inputs_give_degrade_datasets_frames(self, d):
         # the units drawn on the second thread are the retained box of two
-        # full-k-space draws per (frame, channel) stream, and feed frame to the
-        # bits of the draw frame makes itself
+        # full-k-space draws per (frame, channel) stream, and acquire each frame
+        # to the bits of degrade_dataset, which draws its units on its own thread
         g = Grid3(12, 8, 6)
         cfg = DegradationConfig(d=d, noise_psnr_db=12.0, rng_seed=8)
+        lr, cal = degrade_dataset(helix_phantom(g, **HELIX_12x8x6), cfg)
         acq = Acquisition(g, 120.0, cfg)
-        cal = None
         for f_idx, frame in enumerate(tube_frames("helix", g, **HELIX_12x8x6)):
             cleans, units = acq.inputs(f_idx, frame)
-            cal = cal or acq.calibrate(acq.peak(cleans))
             for c_idx, unit in enumerate(units):
                 rng = np.random.default_rng([cfg.rng_seed, f_idx, c_idx])
                 real, imag = (crop_kspace(ComplexVolume(g, rng.standard_normal(g.dims) + 0j),
                                           acq.lr_grid).data.real for _ in range(2))
                 assert np.array_equal(unit, real + 1j * imag)
-            _assert_frames_equal(acq.frame(f_idx, frame, cal, cleans, units),
-                                 acq.frame(f_idx, frame, cal))
+            _assert_frames_equal(acq.frame(f_idx, frame, cal, cleans, units), lr.frames[f_idx])
 
     @pytest.mark.parametrize("kernel, noise", [("gaussian", 10.0), ("ideal", None),
                                                ("gaussian", None)])
@@ -483,9 +481,17 @@ class TestAcquisition:
                                                       noise_psnr_db=noise))
         frame = helix_phantom(g, **HELIX_12x8x6).frames[0]
         cleans, units = acq.inputs(0, frame)
-        assert units is None
+        assert units is None and acq.units(0) is None
         for mine, expected in zip(cleans, acq.clean(frame)):
             assert np.array_equal(mine, expected)
+
+    def test_noise_with_the_ideal_kernel_needs_the_units(self):
+        g = Grid3(12, 8, 6)
+        acq = Acquisition(g, 120.0, DegradationConfig(d=(2, 2, 2), noise_psnr_db=12.0))
+        frame = helix_phantom(g, **HELIX_12x8x6).frames[0]
+        cal = acq.calibrate(acq.peak(acq.clean(frame)))
+        with pytest.raises(ParameterError, match="frame 0: the ideal kernel's noise needs"):
+            acq.frame(0, frame, cal)
 
     def test_inputs_draw_on_a_second_thread_that_ends_with_the_call(self, monkeypatch):
         import flowsr.degrade

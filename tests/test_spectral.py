@@ -18,10 +18,10 @@ from flowsr import (
     inverse_fft,
 )
 from flowsr.spectral import (
-    _box,
     add_spread,
     alias_sum,
     fftn_unitary,
+    filtered_alias_spectrum,
     filtered_alias_sum,
     ifftn_unitary,
     retained_axis_indices,
@@ -127,7 +127,7 @@ class TestIdealLowpass:
         grid = Grid3(*dims)
         spec = ideal_lowpass_spectrum(grid, d)
         indicator = np.zeros(dims)
-        indicator[_box(dims, grid.decimated(d).dims)] = 1.0
+        indicator[np.ix_(*map(retained_axis_indices, dims, grid.decimated(d).dims))] = 1.0
         assert spec.values.dtype == np.complex128
         assert np.array_equal(spec.values, KernelSpectrum(grid, indicator).values)
         assert spec.values is spec.values  # built once
@@ -327,6 +327,13 @@ class TestKernelAction:
             assert got.shape == lr_dims
             assert np.array_equal(got, alias_sum(kernel.values * spec, d))
 
+    def test_filtered_alias_spectrum_is_that_of_the_unitary_transform(self, dims, d, kind, rng):
+        kernel = _kernel(kind, dims, d, rng)
+        a = random_complex(Grid3(*dims), rng).data
+        got = filtered_alias_spectrum(kernel, a, d)
+        assert np.array_equal(got.view(np.uint64),
+                              filtered_alias_sum(kernel, fftn_unitary(a), d).view(np.uint64))
+
     def test_add_spread_adds_the_conjugate_filtered_tiling(self, dims, d, kind, rng):
         kernel = _kernel(kind, dims, d, rng)
         spec = random_complex(Grid3(*dims), rng).data.copy()  # volumes are read-only
@@ -344,3 +351,16 @@ class TestKernelAction:
         lhs = np.vdot(filtered_alias_sum(kernel, a, d), b)
         rhs = np.vdot(a, spread)
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
+
+
+@pytest.mark.parametrize("dims,d", [((64, 64, 32), (4, 4, 1)), ((20, 30, 18), (2, 3, 3)),
+                                    ((97, 10, 6), (97, 2, 3)), ((7, 53, 5), (1, 53, 5))])
+def test_ideal_kernel_transforms_its_box_to_the_bits_of_fftn(dims, d, rng):
+    # axis by axis, cropping between axes, on smooth and prime lengths; signed
+    # zeros included, so the bits are compared
+    a = random_complex(Grid3(*dims), rng).data.copy()
+    a[0, 0, 0], a[-1, -1, -1] = -0.0, complex(0.0, -0.0)
+    kernel = ideal_lowpass_spectrum(Grid3(*dims), d)
+    got = filtered_alias_spectrum(kernel, a, d)
+    assert np.array_equal(got.view(np.uint64),
+                          filtered_alias_sum(kernel, fftn_unitary(a), d).view(np.uint64))
