@@ -285,7 +285,8 @@ class Acquisition:
               cleans=None, units=None) -> VelocityFrame:
         """Frame ``f_idx`` acquired with ``cal``'s noise, from its :meth:`clean` spectra when given.
 
-        Noise with the ideal kernel needs the frame's :meth:`units`.
+        Noise with the ideal kernel needs the frame's :meth:`units`, which it
+        scales in place: each frame's units serve one call.
         """
         cleans = self.clean(frame) if cleans is None else cleans
         if units is None and self._ideal and cal.sigma > 0:
@@ -298,7 +299,8 @@ class Acquisition:
                 signal = clean if self._identity else ifftn_unitary(clean)
             else:
                 if self._ideal:
-                    noise = cal.sigma * units[c_idx]
+                    noise = units[c_idx]
+                    noise *= cal.sigma  # in place: the bits of cal.sigma * unit, one array fewer
                 else:
                     # white noise on the LR k-space keeps the noise white per the
                     # forward model (a subsample after the filter would otherwise
