@@ -21,15 +21,16 @@ import numpy as np
 
 from .config import (CHOICES, RunConfig, _convert, _key_value_text, format_config_text,
                      parse_config_text)
-from .degrade import KERNEL_KINDS, Acquisition, DegradationConfig, degrade_dataset, seeded_rng
-from .errors import FlowSRError, FormatError
+from .degrade import KERNEL_KINDS, Acquisition, DegradationConfig, seeded_rng
+from .degrade import degrade_dataset  # noqa: F401  perfbench traces it
+from .errors import FlowSRError
 from .interp import METHODS, upsample_dataset
 from .metrics import EvalReport, evaluate
 from .oracle import _dense_solve_priors, build_dense
 from .phantom import helix_phantom, poiseuille_phantom, pulsatile_profile, tube_frames
 from .solver import SolverConfig, build_prior, fsr_solve, superresolve_dataset
 from .spectral import gaussian_spectrum, ideal_lowpass_spectrum  # noqa: F401  perfbench traces them
-from .volio import StreamWriter, atomic_write, load_dataset, save_dataset
+from .volio import StreamWriter, atomic_write, load_dataset, open_frames, save_dataset
 from .volume import AcquisitionParams, ComplexVolume, Grid3, VelocityDataset
 
 __all__ = ["main"]
@@ -123,12 +124,21 @@ def _degradation(rc: RunConfig) -> DegradationConfig:
 
 
 def cmd_degrade(args) -> int:
-    hr = load_dataset(args.infile)
-    cfg = _degradation(RunConfig(dims=hr.grid.dims, **_settings(args)))
-    lr, cal = degrade_dataset(hr, cfg)
-    save_dataset(lr, args.out)
-    _write_text(args.calibration_out or args.out + ".cal", _calibration_text(cal, cfg))
-    print(f"wrote {args.out}: LR grid {lr.grid.dims}")
+    # frame by frame through Acquisition's two passes, the spill beside the
+    # output; both files are committed together, so a failure leaves neither
+    with open_frames(args.infile) as (hr_grid, params, frames), StreamWriter() as out, \
+            tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(args.out))) as spill:
+        cfg = _degradation(RunConfig(dims=hr_grid.dims, **_settings(args)))
+        acq = Acquisition(hr_grid, params.venc, cfg)
+        lr_file = out.volume(args.out, acq.lr_grid, params)
+        cal_file = out.file(args.calibration_out or args.out + ".cal")
+        cal = acq.survey(frames, spill)
+        acquired = acq.acquired(params.frame_count, cal, spill)
+        for f_idx in range(params.frame_count):
+            lr_file.write_frame(f_idx, next(acquired))
+        cal_file.write(_calibration_text(cal, cfg).encode("utf-8"))
+        out.commit()
+    print(f"wrote {args.out}: LR grid {acq.lr_grid.dims}")
     if cal.target_psnr_db is not None:
         print(f"noise sigma {cal.sigma:.6g}, achieved PSNR {cal.achieved_psnr_db:.2f} dB")
     return 0
@@ -233,16 +243,6 @@ def cmd_oracle_check(args) -> int:
     return 0
 
 
-def _read_spectra(fh, dims) -> list[np.ndarray]:
-    """The next u, v and w spectra of shape ``dims`` in ``fh``; ``FormatError`` on a short read."""
-    spectra = [np.empty(dims, dtype=np.complex128) for _ in range(3)]
-    for spectrum in spectra:
-        offset = fh.tell()
-        if fh.readinto(spectrum) != spectrum.nbytes:
-            raise FormatError(f"spectra spill: short read at byte offset {offset}")
-    return spectra
-
-
 def cmd_pipeline(args) -> int:
     rc = RunConfig()
     if args.config:
@@ -258,49 +258,36 @@ def cmd_pipeline(args) -> int:
     path = lambda name: os.path.join(out_dir, name)
     t0 = time.perf_counter()
 
-    # one frame at a time: pass 1 writes the HR frames and, when noisy, spills
-    # their clean LR spectra (and the ideal kernel's unit noise, drawn on a
-    # second thread meanwhile) to an unnamed file, keeping only the peak that
-    # calibrates the noise; pass 2 rebuilds each HR frame, reads its spectra
-    # back, then acquires, solves, upsamples and scores it.  Every file is
-    # committed at the end, so a failure leaves no partial run
+    # one frame at a time: Acquisition's first pass surveys the phantom
+    # frames, its second yields each LR frame as the frame is rebuilt, written,
+    # solved, upsampled and scored.  Every file is committed at the end, so a
+    # failure leaves no partial run
     phantom = _phantom_args(rc)
     hr_grid, params = phantom["grid"], AcquisitionParams(rc.venc, rc.frames)
     single = AcquisitionParams(rc.venc)  # of the one-frame datasets
     degradation = _degradation(rc)
     acq = Acquisition(hr_grid, rc.venc, degradation)
     cfg = SolverConfig(tau=rc.tau, kernel=acq.kernel, d=rc.factor, prior=rc.prior)
-    records, reports, peak, cleans, units = [], [], 0.0, None, None
+    records, reports = [], []
     with StreamWriter() as out, tempfile.TemporaryFile(dir=out_dir) as spill:
-        hr_file = out.volume(path("hr.flw4"), hr_grid, params)
-        for f_idx, frame in enumerate(tube_frames(rc.phantom, **phantom)):
-            hr_file.write_frame(f_idx, frame)
-            if rc.noise_psnr is not None:
-                cleans, units = acq.inputs(f_idx, frame)
-                peak = max(peak, acq.peak(cleans))
-                spill.writelines(cleans + (units or []))
-        cal = acq.calibrate(peak)
-        spilled_units = units is not None  # with the ideal kernel only
-        spill.seek(0)
         files = [out.volume(path(name), grid, params) for name, grid in (
-            ("lr.flw4", acq.lr_grid), ("sr_fsr.flw4", hr_grid), (f"sr_{rc.baseline}.flw4", hr_grid))]
+            ("hr.flw4", hr_grid), ("lr.flw4", acq.lr_grid), ("sr_fsr.flw4", hr_grid),
+            (f"sr_{rc.baseline}.flw4", hr_grid))]
+        cal = acq.survey(tube_frames(rc.phantom, **phantom), spill)
+        acquired = acq.acquired(rc.frames, cal, spill)
         for f_idx, frame in enumerate(tube_frames(rc.phantom, **phantom)):
-            if rc.noise_psnr is not None:
-                cleans = _read_spectra(spill, acq.lr_grid.dims)
-                units = _read_spectra(spill, acq.lr_grid.dims) if spilled_units else None
-            lr = VelocityDataset(single, (acq.frame(f_idx, frame, cal, cleans, units),))
-            cleans = units = None
+            lr = VelocityDataset(single, (next(acquired),))
             # one-frame datasets through each stage's own call; their frame 0 is frame f_idx
             solved = []
             sr_fsr = superresolve_dataset(lr, cfg, hr_grid, reports=solved)
             reports += [(f_idx, ch, rep) for _, ch, rep in solved]
             sr_base = upsample_dataset(lr, rc.factor, rc.baseline)
-            for file, ds in zip(files, (lr, sr_fsr, sr_base)):
-                file.write_frame(f_idx, ds.frames[0])
+            for file, written in zip(files, (frame, *lr.frames, *sr_fsr.frames, *sr_base.frames)):
+                file.write_frame(f_idx, written)
             scored = evaluate(sr_fsr, VelocityDataset(single, (frame,)), sr_base, rc.mask_threshold,
                               "fsr", rc.baseline)
             records += [dataclasses.replace(r, frame=f_idx) for r in scored.records]
-            del frame, lr, sr_fsr, sr_base, ds  # before the next frame is made
+            del frame, lr, sr_fsr, sr_base, written  # before the next frame is made
         report = EvalReport(tuple(records))
         # both methods' records come frame by frame, channel by channel
         psnr_wins, mre_wins = (

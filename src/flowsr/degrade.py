@@ -10,17 +10,21 @@ channel: synthesize the complex signal from magnitude + velocity, transform
 to k-space, add calibrated noise, truncate the high frequencies, transform
 back, and re-extract magnitude and velocity.  Under the unitary convention
 the truncation pipeline equals ``sqrt(d) * S H`` with the ideal low-pass
-kernel, which the tests pin down.
+kernel, which the tests pin down.  :class:`Acquisition` runs the chain in
+two passes that hold one frame at a time, for ``flowsr degrade``,
+``flowsr pipeline`` and :func:`degrade_dataset` alike.
 """
 
 from __future__ import annotations
 
+import tempfile
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CalibrationError, GridMismatchError, ParameterError
+from .errors import CalibrationError, FormatError, GridMismatchError, ParameterError
 from .spectral import (
     KernelSpectrum,
     _check_divisible,
@@ -192,19 +196,18 @@ def _complex_noise(shape, sigma: float, rng: np.random.Generator) -> np.ndarray:
 
 
 class Acquisition:
-    """The simulated acquisition of frames on one HR grid (its kernel built once), frame by frame.
+    """The simulated acquisition of frames on one HR grid (its kernel built once), in two passes.
 
     Per velocity channel: synthesize the complex signal, add calibrated
     complex Gaussian k-space noise, apply the kernel and decimation, return
-    to image space, and extract velocity (and u's magnitude, which the frame
-    keeps; README, model notes).  Noise streams split per (frame, channel)
-    from ``cfg.rng_seed``, so a fixed seed reproduces each frame bit-for-bit.
-    One noise level serves all frames: :meth:`calibrate` sets it from the
-    running maximum of each frame's :meth:`peak`, that of its :meth:`clean`
-    spectra of ``sqrt(d) S H x`` (LR-sized), to which :meth:`frame` adds noise:
-    ``cal.sigma`` times the frame's :meth:`units` with the ideal kernel.
-    :meth:`inputs` gives a frame's clean spectra and units together, the
-    units drawn on a second thread meanwhile.
+    to image space, and extract velocity (:func:`map_frame` builds the
+    frame).  Noise streams split per (frame, channel) from ``cfg.rng_seed``,
+    so a fixed seed reproduces each frame bit-for-bit.  One noise level
+    serves all frames, so each frame goes through twice, one frame at a time:
+    :meth:`survey` spills each HR frame's :meth:`inputs`, its :meth:`clean`
+    spectra of ``sqrt(d) S H x`` (LR-sized) and the ideal kernel's unit
+    noise, and calibrates from the running maximum of their :meth:`peak`;
+    :meth:`acquired` reads them back and yields each LR :meth:`frame`.
     Amplitudes are sqrt(d) times those of a bare ``S H``; velocities are not.
     """
 
@@ -238,37 +241,26 @@ class Acquisition:
 
     def inputs(self, f_idx: int,
                frame: VelocityFrame) -> tuple[list[np.ndarray], list[np.ndarray] | None]:
-        """Frame ``f_idx``'s :meth:`clean` spectra and :meth:`units`, the units drawn meanwhile.
+        """Frame ``f_idx``'s :meth:`clean` spectra and unit noise, the units drawn meanwhile.
 
+        With the ideal kernel and a noise target, a unit per channel is ``real
+        + 1j * imag``, the retained boxes of two full-k-space draws from the
+        ``(frame, channel)`` stream, which :meth:`frame` scales; otherwise
+        None, as the gaussian kernel's LR white noise is drawn in :meth:`frame`.
         A second thread draws the units while this one computes the clean
         spectra (numpy drops the GIL while it fills a buffer); it ends before
         the call returns or raises.  Without units to draw, no thread starts.
         """
         if not self._draws_units:
             return self.clean(frame), None
-        # the buffers are made on this thread: the worker's own allocations
-        # would stay in its thread's malloc arena after it ends
-        buffers = self._noise_buffers()
+        # the draws' HR scratch and the units are made here: the worker's own
+        # allocations would stay in its thread's malloc arena after it ends
+        draws = np.empty(self.kernel.grid.dims)
+        units = [np.empty(self.lr_grid.dims, dtype=np.complex128) for _ in CHANNELS]
         with ThreadPoolExecutor(max_workers=1) as pool:
-            drawn = pool.submit(self._draw_units, f_idx, *buffers)
+            drawn = pool.submit(self._draw_units, f_idx, draws, units)
             cleans = self.clean(frame)
             return cleans, drawn.result()
-
-    def units(self, f_idx: int) -> list[np.ndarray] | None:
-        """Frame ``f_idx``'s unit-sigma k-space noise of u, v and w, which :meth:`frame` scales.
-
-        With the ideal kernel and a noise target, per channel ``real + 1j *
-        imag``, the retained boxes of two full-k-space draws from the
-        ``(frame, channel)`` stream; otherwise None, as the gaussian kernel's
-        LR white noise is drawn in :meth:`frame`.
-        """
-        return self._draw_units(f_idx, *self._noise_buffers()) if self._draws_units else None
-
-    def _noise_buffers(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        # the HR scratch that the full-k-space draws go through, and the LR
-        # units of u, v and w that they fill
-        return np.empty(self.kernel.grid.dims), [np.empty(self.lr_grid.dims, dtype=np.complex128)
-                                                 for _ in CHANNELS]
 
     def _draw_units(self, f_idx: int, draws: np.ndarray, units: list[np.ndarray]) -> list[np.ndarray]:
         # Literal protocol: noise over the full HR k-space, then truncation.
@@ -281,18 +273,53 @@ class Acquisition:
             _copy_box(unit.imag, rng.standard_normal(out=draws))
         return units
 
-    def frame(self, f_idx: int, frame: VelocityFrame, cal: NoiseCalibration,
-              cleans=None, units=None) -> VelocityFrame:
-        """Frame ``f_idx`` acquired with ``cal``'s noise, from its :meth:`clean` spectra when given.
+    def survey(self, frames: Iterable[VelocityFrame], spill) -> NoiseCalibration:
+        """Pass 1: spill each HR frame's :meth:`inputs` to the binary file ``spill``, then calibrate.
 
-        Noise with the ideal kernel needs the frame's :meth:`units`, which it
-        scales in place: each frame's units serve one call.
+        ``spill`` takes 3/D of an HR complex128 array per frame (D the
+        product of the rates), 6/D with the ideal kernel's noise.  The peak
+        is read only with a noise target.
         """
-        cleans = self.clean(frame) if cleans is None else cleans
+        peak = 0.0
+        for f_idx, frame in enumerate(frames):
+            cleans, units = self.inputs(f_idx, frame)
+            if self.cfg.noise_psnr_db is not None:
+                peak = max(peak, self.peak(cleans))
+            # C order: under the identity they are a loaded frame's x-fastest signals
+            spill.writelines(np.ascontiguousarray(s) for s in cleans + (units or []))
+            del frame, cleans, units  # before the next frame is made
+        return self.calibrate(peak)
+
+    def acquired(self, count: int, cal: NoiseCalibration, spill) -> Iterator[VelocityFrame]:
+        """Pass 2: the ``count`` LR frames acquired with ``cal``, from what :meth:`survey` spilled.
+
+        ``spill`` is read from its start, one frame's spectra at a time;
+        between frames none is held.  ``FormatError`` on a short read.
+        """
+        spill.seek(0)
+        for f_idx in range(count):  # no local keeps the spectra while a frame is out
+            yield self.frame(f_idx, cal, *self._read(spill))
+
+    def _read(self, spill) -> tuple[list[np.ndarray], list[np.ndarray] | None]:
+        # the next frame's clean spectra, then its units if they were drawn
+        spectra = [np.empty(self.lr_grid.dims, dtype=np.complex128)
+                   for _ in range(6 if self._draws_units else 3)]
+        for spectrum in spectra:
+            offset = spill.tell()
+            if spill.readinto(spectrum) != spectrum.nbytes:
+                raise FormatError(f"spectra spill: short read at byte offset {offset}")
+        return spectra[:3], spectra[3:] or None
+
+    def frame(self, f_idx: int, cal: NoiseCalibration, cleans, units=None) -> VelocityFrame:
+        """Frame ``f_idx`` acquired with ``cal``'s noise from its :meth:`clean` spectra.
+
+        Noise with the ideal kernel needs the frame's units from
+        :meth:`inputs`, which it scales in place: each frame's units serve one call.
+        """
         if units is None and self._ideal and cal.sigma > 0:
             raise ParameterError(f"frame {f_idx}: the ideal kernel's noise needs the frame's units")
 
-        def lr_channel(f_idx: int, frame: VelocityFrame, ch: str, keep_magnitude: bool):
+        def lr_channel(ch: str, keep_magnitude: bool):
             c_idx = CHANNELS.index(ch)
             clean = cleans[c_idx]
             if cal.sigma == 0:
@@ -312,7 +339,7 @@ class Acquisition:
             return extract_velocity(_adopt(ComplexVolume, self.lr_grid, signal), self.venc,
                                     magnitude=keep_magnitude)
 
-        return map_frame(f_idx, frame, lr_channel)
+        return map_frame(lr_channel)
 
 
 def degrade_dataset(
@@ -321,15 +348,10 @@ def degrade_dataset(
     """Simulate the low-resolution acquisition of a high-resolution dataset (see :class:`Acquisition`).
 
     Returns the LR dataset and the calibration used (sigma 0 and an
-    infinite achieved PSNR when ``cfg.noise_psnr_db`` is None).  It calibrates
-    from every frame's :meth:`Acquisition.peak`, as ``flowsr pipeline`` does,
-    but keeps the clean spectra in memory: it holds the HR dataset whole
-    anyway.  Each frame's :meth:`Acquisition.units` are drawn as it is
-    acquired, on this thread, so no frame's noise is held beside another's.
+    infinite achieved PSNR when ``cfg.noise_psnr_db`` is None).  Its two
+    passes spill to an unnamed temp file, as ``flowsr degrade`` does.
     """
     acq = Acquisition(hr.grid, hr.params.venc, cfg)
-    cleans = [] if cfg.noise_psnr_db is None else [acq.clean(frame) for frame in hr.frames]
-    cal = acq.calibrate(max(map(acq.peak, cleans), default=0.0))
-    frames = [acq.frame(f_idx, frame, cal, cleans.pop(0) if cleans else None, acq.units(f_idx))
-              for f_idx, frame in enumerate(hr.frames)]
-    return VelocityDataset(hr.params, tuple(frames)), cal
+    with tempfile.TemporaryFile() as spill:
+        cal = acq.survey(hr.frames, spill)
+        return VelocityDataset(hr.params, tuple(acq.acquired(len(hr.frames), cal, spill))), cal

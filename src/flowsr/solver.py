@@ -45,6 +45,7 @@ array, beside it.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
 
@@ -261,5 +262,6 @@ def superresolve_dataset(
             reports.append((f_idx, ch, rep))
         return extract_velocity(x_hat, venc, magnitude=keep_magnitude)
 
-    frames = (map_frame(f_idx, frame, sr_channel) for f_idx, frame in enumerate(lr.frames))
+    frames = (map_frame(functools.partial(sr_channel, f_idx, frame))
+              for f_idx, frame in enumerate(lr.frames))
     return VelocityDataset(lr.params, tuple(frames))

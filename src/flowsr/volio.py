@@ -28,8 +28,9 @@ files together.  :func:`save_dataset` and :func:`atomic_write` wrap it.
 :func:`open_channels` is the one read path: it checks the header and the
 file size before any sample, then yields the payload one channel block at a
 time from a single float32 buffer, each checked for finiteness.
-:func:`load_dataset` converts its blocks to a float64 dataset; ``evaluate``
-scores them as they come, so ``flowsr eval`` never holds a whole dataset.
+:func:`open_frames` converts its blocks to float64 frames one at a time, and
+:func:`load_dataset` collects them; ``evaluate`` scores the blocks as they
+come, so ``flowsr eval`` never holds a whole dataset.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from .volume import (
 
 __all__ = [
     "MAGIC", "VERSION", "HEADER_SIZE", "StreamWriter", "VolumeStream", "atomic_write", "save_dataset",
-    "open_channels", "load_dataset",
+    "open_channels", "open_frames", "load_dataset",
 ]
 
 MAGIC = b"FLW4"
@@ -247,18 +248,29 @@ def _blocks(fh, grid: Grid3, frame_count: int, expected: int):
             offset += buf.nbytes
 
 
-def load_dataset(path) -> VelocityDataset:
-    """Read a version-1 volume file, validating header and payload strictly.
+@contextlib.contextmanager
+def open_frames(path):
+    """Open a version-1 volume file to read it one float64 frame at a time.
 
-    The file is read through :func:`open_channels`; each block is converted
-    to float64 once, so a load holds the dataset plus one float32 channel.
+    Yields ``(grid, params, frames)``; iterating ``frames`` once gives each
+    frame in file order, converted from :func:`open_channels`'s blocks (x
+    fastest), so a caller that drops each in turn holds one frame and one block.
     """
     with open_channels(path) as (grid, params, blocks):
-        frames, vols = [], {}
-        for _, ch, block in blocks:
-            # finite float32 samples stay finite in float64; the copy keeps x fastest
-            vols[ch] = _adopt(ScalarVolume, grid, block.astype(np.float64))
-            if len(vols) == len(_CHANNELS):
-                frames.append(VelocityFrame(**vols))
-                vols = {}
-    return VelocityDataset(params, tuple(frames))
+        yield grid, params, _frames(grid, blocks)
+
+
+def _frames(grid: Grid3, blocks):
+    vols = {}
+    for _, ch, block in blocks:
+        # finite float32 samples stay finite in float64; the copy keeps x fastest
+        vols[ch] = _adopt(ScalarVolume, grid, block.astype(np.float64))
+        if len(vols) == len(_CHANNELS):
+            yield VelocityFrame(**vols)
+            vols = {}
+
+
+def load_dataset(path) -> VelocityDataset:
+    """Read a version-1 volume file whole through :func:`open_frames`, validating it strictly."""
+    with open_frames(path) as (_, params, frames):
+        return VelocityDataset(params, tuple(frames))

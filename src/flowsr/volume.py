@@ -311,23 +311,19 @@ def extract_velocity(
     return mag, _adopt(ScalarVolume, signal.grid, vel)
 
 
-def map_frame(
-    f_idx: int,
-    frame: VelocityFrame,
-    channel_fn: Callable[[int, VelocityFrame, str, bool], tuple[ScalarVolume | None, ScalarVolume]],
-) -> VelocityFrame:
-    """Build frame ``f_idx`` of an output by mapping each velocity channel of its input ``frame``.
+def map_frame(channel_fn: Callable[[str, bool], tuple[ScalarVolume | None, ScalarVolume]]) -> VelocityFrame:
+    """Build an output frame by mapping each velocity channel of the input frame ``channel_fn`` reads.
 
-    ``channel_fn(f_idx, frame, channel, keep_magnitude)`` returns the
-    ``(magnitude, velocity)`` pair of one channel, and is called in
-    :data:`CHANNELS` order.  The output frame keeps every channel's velocity
-    and the u channel's magnitude (the others differ from it where a
-    low-pass filters their phase), so ``keep_magnitude`` is true for u
-    alone, and the magnitude returned for v and w, None or not, is dropped.
+    ``channel_fn(channel, keep_magnitude)`` returns the ``(magnitude,
+    velocity)`` pair of one channel, and is called in :data:`CHANNELS`
+    order.  The output frame keeps every channel's velocity and the u
+    channel's magnitude (the others differ from it where a low-pass filters
+    their phase), so ``keep_magnitude`` is true for u alone, and the
+    magnitude returned for v and w, None or not, is dropped.
     """
     out: dict[str, ScalarVolume] = {}
     for ch in CHANNELS:
-        mag, out[ch] = channel_fn(f_idx, frame, ch, ch == "u")
+        mag, out[ch] = channel_fn(ch, ch == "u")
         if ch == "u":
             out["magnitude"] = mag
     return VelocityFrame(**out)

@@ -238,6 +238,31 @@ class TestDegrade:
         assert not out.exists() and not (tmp_path / "lr.flw4.cal").exists()
         assert threading.active_count() == start
 
+    def test_a_missing_calibration_directory_writes_neither_file(self, hr_file, tmp_path, capsys):
+        # the volume and its calibration are committed together
+        out = tmp_path / "lr.flw4"
+        assert run("degrade", "--in", str(hr_file), "--out", str(out), "--factor", "2,2,2",
+                   "--noise-psnr", "15", "--calibration-out", str(tmp_path / "missing" / "x.cal")) == 1
+        assert "error:" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["hr.flw4"]
+
+    @pytest.mark.parametrize("factor", ["2,2,1", "1,1,1"])
+    @pytest.mark.parametrize("kernel, noise", [("ideal", "15"), ("ideal", None), ("gaussian", "15"),
+                                               ("gaussian", None)])
+    def test_output_is_that_of_degrade_dataset(self, hr_file, tmp_path, kernel, noise, factor):
+        # the command streams the file frame by frame; at rate 1 its spill takes
+        # the loaded frames' x-fastest signals
+        out = tmp_path / "lr.flw4"
+        argv = ["degrade", "--in", str(hr_file), "--out", str(out), "--factor", factor,
+                "--kernel", kernel, "--seed", "3"]
+        assert run(*argv, *(() if noise is None else ("--noise-psnr", noise))) == 0
+        cfg = DegradationConfig(d=tuple(map(int, factor.split(","))), kernel=kernel,
+                                noise_psnr_db=None if noise is None else float(noise), rng_seed=3)
+        lr, cal = degrade_dataset(load_dataset(hr_file), cfg)
+        save_dataset(lr, tmp_path / "expected.flw4")
+        assert out.read_bytes() == (tmp_path / "expected.flw4").read_bytes()
+        assert (tmp_path / "lr.flw4.cal").read_text() == flowsr.cli._calibration_text(cal, cfg)
+
 
 class TestSr:
     def test_fsr_with_reports(self, tmp_path, lr_file):
@@ -742,16 +767,24 @@ class TestPipeline:
         assert list(out.iterdir()) == []
         assert threading.active_count() == start
 
-    @pytest.mark.parametrize("factor, bound", [
-        ("4,4,4", 4 * 8 * 16**3),  # one HR frame in float64
-        ("1,1,1", 3 * 16 * 16**3),  # one frame's clean spectra: 3/D of an HR complex128 array
-        ("2,2,1", 3 * 16 * 16**3 // 4),
+    @pytest.mark.parametrize("command, factor, bound", [
+        ("pipeline", "4,4,4", 4 * 8 * 16**3),  # one HR frame in float64
+        ("pipeline", "1,1,1", 3 * 16 * 16**3),  # one frame's clean spectra: 3/D of an HR complex128 array
+        ("pipeline", "2,2,1", 3 * 16 * 16**3 // 4),
+        ("degrade", "2,2,1", 4 * 8 * 16**3),
+        ("degrade", "1,1,1", 4 * 8 * 16**3),
     ])
-    def test_peak_memory_does_not_grow_with_the_frame_count(self, tmp_path, factor, bound):
-        # one frame at a time, noisy (the default): 2 to 8 frames adds less than the bound
+    def test_peak_memory_does_not_grow_with_the_frame_count(self, tmp_path, command, factor, bound):
+        # one frame at a time, noisy: 2 to 8 frames adds less than the bound
         def peak(frames):
-            argv = ["pipeline", "--out-dir", str(tmp_path / f"f{frames}"), "--dims", "16,16,16",
-                    "--factor", factor, "--frames", str(frames)]
+            if command == "pipeline":
+                argv = ["pipeline", "--out-dir", str(tmp_path / f"f{frames}"), "--dims", "16,16,16",
+                        "--factor", factor, "--frames", str(frames)]
+            else:
+                hr = tmp_path / f"hr{frames}.flw4"
+                assert run("simulate", "--dims", "16,16,16", "--frames", str(frames), "--out", str(hr)) == 0
+                argv = ["degrade", "--in", str(hr), "--out", str(tmp_path / f"lr{frames}.flw4"),
+                        "--factor", factor, "--noise-psnr", "15"]
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]

@@ -446,14 +446,11 @@ class TestAcquisition:
         cfg = DegradationConfig(d=(2, 2, 3), kernel=kernel, noise_psnr_db=noise, rng_seed=4)
         lr, cal = degrade_dataset(helix_phantom(g, **HELIX_12x8x6), cfg)
         acq = Acquisition(g, 120.0, cfg)
-        inputs = [(None, None) if noise is None else acq.inputs(f_idx, f)
-                  for f_idx, f in enumerate(tube_frames("helix", g, **HELIX_12x8x6))]
-        peak = 0.0  # the running maximum, frame by frame
-        for cleans, _ in inputs:
-            peak = peak if cleans is None else max(peak, acq.peak(cleans))
-        assert acq.calibrate(peak) == cal
-        for f_idx, frame in enumerate(tube_frames("helix", g, **HELIX_12x8x6)):
-            _assert_frames_equal(acq.frame(f_idx, frame, cal, *inputs[f_idx]), lr.frames[f_idx])
+        frames = tube_frames("helix", g, **HELIX_12x8x6)
+        inputs = [acq.inputs(f_idx, frame) for f_idx, frame in enumerate(frames)]
+        assert acq.calibrate(max(acq.peak(cleans) for cleans, _ in inputs)) == cal
+        for f_idx, (cleans, units) in enumerate(inputs):
+            _assert_frames_equal(acq.frame(f_idx, cal, cleans, units), lr.frames[f_idx])
 
     @pytest.mark.parametrize("d", [(1, 1, 1), (2, 2, 2), (2, 2, 3)])
     def test_units_from_inputs_give_degrade_datasets_frames(self, d):
@@ -471,7 +468,7 @@ class TestAcquisition:
                 real, imag = (crop_kspace(ComplexVolume(g, rng.standard_normal(g.dims) + 0j),
                                           acq.lr_grid).data.real for _ in range(2))
                 assert np.array_equal(unit, real + 1j * imag)
-            _assert_frames_equal(acq.frame(f_idx, frame, cal, cleans, units), lr.frames[f_idx])
+            _assert_frames_equal(acq.frame(f_idx, cal, cleans, units), lr.frames[f_idx])
 
     @pytest.mark.parametrize("kernel, noise", [("gaussian", 10.0), ("ideal", None),
                                                ("gaussian", None)])
@@ -481,7 +478,7 @@ class TestAcquisition:
                                                       noise_psnr_db=noise))
         frame = helix_phantom(g, **HELIX_12x8x6).frames[0]
         cleans, units = acq.inputs(0, frame)
-        assert units is None and acq.units(0) is None
+        assert units is None
         for mine, expected in zip(cleans, acq.clean(frame)):
             assert np.array_equal(mine, expected)
 
@@ -489,9 +486,10 @@ class TestAcquisition:
         g = Grid3(12, 8, 6)
         acq = Acquisition(g, 120.0, DegradationConfig(d=(2, 2, 2), noise_psnr_db=12.0))
         frame = helix_phantom(g, **HELIX_12x8x6).frames[0]
-        cal = acq.calibrate(acq.peak(acq.clean(frame)))
+        cleans = acq.clean(frame)
+        cal = acq.calibrate(acq.peak(cleans))
         with pytest.raises(ParameterError, match="frame 0: the ideal kernel's noise needs"):
-            acq.frame(0, frame, cal)
+            acq.frame(0, cal, cleans)
 
     def test_inputs_draw_on_a_second_thread_that_ends_with_the_call(self, monkeypatch):
         import flowsr.degrade

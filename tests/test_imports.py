@@ -27,6 +27,8 @@ ALLOWED = {
     "the CLI builds kernels through DegradationConfig.kernel_spectrum",
     ("cli", "gaussian_spectrum"): "perfbench traces it as spectral.kernel; "
     "the CLI builds kernels through DegradationConfig.kernel_spectrum",
+    ("cli", "degrade_dataset"): "perfbench traces it as degrade.dataset, and its tracer "
+    "test requires the binding; the CLI acquires through Acquisition's two passes",
 }
 
 
