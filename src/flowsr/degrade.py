@@ -27,6 +27,7 @@ import numpy as np
 from .errors import CalibrationError, FormatError, GridMismatchError, ParameterError
 from .spectral import (
     KernelSpectrum,
+    _box,
     _check_divisible,
     _copy_box,
     add_spread,
@@ -35,6 +36,7 @@ from .spectral import (
     gaussian_spectrum,
     ideal_lowpass_spectrum,
     ifftn_unitary,
+    zero_filled_ifftn,
 )
 from .volume import (
     CHANNELS,
@@ -62,6 +64,8 @@ __all__ = [
 ]
 
 KERNEL_KINDS = ("ideal", "gaussian")
+# HR x rows per fill of the ideal kernel's noise draws (1 MiB of float64 at 128²)
+_DRAW_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -139,9 +143,11 @@ def apply_SH_adjoint(
     """
     hr_grid = y.grid.scaled(d)
     d = _check_kernel_and_rates(hr_grid, kernel, d)
-    spec = np.zeros(hr_grid.dims, dtype=np.complex128)
+    # the ideal low-pass at rates d spreads onto its box alone, zero elsewhere
+    ideal = kernel.lowpass_rates == d
+    spec = np.zeros(y.grid.dims if ideal else hr_grid.dims, dtype=np.complex128)
     add_spread(spec, kernel, fftn_unitary(y.data) / np.sqrt(np.prod(d)), d)
-    return ComplexVolume(hr_grid, ifftn_unitary(spec))
+    return ComplexVolume(hr_grid, zero_filled_ifftn(spec, hr_grid.dims) if ideal else ifftn_unitary(spec))
 
 
 def seeded_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -253,24 +259,34 @@ class Acquisition:
         """
         if not self._draws_units:
             return self.clean(frame), None
-        # the draws' HR scratch and the units are made here: the worker's own
-        # allocations would stay in its thread's malloc arena after it ends
-        draws = np.empty(self.kernel.grid.dims)
+        # the draws' scratch slab of HR x rows and the units are made here: the
+        # worker's own allocations would stay in its thread's malloc arena after it ends
+        hr_dims = self.kernel.grid.dims
+        slab = np.empty((min(_DRAW_ROWS, hr_dims[0]),) + hr_dims[1:])
         units = [np.empty(self.lr_grid.dims, dtype=np.complex128) for _ in CHANNELS]
         with ThreadPoolExecutor(max_workers=1) as pool:
-            drawn = pool.submit(self._draw_units, f_idx, draws, units)
+            drawn = pool.submit(self._draw_units, f_idx, slab, units)
             cleans = self.clean(frame)
             return cleans, drawn.result()
 
-    def _draw_units(self, f_idx: int, draws: np.ndarray, units: list[np.ndarray]) -> list[np.ndarray]:
+    def _draw_units(self, f_idx: int, slab: np.ndarray, units: list[np.ndarray]) -> list[np.ndarray]:
         # Literal protocol: noise over the full HR k-space, then truncation.
         # Truncation only selects, so truncating each draw first gives the same
-        # bits with the arithmetic at LR size; each draw's box goes straight
-        # into its unit, so no sizable array is allocated here
+        # bits with the arithmetic at LR size.  A draw fills the slab one run of
+        # x rows at a time (consecutive fills give one fill's bits and leave the
+        # generator as it leaves it), and each run's box rows go straight into
+        # the unit, so no sizable array is allocated here
+        hr_x, lr_x = self.kernel.grid.dims[0], self.lr_grid.dims[0]
         for c_idx, unit in enumerate(units):
             rng = seeded_rng(self.cfg.rng_seed, f_idx, c_idx)
-            _copy_box(unit.real, rng.standard_normal(out=draws))
-            _copy_box(unit.imag, rng.standard_normal(out=draws))
+            for part in (unit.real, unit.imag):
+                for x0 in range(0, hr_x, len(slab)):
+                    rows = rng.standard_normal(out=slab[:hr_x - x0])
+                    for (lr,), (hr,) in _box((hr_x,), (lr_x,)):  # the box rows among them
+                        lo, hi = max(hr.start, x0), min(hr.stop, x0 + len(rows))
+                        if lo < hi:
+                            shift = lr.start - hr.start
+                            _copy_box(part[lo + shift:hi + shift], rows[lo - x0:hi - x0])
         return units
 
     def survey(self, frames: Iterable[VelocityFrame], spill) -> NoiseCalibration:

@@ -33,7 +33,7 @@ from flowsr import (
 )
 
 from flowsr.solver import _lr_correction
-from flowsr.spectral import alias_sum, fftn_unitary, ifftn_unitary
+from flowsr.spectral import alias_sum, fftn_unitary, ifftn_unitary, retained_axis_indices
 
 from conftest import BOX_CASES, random_complex, rel_err, reverse_frames, run_threads, swap_axes
 
@@ -480,6 +480,24 @@ class TestBoxSolve:
         assert not np.shares_memory(x.data, prior.data)
 
 
+@pytest.mark.parametrize("signal", ["random", "negative-zero"])
+@pytest.mark.parametrize("dims, d", [((16, 16, 16), (2, 2, 2)), ((14, 15, 6), (2, 3, 2)),
+                                     ((12, 8, 4), (3, 2, 1)), ((5, 7, 3), (1, 1, 1))])
+def test_ideal_zero_fill_solve_keeps_the_bits_of_the_zero_filled_inverse(dims, d, signal, rng):
+    # the box holds sqrt(D) Y, and then the correction u, zero here, added to
+    # it (so a -0.0 bin leaves as +0.0), zero-filled into an HR spectrum for ifftn
+    cfg = _cfg(dims, d, "ideal", prior="zero-fill")
+    lr = cfg.lr_grid.dims
+    data = random_complex(cfg.lr_grid, rng).data if signal == "random" else np.full(lr, complex(-0.0, -0.0))
+    y_spec = fftn_unitary(data)
+    box = np.sqrt(np.prod(d)) * y_spec
+    box += _lr_correction(y_spec, box.copy(), cfg)
+    spec = np.zeros(dims, dtype=complex)
+    spec[np.ix_(*map(retained_axis_indices, dims, lr))] = box
+    x, _ = fsr_solve(ComplexVolume(cfg.lr_grid, data), cfg)
+    assert np.array_equal(x.data.view(np.uint64), ifftn_unitary(spec).view(np.uint64))
+
+
 @pytest.mark.parametrize("dims,d", INVARIANT_CASES)
 class TestGeneralSolve:
     """A general kernel's prior-plus-correction solve against the per-bin formula."""
@@ -506,45 +524,81 @@ class TestGeneralSolve:
 
 
 class TestFftBudget:
-    """Transforms per solve and per degraded channel, counted by array shape.
+    """Transforms per solve and per degraded channel, counted by array shape and axis.
 
-    ``flowsr.spectral`` calls ``scipy.fft.fftn``/``ifftn`` through the module,
-    so patching the module attributes sees every transform.
+    ``flowsr.spectral`` calls ``scipy.fft``'s transforms through the module,
+    so patching the module attributes sees every transform: ``fftn``/``ifftn``
+    by the shape transformed, and ``fft``/``ifft``, which the ideal kernel's
+    pruned transforms run one axis at a time, by the lines they transform.
     """
 
     @pytest.fixture
-    def fft_shapes(self, monkeypatch):
-        shapes = collections.Counter()
+    def fft_counts(self, monkeypatch):
+        # (fftn/ifftn calls by shape, fft/ifft lines by (axis, length)); the
+        # single-axis calls on 2D arrays, interp's cached per-axis spectra, are left out
+        shapes, lines = collections.Counter(), collections.Counter()
         for name in ("fftn", "ifftn"):
             def counting(a, *args, _original=getattr(scipy.fft, name), **kwargs):
                 shapes[np.shape(a)] += 1
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(scipy.fft, name, counting)
-        return shapes
+        for name in ("fft", "ifft"):
+            def counting_axis(a, *args, _original=getattr(scipy.fft, name), axis=-1, **kwargs):
+                if np.ndim(a) == 3:
+                    length = np.shape(a)[axis]
+                    lines[(axis % 3, length)] += np.size(a) // length
+                return _original(a, *args, axis=axis, **kwargs)
+
+            monkeypatch.setattr(scipy.fft, name, counting_axis)
+        return shapes, lines
 
     @pytest.mark.parametrize(
-        "kind, prior, hr_count, lr_count",
+        "kind, prior, hr_count, lr_count, hr_axis_passes",
         [
-            pytest.param("gaussian", "trilinear", 1, 1, id="trilinear-1-1"),
-            pytest.param("gaussian", "zero-fill", 1, 1, id="zero-fill-1-1"),
-            pytest.param("ideal", "trilinear", 1, 1, id="ideal-trilinear-1-1"),
-            pytest.param("ideal", "zero-fill", 1, 1, id="ideal-zero-fill-1-1"),
+            pytest.param("gaussian", "trilinear", 1, 1, 0, id="trilinear-1-1-0"),
+            pytest.param("gaussian", "zero-fill", 1, 1, 0, id="zero-fill-1-1-0"),
+            pytest.param("ideal", "trilinear", 1, 1, 0, id="ideal-trilinear-1-1-0"),
+            pytest.param("ideal", "zero-fill", 0, 1, 3, id="ideal-zero-fill-0-1-3"),
         ],
     )
-    def test_solve(self, fft_shapes, kind, prior, hr_count, lr_count, rng):
+    def test_solve(self, fft_counts, kind, prior, hr_count, lr_count, hr_axis_passes, rng):
+        shapes, lines = fft_counts
         cfg = _cfg((8, 6, 4), (2, 3, 1), kind, prior=prior)
         fsr_solve(random_complex(cfg.lr_grid, rng), cfg)
-        assert fft_shapes == {cfg.hr_grid.dims: hr_count, cfg.lr_grid.dims: lr_count}
+        assert shapes == collections.Counter({cfg.hr_grid.dims: hr_count, cfg.lr_grid.dims: lr_count})
+        hr = cfg.hr_grid.dims
+        assert len(lines) == hr_axis_passes
+        assert all(length == hr[axis] for axis, length in lines)
 
-    def test_noisy_gaussian_degrade(self, fft_shapes):
+    def test_ideal_zero_fill_solve_transforms_the_lines_that_hold_its_box(self, fft_counts, rng):
+        # x on the box's (y, z) columns, y on its z columns, z on every line:
+        # 8 + 32 + 48 line transforms where ifftn takes 24 + 32 + 48
+        shapes, lines = fft_counts
+        cfg = _cfg((8, 6, 4), (2, 3, 1), "ideal", prior="zero-fill")
+        fsr_solve(random_complex(cfg.lr_grid, rng), cfg)
+        assert lines == {(0, 8): 2 * 4, (1, 6): 8 * 4, (2, 4): 8 * 6}
+
+    def test_noisy_gaussian_degrade(self, fft_counts):
+        shapes, lines = fft_counts
         hr = helix_phantom(Grid3(8, 8, 4), radius_voxels=3, vmax_per_frame=[90.0, 60.0], venc=150.0)
         cfg = DegradationConfig(d=(2, 2, 1), kernel="gaussian", noise_psnr_db=15.0)
         degrade_dataset(hr, cfg)
         channels = len(hr.frames) * 3
         # one HR transform per channel; the calibration and noisy passes each
         # take one LR inverse transform
-        assert fft_shapes == {(8, 8, 4): channels, (4, 4, 4): 2 * channels}
+        assert shapes == {(8, 8, 4): channels, (4, 4, 4): 2 * channels}
+        assert not lines
+
+    def test_noisy_ideal_degrade(self, fft_counts):
+        shapes, lines = fft_counts
+        hr = helix_phantom(Grid3(8, 8, 4), radius_voxels=3, vmax_per_frame=[90.0, 60.0], venc=150.0)
+        degrade_dataset(hr, DegradationConfig(d=(2, 2, 1), noise_psnr_db=15.0))
+        channels = len(hr.frames) * 3
+        # no HR fftn: per channel, three axis passes, each cropped before the
+        # next (x on every line, y on the 4 x rows kept, z on the 4 x 4 kept)
+        assert shapes == {(4, 4, 4): 2 * channels}
+        assert lines == {(0, 8): 8 * 4 * channels, (1, 8): 4 * 4 * channels, (2, 4): 4 * 4 * channels}
 
 
 def _solve_peak_hr_arrays(cfg, y):
@@ -566,10 +620,14 @@ class TestMemoryBudget:
     place, and one scratch array at its peak: 2.8 HR arrays with the LR ones
     on these grids (3.65 when it also built the right-hand side's spectrum,
     5.3-5.4 with one fresh HR temporary per pointwise step).  A box solve
-    (the ideal kernel) holds the prior's spectrum plus LR arrays: about 1.77
-    with either prior, as the trilinear prior's spectrum comes from per-axis
-    products with no HR prior image (2.2 when that image was built and
-    transformed), and 2.5 when its inverse FFT allocated a fresh output.
+    (the ideal kernel) with the trilinear prior holds the prior's spectrum
+    plus LR arrays, 1.67, as that spectrum comes from per-axis products with
+    no HR prior image (2.2 when that image was built and transformed, 2.5
+    when its inverse FFT allocated a fresh output).  With the zero-fill
+    prior the solve's spectrum stays on the box, LR-sized, and the one HR
+    array is the image its pruned inverse transforms in place: 1.31 at 16³
+    and 1.19 at 64³, against 1.68 and 1.53 when it zero-filled an HR
+    spectrum for ``ifftn``.
     """
 
     @pytest.mark.parametrize(
@@ -577,9 +635,10 @@ class TestMemoryBudget:
         [
             ((16, 18, 8), (2, 3, 1), "gaussian", "trilinear", 3.0),
             ((16, 16, 16), (2, 2, 2), "ideal", "zero-fill", 2.0),
+            ((64, 64, 64), (2, 2, 2), "ideal", "zero-fill", 1.3),
             ((16, 16, 16), (2, 2, 2), "ideal", "trilinear", 2.0),
         ],
-        ids=["gaussian-trilinear", "ideal-zero-fill", "ideal-trilinear"],
+        ids=["gaussian-trilinear", "ideal-zero-fill", "ideal-zero-fill-64", "ideal-trilinear"],
     )
     def test_solve_peak(self, dims, d, kind, prior, bound, rng):
         cfg = _cfg(dims, d, kind, prior=prior)

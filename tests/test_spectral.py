@@ -10,6 +10,7 @@ from flowsr import (
     KernelSpectrum,
     ParameterError,
     apply_SH_adjoint,
+    build_prior,
     crop_kspace,
     fold_spectrum,
     forward_fft,
@@ -25,6 +26,7 @@ from flowsr.spectral import (
     filtered_alias_sum,
     ifftn_unitary,
     retained_axis_indices,
+    zero_filled_ifftn,
 )
 
 from conftest import BOX_CASES, random_complex, rel_err
@@ -364,3 +366,49 @@ def test_ideal_kernel_transforms_its_box_to_the_bits_of_fftn(dims, d, rng):
     got = filtered_alias_spectrum(kernel, a, d)
     assert np.array_equal(got.view(np.uint64),
                           filtered_alias_sum(kernel, fftn_unitary(a), d).view(np.uint64))
+
+
+# HR dims and rates: smooth, odd and prime lengths, rate-1 axes, d = (1, 1, 1)
+ZERO_FILL_CASES = [((64, 64, 32), (4, 4, 1)), ((20, 30, 18), (2, 3, 3)), ((14, 15, 6), (2, 3, 2)),
+                   ((26, 22, 34), (2, 2, 2)), ((97, 10, 6), (97, 2, 3)), ((7, 53, 5), (1, 53, 5)),
+                   ((5, 7, 3), (1, 1, 1))]
+
+
+def _zero_filled(box, hr_dims):
+    # the HR spectrum holding box on its retained box, by np.ix_ of the retained indices
+    spec = np.zeros(hr_dims, dtype=complex)
+    spec[np.ix_(*map(retained_axis_indices, hr_dims, box.shape))] = box
+    return spec
+
+
+def _bits(a):
+    return a.view(np.uint64)
+
+
+@pytest.mark.parametrize("dims,d", ZERO_FILL_CASES)
+def test_zero_filled_ifftn_is_ifftn_of_the_zero_filled_spectrum_to_the_bit(dims, d, rng):
+    # axis by axis on the lines that hold the box; signed zeros included, so
+    # the bits are compared
+    box = random_complex(Grid3(*dims).decimated(d), rng).data.copy()
+    box[0, 0, 0], box[-1, -1, -1] = -0.0, complex(0.0, -0.0)
+    box.setflags(write=False)  # the box is read, never written
+    got = zero_filled_ifftn(box, dims)
+    assert got.shape == dims and got.flags.c_contiguous and got.flags.writeable
+    assert np.array_equal(_bits(got), _bits(ifftn_unitary(_zero_filled(box, dims))))
+
+
+@pytest.mark.parametrize("signal", ["random", "negative-zero"])
+@pytest.mark.parametrize("dims,d", ZERO_FILL_CASES)
+def test_zero_fill_prior_and_ideal_adjoint_keep_the_bits_of_their_formulas(dims, d, signal, rng):
+    # the prior zero-fills sqrt(D) Y; the adjoint adds Y / sqrt(D) into a zero
+    # spectrum, which turns a -0.0 bin into +0.0; both then take ifftn
+    lr = Grid3(*dims).decimated(d)
+    data = random_complex(lr, rng).data if signal == "random" else np.full(lr.dims, complex(-0.0, -0.0))
+    y = ComplexVolume(lr, data)
+    y_spec = fftn_unitary(y.data)
+    prior = ifftn_unitary(_zero_filled(np.sqrt(np.prod(d)) * y_spec, dims))
+    spread = np.zeros(dims, dtype=complex)
+    spread[np.ix_(*map(retained_axis_indices, dims, lr.dims))] += y_spec / np.sqrt(np.prod(d))
+    assert np.array_equal(_bits(build_prior(y, d, "zero-fill").data), _bits(prior))
+    kernel = ideal_lowpass_spectrum(Grid3(*dims), d)
+    assert np.array_equal(_bits(apply_SH_adjoint(y, kernel, d).data), _bits(ifftn_unitary(spread)))
