@@ -456,9 +456,9 @@ class TestAcquisition:
     def test_units_from_inputs_give_degrade_datasets_frames(self, d):
         # the units drawn on the second thread are the retained box of two
         # full-k-space draws per (frame, channel) stream, and acquire each frame
-        # to the bits of degrade_dataset, which draws its units on its own thread;
-        # the draws fill 8 x rows at a time, so the 12 rows take two fills, and
-        # their box rows cross the edge between them at d = 1
+        # to the bits of degrade_dataset; the draws fill 8 x rows at a time, so
+        # the 12 rows take two fills, and at d = 1 the box rows cross the edge
+        # between them
         g = Grid3(12, 8, 6)
         cfg = DegradationConfig(d=d, noise_psnr_db=12.0, rng_seed=8)
         lr, cal = degrade_dataset(helix_phantom(g, **HELIX_12x8x6), cfg)

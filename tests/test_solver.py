@@ -554,30 +554,23 @@ class TestFftBudget:
         return shapes, lines
 
     @pytest.mark.parametrize(
-        "kind, prior, hr_count, lr_count, hr_axis_passes",
+        "kind, prior, hr_count, lr_count, hr_lines",
         [
-            pytest.param("gaussian", "trilinear", 1, 1, 0, id="trilinear-1-1-0"),
-            pytest.param("gaussian", "zero-fill", 1, 1, 0, id="zero-fill-1-1-0"),
-            pytest.param("ideal", "trilinear", 1, 1, 0, id="ideal-trilinear-1-1-0"),
-            pytest.param("ideal", "zero-fill", 0, 1, 3, id="ideal-zero-fill-0-1-3"),
+            pytest.param("gaussian", "trilinear", 1, 1, {}, id="trilinear-1-1-0"),
+            pytest.param("gaussian", "zero-fill", 1, 1, {}, id="zero-fill-1-1-0"),
+            pytest.param("ideal", "trilinear", 1, 1, {}, id="ideal-trilinear-1-1-0"),
+            # three HR axis passes: x on the box's (y, z) columns, y on its z
+            # columns, z on every line, 8 + 32 + 48 lines where ifftn takes 24 + 32 + 48
+            pytest.param("ideal", "zero-fill", 0, 1, {(0, 8): 2 * 4, (1, 6): 8 * 4, (2, 4): 8 * 6},
+                         id="ideal-zero-fill-0-1-3"),
         ],
     )
-    def test_solve(self, fft_counts, kind, prior, hr_count, lr_count, hr_axis_passes, rng):
+    def test_solve(self, fft_counts, kind, prior, hr_count, lr_count, hr_lines, rng):
         shapes, lines = fft_counts
         cfg = _cfg((8, 6, 4), (2, 3, 1), kind, prior=prior)
         fsr_solve(random_complex(cfg.lr_grid, rng), cfg)
         assert shapes == collections.Counter({cfg.hr_grid.dims: hr_count, cfg.lr_grid.dims: lr_count})
-        hr = cfg.hr_grid.dims
-        assert len(lines) == hr_axis_passes
-        assert all(length == hr[axis] for axis, length in lines)
-
-    def test_ideal_zero_fill_solve_transforms_the_lines_that_hold_its_box(self, fft_counts, rng):
-        # x on the box's (y, z) columns, y on its z columns, z on every line:
-        # 8 + 32 + 48 line transforms where ifftn takes 24 + 32 + 48
-        shapes, lines = fft_counts
-        cfg = _cfg((8, 6, 4), (2, 3, 1), "ideal", prior="zero-fill")
-        fsr_solve(random_complex(cfg.lr_grid, rng), cfg)
-        assert lines == {(0, 8): 2 * 4, (1, 6): 8 * 4, (2, 4): 8 * 6}
+        assert lines == hr_lines
 
     def test_noisy_gaussian_degrade(self, fft_counts):
         shapes, lines = fft_counts
