@@ -23,7 +23,7 @@ from .config import (CHOICES, RunConfig, _convert, _key_value_text, format_confi
                      parse_config_text)
 from .degrade import KERNEL_KINDS, Acquisition, DegradationConfig, seeded_rng
 from .degrade import degrade_dataset  # noqa: F401  perfbench traces it
-from .errors import FlowSRError
+from .errors import FlowSRError, ParameterError
 from .interp import METHODS, upsample_dataset
 from .metrics import EvalReport, evaluate
 from .oracle import _dense_solve_priors, build_dense
@@ -155,6 +155,10 @@ def _solve_report_csv(reports) -> str:
 
 
 def cmd_sr(args) -> int:
+    if args.report_out and args.method != "fsr":
+        raise ParameterError(f"--report-out: {args.method} upsampling makes no solve reports")
+    if args.report_out and os.path.realpath(args.report_out) == os.path.realpath(args.out):
+        raise ParameterError(f"--report-out: {args.report_out} is also --out")
     lr = load_dataset(args.infile)
     rc = RunConfig(dims=np.multiply(lr.grid.dims, args.factor), **_settings(args))
     hr_grid = lr.grid.scaled(rc.factor)

@@ -12,7 +12,9 @@ back, and re-extract magnitude and velocity.  Under the unitary convention
 the truncation pipeline equals ``sqrt(d) * S H`` with the ideal low-pass
 kernel, which the tests pin down.  :class:`Acquisition` runs the chain in
 two passes that hold one frame at a time, for ``flowsr degrade``,
-``flowsr pipeline`` and :func:`degrade_dataset` alike.
+``flowsr pipeline`` and :func:`degrade_dataset` alike: ``survey`` spills
+each frame's noiseless LR spectra and unit noise and calibrates the noise,
+``acquired`` reads them back and yields the noisy LR frames.
 """
 
 from __future__ import annotations
@@ -210,11 +212,11 @@ class Acquisition:
     frame).  Noise streams split per (frame, channel) from ``cfg.rng_seed``,
     so a fixed seed reproduces each frame bit-for-bit.  One noise level
     serves all frames, so each frame goes through twice, one frame at a time:
-    :meth:`survey` spills each HR frame's :meth:`inputs`, its :meth:`clean`
-    spectra of ``sqrt(d) S H x`` (LR-sized) and the ideal kernel's unit
-    noise, and calibrates from the running maximum of their :meth:`peak`;
-    :meth:`acquired` reads them back and yields each LR :meth:`frame`.
-    Amplitudes are sqrt(d) times those of a bare ``S H``; velocities are not.
+    :meth:`survey` spills each HR frame's noiseless LR spectra of ``sqrt(d)
+    S H x`` and the ideal kernel's unit noise, and calibrates from the top
+    clean LR magnitude; :meth:`acquired` reads them back and yields each LR
+    frame.  Amplitudes are sqrt(d) times those of a bare ``S H``; velocities
+    are not.
     """
 
     def __init__(self, hr_grid: Grid3, venc: float, cfg: DegradationConfig):
@@ -227,47 +229,13 @@ class Acquisition:
         self._identity = self._ideal and self.lr_grid.dims == hr_grid.dims
         self._draws_units = self._ideal and cfg.noise_psnr_db is not None
 
-    def clean(self, frame: VelocityFrame) -> list[np.ndarray]:
-        """The noiseless LR spectra of u, v and w (under the identity, the signals)."""
+    def _clean(self, frame: VelocityFrame) -> list[np.ndarray]:
+        # the noiseless LR spectra of u, v and w (under the identity, the signals)
         signals = (synthesize_complex(frame.magnitude, frame.channel(ch), self.venc).data
                    for ch in CHANNELS)
         if self._identity:
             return list(signals)
         return [filtered_alias_spectrum(self.kernel, sig, self.cfg.d) for sig in signals]
-
-    def peak(self, spectra) -> float:
-        """The peak noiseless LR magnitude of one frame's :meth:`clean` spectra."""
-        return max(float(np.abs(s if self._identity else ifftn_unitary(s)).max()) for s in spectra)
-
-    def calibrate(self, peak: float) -> NoiseCalibration:
-        """Noise for ``cfg.noise_psnr_db`` at ``peak``, the top frame :meth:`peak` (unread if noiseless)."""
-        if self.cfg.noise_psnr_db is None:
-            return NoiseCalibration(sigma=0.0, achieved_psnr_db=np.inf, target_psnr_db=None)
-        return _calibration(peak, self.lr_grid.dims, self.cfg.noise_psnr_db, self.cfg.rng_seed)
-
-    def inputs(self, f_idx: int,
-               frame: VelocityFrame) -> tuple[list[np.ndarray], list[np.ndarray] | None]:
-        """Frame ``f_idx``'s :meth:`clean` spectra and unit noise, the units drawn meanwhile.
-
-        With the ideal kernel and a noise target, a unit per channel is ``real
-        + 1j * imag``, the retained boxes of two full-k-space draws from the
-        ``(frame, channel)`` stream, which :meth:`frame` scales; otherwise
-        None, as the gaussian kernel's LR white noise is drawn in :meth:`frame`.
-        A second thread draws the units while this one computes the clean
-        spectra (numpy drops the GIL while it fills a buffer); it ends before
-        the call returns or raises.  Without units to draw, no thread starts.
-        """
-        if not self._draws_units:
-            return self.clean(frame), None
-        # the draws' scratch slab of HR x rows and the units are made here: the
-        # worker's own allocations would stay in its thread's malloc arena after it ends
-        hr_dims = self.kernel.grid.dims
-        slab = np.empty((min(_DRAW_ROWS, hr_dims[0]),) + hr_dims[1:])
-        units = [np.empty(self.lr_grid.dims, dtype=np.complex128) for _ in CHANNELS]
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            drawn = pool.submit(self._draw_units, f_idx, slab, units)
-            cleans = self.clean(frame)
-            return cleans, drawn.result()
 
     def _draw_units(self, f_idx: int, slab: np.ndarray, units: list[np.ndarray]) -> list[np.ndarray]:
         # Literal protocol: noise over the full HR k-space, then truncation.
@@ -290,21 +258,40 @@ class Acquisition:
         return units
 
     def survey(self, frames: Iterable[VelocityFrame], spill) -> NoiseCalibration:
-        """Pass 1: spill each HR frame's :meth:`inputs` to the binary file ``spill``, then calibrate.
+        """Pass 1: spill each HR frame's clean spectra, then its units, to the binary file ``spill``.
 
-        ``spill`` takes 3/D of an HR complex128 array per frame (D the
-        product of the rates), 6/D with the ideal kernel's noise.  The peak
-        is read only with a noise target.
+        With the ideal kernel and a noise target, a frame's unit per channel
+        is ``real + 1j * imag``, the retained boxes of two full-k-space draws
+        from the ``(frame, channel)`` stream, drawn on one worker thread while
+        this one computes the clean spectra (numpy drops the GIL while it
+        fills a buffer); the thread starts at the first draw and ends before
+        the call returns or raises.  ``spill`` takes 3/D of an HR complex128
+        array per frame (D the product of the rates), 6/D with units.  Returns
+        :func:`calibrate_noise` at the top clean LR magnitude, or sigma 0
+        without a noise target.
         """
+        noisy = self.cfg.noise_psnr_db is not None
+        hr_dims = self.kernel.grid.dims
         peak = 0.0
-        for f_idx, frame in enumerate(frames):
-            cleans, units = self.inputs(f_idx, frame)
-            if self.cfg.noise_psnr_db is not None:
-                peak = max(peak, self.peak(cleans))
-            # C order: under the identity they are a loaded frame's x-fastest signals
-            spill.writelines(np.ascontiguousarray(s) for s in cleans + (units or []))
-            del frame, cleans, units  # before the next frame is made
-        return self.calibrate(peak)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            for f_idx, frame in enumerate(frames):
+                # the draws' scratch slab of HR x rows and the units are made here: the
+                # worker's own allocations would stay in its thread's malloc arena
+                drawn = self._draws_units and pool.submit(
+                    self._draw_units, f_idx, np.empty((min(_DRAW_ROWS, hr_dims[0]),) + hr_dims[1:]),
+                    [np.empty(self.lr_grid.dims, dtype=np.complex128) for _ in CHANNELS])
+                spectra = self._clean(frame)
+                if drawn:  # before the peak: its transforms beside the draws raised pipeline's peak RSS
+                    spectra += drawn.result()
+                if noisy:
+                    peak = max(peak, *(float(np.abs(s if self._identity else ifftn_unitary(s)).max())
+                                       for s in spectra[:3]))
+                # C order: under the identity they are a loaded frame's x-fastest signals
+                spill.writelines(np.ascontiguousarray(s) for s in spectra)
+                del frame, drawn, spectra  # before the next frame is made
+        if not noisy:
+            return NoiseCalibration(sigma=0.0, achieved_psnr_db=np.inf, target_psnr_db=None)
+        return _calibration(peak, self.lr_grid.dims, self.cfg.noise_psnr_db, self.cfg.rng_seed)
 
     def acquired(self, count: int, cal: NoiseCalibration, spill) -> Iterator[VelocityFrame]:
         """Pass 2: the ``count`` LR frames acquired with ``cal``, from what :meth:`survey` spilled.
@@ -314,9 +301,9 @@ class Acquisition:
         """
         spill.seek(0)
         for f_idx in range(count):  # no local keeps the spectra while a frame is out
-            yield self.frame(f_idx, cal, *self._read(spill))
+            yield self._frame(f_idx, cal, self._read(spill))
 
-    def _read(self, spill) -> tuple[list[np.ndarray], list[np.ndarray] | None]:
+    def _read(self, spill) -> list[np.ndarray]:
         # the next frame's clean spectra, then its units if they were drawn
         spectra = [np.empty(self.lr_grid.dims, dtype=np.complex128)
                    for _ in range(6 if self._draws_units else 3)]
@@ -324,25 +311,20 @@ class Acquisition:
             offset = spill.tell()
             if spill.readinto(spectrum) != spectrum.nbytes:
                 raise FormatError(f"spectra spill: short read at byte offset {offset}")
-        return spectra[:3], spectra[3:] or None
+        return spectra
 
-    def frame(self, f_idx: int, cal: NoiseCalibration, cleans, units=None) -> VelocityFrame:
-        """Frame ``f_idx`` acquired with ``cal``'s noise from its :meth:`clean` spectra.
-
-        Noise with the ideal kernel needs the frame's units from
-        :meth:`inputs`, which it scales in place: each frame's units serve one call.
-        """
-        if units is None and self._ideal and cal.sigma > 0:
-            raise ParameterError(f"frame {f_idx}: the ideal kernel's noise needs the frame's units")
+    def _frame(self, f_idx: int, cal: NoiseCalibration, spectra: list[np.ndarray]) -> VelocityFrame:
+        # frame f_idx acquired with cal's noise from its spilled spectra; the
+        # ideal kernel's units are scaled in place, so each serves one call
 
         def lr_channel(ch: str, keep_magnitude: bool):
             c_idx = CHANNELS.index(ch)
-            clean = cleans[c_idx]
+            clean = spectra[c_idx]
             if cal.sigma == 0:
                 signal = clean if self._identity else ifftn_unitary(clean)
             else:
                 if self._ideal:
-                    noise = units[c_idx]
+                    noise = spectra[3 + c_idx]
                     noise *= cal.sigma  # in place: the bits of cal.sigma * unit, one array fewer
                 else:
                     # white noise on the LR k-space keeps the noise white per the

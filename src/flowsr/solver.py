@@ -32,11 +32,14 @@ oracle-check``.
 The ideal low-pass kernel (the default) is 1 on the retained box and 0
 elsewhere, so every low-res bin has one alias there and G = 1: A is the
 prior's spectrum on the box and the correction lands on the box alone,
-with no high-res pointwise pass.  With the zero-fill prior as well, the
-minimizer's spectrum is zero off the box (Zhao et al.), so the solve keeps
-the box alone, LR-sized, and its inverse, ``spectral.zero_filled_ifftn``,
-transforms only the lines that hold a box bin (at rate 2 per axis, 58 % of
-``ifftn``'s line transforms), bit for bit ``ifftn``'s result.
+with no high-res pointwise pass.  With the zero-fill prior as well, A is
+sqrt(D) * Y itself, so u is 0 in every bin and the minimizer is the prior,
+whose spectrum is zero off the box (Zhao et al.): this box solve computes
+no correction, reports the prior's fit and a prior distance of 0, and
+inverse-transforms the box alone, LR-sized, with
+``spectral.zero_filled_ifftn``, which transforms only the lines that hold
+a box bin (at rate 2 per axis, 58 % of ``ifftn``'s line transforms), bit
+for bit ``ifftn``'s result.
 
 Memory: a solve adds the correction into its own prior spectrum and
 inverse-transforms that array in place, and the output volume adopts it
@@ -46,7 +49,7 @@ kernel's conjugate.  The ideal kernel needs only the prior's spectrum.  The
 trilinear prior's last per-axis product holds its input, 1/d of a high-res
 array, beside it.  The zero-fill prior's box solve holds no high-res array
 until the image, which the pruned inverse zero-fills and transforms in
-place, and frees its other low-res spectra before: 1.19 high-res arrays at
+place, and frees the data's spectrum before: 1.19 high-res arrays at
 its peak at 64³, d = 2, against 1.53 with a zero-filled spectrum and
 ``ifftn``.
 """
@@ -202,31 +205,32 @@ def fsr_solve(
         )
 
     y_spec = fftn_unitary(y.data)
-    # with the ideal kernel the zero-fill prior's spectrum, and so the
-    # minimizer's, is zero off the retained box: the solve keeps the box alone
-    on_box = prior is None and cfg.prior == "zero-fill" and cfg.kernel.lowpass_rates == cfg.d
-    if prior is not None:
-        prior_spec = fftn_unitary(prior.data)  # the caller's prior, never written
-    elif cfg.prior == "zero-fill":
-        prior_spec = np.sqrt(np.prod(cfg.d)) * y_spec  # on the box; zero elsewhere
-        if not on_box:
-            prior_spec = _zero_fill(prior_spec, cfg.hr_grid.dims)
+    sqrt_D = np.sqrt(np.prod(cfg.d))
+    if prior is None and cfg.prior == "zero-fill" and cfg.kernel.lowpass_rates == cfg.d:
+        # with the ideal kernel the zero-fill prior's spectrum, sqrt(D) Y on the
+        # retained box, is its own alias sum A, so the correction u is +0.0 in
+        # every bin: the minimizer is the prior, and the fit is the prior's
+        box = sqrt_D * y_spec
+        residual_norm, prior_distance = float(np.linalg.norm(box / sqrt_D - y_spec)), 0.0
+        box += 0.0  # adding u = +0.0 turns a -0.0 bin into +0.0
+        del y_spec  # before the HR image is made
+        x = zero_filled_ifftn(box, cfg.hr_grid.dims)
     else:
-        prior_spec = upsample_spectrum(y.data, cfg.d)  # no HR image, no HR FFT
-    # the box is its own alias sum A, so it is not copied; A is read before
-    # the correction is added below
-    alias = prior_spec if on_box else filtered_alias_sum(cfg.kernel, prior_spec, cfg.d)
-    u = _lr_correction(y_spec, alias, cfg)
-    # Parseval, at LR size: S H x has spectrum (A + G u) / sqrt(D), x - xbar energy sum G |u|^2
-    residual_norm = float(np.linalg.norm((alias + cfg.gram * u) / np.sqrt(np.prod(cfg.d)) - y_spec))
-    prior_distance = float(np.sqrt(np.sum(cfg.gram * np.abs(u) ** 2)))
-    # the minimizer's spectrum is the prior's plus conj(lam) * tile(u), added
-    # into the solve's own prior spectrum
-    add_spread(prior_spec, cfg.kernel, u, cfg.d)
-    del y_spec, alias, u  # before the HR image is made
-    if on_box:
-        x = zero_filled_ifftn(prior_spec, cfg.hr_grid.dims)
-    else:
+        if prior is not None:
+            prior_spec = fftn_unitary(prior.data)  # the caller's prior, never written
+        elif cfg.prior == "zero-fill":
+            prior_spec = _zero_fill(sqrt_D * y_spec, cfg.hr_grid.dims)
+        else:
+            prior_spec = upsample_spectrum(y.data, cfg.d)  # no HR image, no HR FFT
+        alias = filtered_alias_sum(cfg.kernel, prior_spec, cfg.d)
+        u = _lr_correction(y_spec, alias, cfg)
+        # Parseval, at LR size: S H x has spectrum (A + G u) / sqrt(D), x - xbar energy sum G |u|^2
+        residual_norm = float(np.linalg.norm((alias + cfg.gram * u) / sqrt_D - y_spec))
+        prior_distance = float(np.sqrt(np.sum(cfg.gram * np.abs(u) ** 2)))
+        # the minimizer's spectrum is the prior's plus conj(lam) * tile(u), added
+        # into the solve's own prior spectrum
+        add_spread(prior_spec, cfg.kernel, u, cfg.d)
+        del y_spec, alias, u  # before the HR image is made
         # x is a view of prior_spec; adopting it marks both read-only below
         x = ifftn_unitary(prior_spec, overwrite_x=True)
     _check_finite(x)

@@ -89,7 +89,8 @@ class StreamWriter:
     :meth:`commit` checks that each :meth:`volume` stream has all its blocks,
     closes the temp files and renames each over its target.  Leaving the
     ``with`` block uncommitted removes every temp file, so each target keeps
-    what it had; only a failing rename can leave some targets replaced.
+    what it had; only a failing rename can leave some targets replaced.  A
+    second file for a target, by any path, is a ``ParameterError``.
     """
 
     def __init__(self):
@@ -105,6 +106,9 @@ class StreamWriter:
                 os.unlink(tmp_path)
 
     def file(self, path):  # a binary temp file, to replace ``path`` at the commit
+        # two files for one target would leave it holding the one renamed last
+        if any(os.path.realpath(path) == os.path.realpath(target) for target, _, _ in self._files):
+            raise ParameterError(f"{os.fspath(path)}: already an output of this command")
         fd, tmp_path = tempfile.mkstemp(prefix=".flowsr-", dir=os.path.dirname(os.path.abspath(path)))
         self._files.append((os.fspath(path), tmp_path, os.fdopen(fd, "wb")))
         return self._files[-1][2]

@@ -246,6 +246,16 @@ class TestDegrade:
         assert "error:" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["hr.flw4"]
 
+    @pytest.mark.parametrize("cal_name", ["lr.flw4", "./lr.flw4"])
+    def test_calibration_out_on_the_out_path_writes_neither_file(self, hr_file, tmp_path, capsys,
+                                                                   cal_name):
+        # one writer takes one file per target: the last rename would win
+        out = tmp_path / "lr.flw4"
+        assert run("degrade", "--in", str(hr_file), "--out", str(out), "--factor", "2,2,2",
+                   "--noise-psnr", "15", "--calibration-out", f"{tmp_path}/{cal_name}") == 1
+        assert f"error: {tmp_path}/{cal_name}: already an output" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["hr.flw4"]
+
     @pytest.mark.parametrize("factor", ["2,2,1", "1,1,1"])
     @pytest.mark.parametrize("kernel, noise", [("ideal", "15"), ("ideal", None), ("gaussian", "15"),
                                                ("gaussian", None)])
@@ -288,6 +298,20 @@ class TestSr:
         assert run("sr", "--in", str(lr_file), "--out", str(out), "--factor", "2,2,2",
                    "--method", "trilinear") == 0
         assert load_dataset(out).grid.dims == (16, 16, 16)
+
+    @pytest.mark.parametrize("method, report, message", [
+        ("trilinear", "r.csv", "trilinear upsampling makes no solve reports"),
+        ("tricubic", "r.csv", "tricubic upsampling makes no solve reports"),
+        ("fsr", "./sr.flw4", "sr.flw4 is also --out")])
+    def test_a_report_out_that_would_not_be_written_fails_before_the_read(self, tmp_path, capsys,
+                                                                           method, report, message):
+        # the input is missing, so an error about it would mean it was read first
+        assert run("sr", "--in", str(tmp_path / "missing.flw4"), "--out", str(tmp_path / "sr.flw4"),
+                   "--factor", "2,2,2", "--method", method,
+                   "--report-out", f"{tmp_path}/{report}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --report-out: ") and message in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_zero_tau_is_runtime_error(self, lr_file):
         assert run("sr", "--in", str(lr_file), "--out", "x", "--factor", "2,2,2", "--tau", "0") == 1

@@ -1,3 +1,4 @@
+import io
 import threading
 
 import numpy as np
@@ -28,7 +29,7 @@ from flowsr import (
 )
 from flowsr.degrade import Acquisition, seeded_rng
 from flowsr.phantom import tube_frames
-from flowsr.spectral import alias_sum, ifftn_unitary
+from flowsr.spectral import alias_sum, fftn_unitary, filtered_alias_sum, ifftn_unitary
 
 from conftest import random_complex, rel_err, reverse_frames, swap_axes
 
@@ -438,23 +439,29 @@ def _assert_frames_equal(a, b):
         assert np.array_equal(a.channel(ch).data, b.channel(ch).data), ch
 
 
+def _survey(acq, frames, count):
+    # pass 1 into memory: the calibration, the spill, and the spilled arrays per frame
+    spill = io.BytesIO()
+    cal = acq.survey(frames, spill)
+    return cal, spill, np.frombuffer(spill.getvalue(), np.complex128).reshape(count, -1, *acq.lr_grid.dims)
+
+
 class TestAcquisition:
     @pytest.mark.parametrize("kernel, noise", [("ideal", 15.0), ("gaussian", 10.0), ("ideal", None)])
-    def test_frame_by_frame_equals_degrade_dataset(self, kernel, noise):
-        # the per-frame core, fed one rebuilt phantom frame at a time, is degrade_dataset's
+    def test_acquired_frames_are_degrade_datasets(self, kernel, noise):
+        # the two passes, fed one rebuilt phantom frame at a time, are degrade_dataset's
         g = Grid3(12, 8, 6)
         cfg = DegradationConfig(d=(2, 2, 3), kernel=kernel, noise_psnr_db=noise, rng_seed=4)
         lr, cal = degrade_dataset(helix_phantom(g, **HELIX_12x8x6), cfg)
         acq = Acquisition(g, 120.0, cfg)
-        frames = tube_frames("helix", g, **HELIX_12x8x6)
-        inputs = [acq.inputs(f_idx, frame) for f_idx, frame in enumerate(frames)]
-        assert acq.calibrate(max(acq.peak(cleans) for cleans, _ in inputs)) == cal
-        for f_idx, (cleans, units) in enumerate(inputs):
-            _assert_frames_equal(acq.frame(f_idx, cal, cleans, units), lr.frames[f_idx])
+        got, spill, _ = _survey(acq, tube_frames("helix", g, **HELIX_12x8x6), 3)
+        assert got == cal
+        for mine, expected in zip(acq.acquired(3, cal, spill), lr.frames, strict=True):
+            _assert_frames_equal(mine, expected)
 
     @pytest.mark.parametrize("d", [(1, 1, 1), (2, 2, 2), (2, 2, 3)])
-    def test_units_from_inputs_give_degrade_datasets_frames(self, d):
-        # the units drawn on the second thread are the retained box of two
+    def test_spilled_units_are_the_box_of_full_k_space_draws(self, d):
+        # the units drawn on the worker thread are the retained box of two
         # full-k-space draws per (frame, channel) stream, and acquire each frame
         # to the bits of degrade_dataset; the draws fill 8 x rows at a time, so
         # the 12 rows take two fills, and at d = 1 the box rows cross the edge
@@ -463,91 +470,94 @@ class TestAcquisition:
         cfg = DegradationConfig(d=d, noise_psnr_db=12.0, rng_seed=8)
         lr, cal = degrade_dataset(helix_phantom(g, **HELIX_12x8x6), cfg)
         acq = Acquisition(g, 120.0, cfg)
-        for f_idx, frame in enumerate(tube_frames("helix", g, **HELIX_12x8x6)):
-            cleans, units = acq.inputs(f_idx, frame)
-            for c_idx, unit in enumerate(units):
-                rng = np.random.default_rng([cfg.rng_seed, f_idx, c_idx])
-                real, imag = (crop_kspace(ComplexVolume(g, rng.standard_normal(g.dims) + 0j),
-                                          acq.lr_grid).data.real for _ in range(2))
-                assert np.array_equal(unit, real + 1j * imag)
-            _assert_frames_equal(acq.frame(f_idx, cal, cleans, units), lr.frames[f_idx])
+        _, spill, spilled = _survey(acq, tube_frames("helix", g, **HELIX_12x8x6), 3)
+        for f_idx, c_idx in np.ndindex(3, 3):
+            rng = np.random.default_rng([cfg.rng_seed, f_idx, c_idx])
+            real, imag = (crop_kspace(ComplexVolume(g, rng.standard_normal(g.dims) + 0j),
+                                      acq.lr_grid).data.real for _ in range(2))
+            assert np.array_equal(spilled[f_idx, 3 + c_idx], real + 1j * imag)
+        for mine, expected in zip(acq.acquired(3, cal, spill), lr.frames, strict=True):
+            _assert_frames_equal(mine, expected)
 
-    @pytest.mark.parametrize("kernel, noise", [("gaussian", 10.0), ("ideal", None),
-                                               ("gaussian", None)])
-    def test_inputs_give_no_units_but_for_the_noisy_ideal_kernel(self, kernel, noise):
+    @pytest.mark.parametrize("kernel, noise, d, per_frame", [
+        ("ideal", 12.0, (2, 2, 3), 6), ("ideal", 12.0, (1, 1, 1), 6), ("gaussian", 10.0, (2, 2, 3), 3),
+        ("ideal", None, (2, 2, 3), 3), ("gaussian", None, (2, 1, 3), 3)])
+    def test_only_the_noisy_ideal_kernel_spills_units(self, kernel, noise, d, per_frame):
+        # each frame spills the clean LR spectra of u, v and w (at d = 1, the
+        # signals), then its units if it has any
         g = Grid3(12, 8, 6)
-        acq = Acquisition(g, 120.0, DegradationConfig(d=(2, 2, 3), kernel=kernel,
-                                                      noise_psnr_db=noise))
-        frame = helix_phantom(g, **HELIX_12x8x6).frames[0]
-        cleans, units = acq.inputs(0, frame)
-        assert units is None
-        for mine, expected in zip(cleans, acq.clean(frame)):
-            assert np.array_equal(mine, expected)
+        acq = Acquisition(g, 120.0, DegradationConfig(d=d, kernel=kernel, noise_psnr_db=noise))
+        hr = helix_phantom(g, **HELIX_12x8x6)
+        _, _, spilled = _survey(acq, hr.frames, 3)
+        assert spilled.shape[1] == per_frame
+        for frame, mine in zip(hr.frames, spilled, strict=True):
+            for ch, spectrum in zip(("u", "v", "w"), mine):
+                signal = synthesize_complex(frame.magnitude, frame.channel(ch), 120.0).data
+                expected = signal if d == (1, 1, 1) else filtered_alias_sum(acq.kernel, fftn_unitary(signal), d)
+                assert np.array_equal(spectrum, expected), ch
 
-    def test_noise_with_the_ideal_kernel_needs_the_units(self):
-        g = Grid3(12, 8, 6)
-        acq = Acquisition(g, 120.0, DegradationConfig(d=(2, 2, 2), noise_psnr_db=12.0))
-        frame = helix_phantom(g, **HELIX_12x8x6).frames[0]
-        cleans = acq.clean(frame)
-        cal = acq.calibrate(acq.peak(cleans))
-        with pytest.raises(ParameterError, match="frame 0: the ideal kernel's noise needs"):
-            acq.frame(0, cal, cleans)
-
-    def test_inputs_draw_on_a_second_thread_that_ends_with_the_call(self, monkeypatch):
+    def test_draws_run_on_one_worker_thread_that_ends_with_the_survey(self, monkeypatch):
         import flowsr.degrade
 
         g = Grid3(12, 8, 6)
-        acq = Acquisition(g, 120.0, DegradationConfig(d=(2, 2, 2), noise_psnr_db=12.0))
-        frame = helix_phantom(g, **HELIX_12x8x6).frames[0]
-        threads, original = [], flowsr.degrade.seeded_rng
+        started, draws = [], []
+        original_start, original_rng = threading.Thread.start, flowsr.degrade.seeded_rng
 
-        def recording(*args):
-            threads.append(threading.current_thread())
-            return original(*args)
+        def start(thread):
+            started.append(thread)
+            original_start(thread)
 
-        start = threading.active_count()
+        def recording(seed, *stream):
+            if stream:  # a (frame, channel) stream; the calibration draws from the seed's
+                draws.append(threading.current_thread())
+            return original_rng(seed, *stream)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
         monkeypatch.setattr(flowsr.degrade, "seeded_rng", recording)
-        acq.inputs(0, frame)
-        assert len(threads) == 3 and threading.main_thread() not in threads
-        assert threading.active_count() == start
+        before = threading.active_count()
+        for kernel, noise in (("gaussian", 12.0), ("ideal", None)):  # no units: no thread
+            acq = Acquisition(g, 120.0, DegradationConfig(d=(2, 2, 2), kernel=kernel, noise_psnr_db=noise))
+            acq.survey(helix_phantom(g, **HELIX_12x8x6).frames, io.BytesIO())
+            assert started == [] and draws == []
+        acq = Acquisition(g, 120.0, DegradationConfig(d=(2, 2, 2), noise_psnr_db=12.0))
+        acq.survey(helix_phantom(g, **HELIX_12x8x6).frames, io.BytesIO())
+        assert len(started) == 1 and draws == started * 9
+        assert not started[0].is_alive() and threading.active_count() == before
 
         def failing(*args):
             raise ParameterError("the draw failed")
 
         monkeypatch.setattr(flowsr.degrade, "seeded_rng", failing)
         with pytest.raises(ParameterError, match="the draw failed"):
-            acq.inputs(0, frame)
-        assert threading.active_count() == start
+            acq.survey(helix_phantom(g, **HELIX_12x8x6).frames, io.BytesIO())
+        assert len(started) == 2 and not started[1].is_alive()
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("kernel, d", [("ideal", (2, 2, 3)), ("gaussian", (2, 1, 3)),
                                            ("ideal", (1, 1, 1))])
-    def test_peak_is_that_of_the_clean_lr_magnitudes(self, kernel, d):
+    def test_calibration_is_calibrate_noise_at_the_top_clean_lr_magnitude(self, kernel, d):
+        # one calibration path: the same fields as a volume whose maximum is
+        # the top magnitude of the spilled clean spectra over frames and channels
         g = Grid3(12, 8, 6)
-        frame = helix_phantom(g, radius_voxels=2.5, vmax_per_frame=[90.0], venc=120.0).frames[0]
-        acq = Acquisition(g, 120.0, DegradationConfig(d=d, kernel=kernel, noise_psnr_db=10.0))
-        spectra = acq.clean(frame)
-        signals = spectra if d == (1, 1, 1) else [ifftn_unitary(s) for s in spectra]
-        assert acq.peak(spectra) == max(float(np.abs(s).max()) for s in signals)
-
-    @pytest.mark.parametrize("peak", [1.0, 0.37, 12.5])
-    def test_calibrate_is_calibrate_noise_at_that_peak(self, peak):
-        # one calibration path: the same fields as a volume whose maximum is the peak
-        g = Grid3(12, 8, 6)
-        acq = Acquisition(g, 120.0, DegradationConfig(d=(2, 2, 3), noise_psnr_db=13.0, rng_seed=6))
-        volume = np.full(acq.lr_grid.dims, peak / 2)
-        volume[1, 2, 0] = peak
+        acq = Acquisition(g, 120.0, DegradationConfig(d=d, kernel=kernel, noise_psnr_db=13.0, rng_seed=6))
+        cal, _, spilled = _survey(acq, tube_frames("helix", g, **HELIX_12x8x6), 3)
+        cleans = spilled[:, :3].reshape(-1, *acq.lr_grid.dims)
+        signals = cleans if d == (1, 1, 1) else [ifftn_unitary(s) for s in cleans]
+        volume = np.zeros(acq.lr_grid.dims)
+        volume[1, 2, 0] = max(float(np.abs(s).max()) for s in signals)
         expected = calibrate_noise(ScalarVolume(acq.lr_grid, volume), 13.0, seed=6)
-        got = acq.calibrate(peak)
         for field in ("sigma", "achieved_psnr_db", "target_psnr_db"):
-            assert getattr(got, field) == getattr(expected, field), field
+            assert getattr(cal, field) == getattr(expected, field), field
 
-    def test_calibrate_without_noise_reads_no_peak(self):
-        acq = Acquisition(Grid3(4, 4, 4), 120.0, DegradationConfig(d=(2, 2, 2)))
-        cal = acq.calibrate(0.0)
+    def test_noiseless_survey_calibrates_to_sigma_zero(self):
+        g = Grid3(4, 4, 4)
+        acq = Acquisition(g, 120.0, DegradationConfig(d=(2, 2, 2)))
+        cal, _, _ = _survey(acq, helix_phantom(g, 1.5, [90.0], 120.0).frames, 1)
         assert (cal.sigma, cal.achieved_psnr_db, cal.target_psnr_db) == (0.0, np.inf, None)
 
-    @pytest.mark.parametrize("peak", [0.0, -1.0])
-    def test_calibrate_rejects_a_nonpositive_peak(self, peak):
-        acq = Acquisition(Grid3(4, 4, 4), 120.0, DegradationConfig(d=(2, 2, 2), noise_psnr_db=10.0))
+    def test_survey_of_zero_magnitude_rejects_the_noise_target(self):
+        g = Grid3(4, 4, 4)
+        acq = Acquisition(g, 120.0, DegradationConfig(d=(2, 2, 2), noise_psnr_db=10.0))
+        frames = helix_phantom(g, 1.5, [90.0, 30.0], 120.0, magnitude_in=0.0).frames
         with pytest.raises(CalibrationError, match="noiseless LR magnitude is zero everywhere"):
-            acq.calibrate(peak)
+            acq.survey(frames, io.BytesIO())

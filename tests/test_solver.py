@@ -485,17 +485,26 @@ class TestBoxSolve:
                                      ((12, 8, 4), (3, 2, 1)), ((5, 7, 3), (1, 1, 1))])
 def test_ideal_zero_fill_solve_keeps_the_bits_of_the_zero_filled_inverse(dims, d, signal, rng):
     # the box holds sqrt(D) Y, and then the correction u, zero here, added to
-    # it (so a -0.0 bin leaves as +0.0), zero-filled into an HR spectrum for ifftn
+    # it (so a -0.0 bin leaves as +0.0), zero-filled into an HR spectrum for
+    # ifftn; the report is the general formula's with that u, whatever tau
     cfg = _cfg(dims, d, "ideal", prior="zero-fill")
     lr = cfg.lr_grid.dims
     data = random_complex(cfg.lr_grid, rng).data if signal == "random" else np.full(lr, complex(-0.0, -0.0))
     y_spec = fftn_unitary(data)
     box = np.sqrt(np.prod(d)) * y_spec
-    box += _lr_correction(y_spec, box.copy(), cfg)
+    u = _lr_correction(y_spec, box, cfg)
+    residual = float(np.linalg.norm((box + cfg.gram * u) / np.sqrt(np.prod(d)) - y_spec))
+    distance = float(np.sqrt(np.sum(cfg.gram * np.abs(u) ** 2)))
+    box += u
     spec = np.zeros(dims, dtype=complex)
     spec[np.ix_(*map(retained_axis_indices, dims, lr))] = box
-    x, _ = fsr_solve(ComplexVolume(cfg.lr_grid, data), cfg)
-    assert np.array_equal(x.data.view(np.uint64), ifftn_unitary(spec).view(np.uint64))
+    expected = ifftn_unitary(spec).view(np.uint64)
+    for tau in (cfg.tau, 1e-3, 50.0):
+        x, report = fsr_solve(ComplexVolume(cfg.lr_grid, data), dataclasses.replace(cfg, tau=tau))
+        assert np.array_equal(x.data.view(np.uint64), expected)
+        assert (report.residual_norm, report.prior_distance, report.objective) == (
+            residual, distance, 0.5 * residual**2 + tau * distance**2)
+        assert distance == 0.0
 
 
 @pytest.mark.parametrize("dims,d", INVARIANT_CASES)
