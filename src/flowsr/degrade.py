@@ -29,7 +29,6 @@ import numpy as np
 from .errors import CalibrationError, FormatError, GridMismatchError, ParameterError
 from .spectral import (
     KernelSpectrum,
-    _box,
     _check_divisible,
     _copy_box,
     add_spread,
@@ -38,7 +37,7 @@ from .spectral import (
     gaussian_spectrum,
     ideal_lowpass_spectrum,
     ifftn_unitary,
-    zero_filled_ifftn,
+    retained_axis_indices,
 )
 from .volume import (
     CHANNELS,
@@ -66,8 +65,6 @@ __all__ = [
 ]
 
 KERNEL_KINDS = ("ideal", "gaussian")
-# HR x rows per fill of the ideal kernel's noise draws (1 MiB of float64 at 128²)
-_DRAW_ROWS = 8
 
 
 @dataclass(frozen=True)
@@ -145,11 +142,9 @@ def apply_SH_adjoint(
     """
     hr_grid = y.grid.scaled(d)
     d = _check_kernel_and_rates(hr_grid, kernel, d)
-    # the ideal low-pass at rates d spreads onto its box alone, zero elsewhere
-    ideal = kernel.lowpass_rates == d
-    spec = np.zeros(y.grid.dims if ideal else hr_grid.dims, dtype=np.complex128)
+    spec = np.zeros(hr_grid.dims, dtype=np.complex128)
     add_spread(spec, kernel, fftn_unitary(y.data) / np.sqrt(np.prod(d)), d)
-    return ComplexVolume(hr_grid, zero_filled_ifftn(spec, hr_grid.dims) if ideal else ifftn_unitary(spec))
+    return ComplexVolume(hr_grid, ifftn_unitary(spec))
 
 
 def seeded_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -237,24 +232,22 @@ class Acquisition:
             return list(signals)
         return [filtered_alias_spectrum(self.kernel, sig, self.cfg.d) for sig in signals]
 
-    def _draw_units(self, f_idx: int, slab: np.ndarray, units: list[np.ndarray]) -> list[np.ndarray]:
+    def _draw_units(self, f_idx: int, row: np.ndarray, units: list[np.ndarray]) -> list[np.ndarray]:
         # Literal protocol: noise over the full HR k-space, then truncation.
         # Truncation only selects, so truncating each draw first gives the same
-        # bits with the arithmetic at LR size.  A draw fills the slab one run of
-        # x rows at a time (consecutive fills give one fill's bits and leave the
-        # generator as it leaves it), and each run's box rows go straight into
-        # the unit, so no sizable array is allocated here
+        # bits with the arithmetic at LR size.  A draw fills the scratch one HR
+        # x row at a time (consecutive fills give one fill's bits and leave the
+        # generator as it leaves it), and each retained row's box goes straight
+        # into its LR row of the unit, so no sizable array is allocated here
         hr_x, lr_x = self.kernel.grid.dims[0], self.lr_grid.dims[0]
+        kept = dict(zip(retained_axis_indices(hr_x, lr_x).tolist(), range(lr_x)))
         for c_idx, unit in enumerate(units):
             rng = seeded_rng(self.cfg.rng_seed, f_idx, c_idx)
             for part in (unit.real, unit.imag):
-                for x0 in range(0, hr_x, len(slab)):
-                    rows = rng.standard_normal(out=slab[:hr_x - x0])
-                    for (lr,), (hr,) in _box((hr_x,), (lr_x,)):  # the box rows among them
-                        lo, hi = max(hr.start, x0), min(hr.stop, x0 + len(rows))
-                        if lo < hi:
-                            shift = lr.start - hr.start
-                            _copy_box(part[lo + shift:hi + shift], rows[lo - x0:hi - x0])
+                for x in range(hr_x):
+                    rng.standard_normal(out=row)
+                    if x in kept:
+                        _copy_box(part[kept[x]], row)
         return units
 
     def survey(self, frames: Iterable[VelocityFrame], spill) -> NoiseCalibration:
@@ -271,14 +264,13 @@ class Acquisition:
         without a noise target.
         """
         noisy = self.cfg.noise_psnr_db is not None
-        hr_dims = self.kernel.grid.dims
         peak = 0.0
         with ThreadPoolExecutor(max_workers=1) as pool:
             for f_idx, frame in enumerate(frames):
-                # the draws' scratch slab of HR x rows and the units are made here: the
+                # the draws' scratch HR x row and the units are made here: the
                 # worker's own allocations would stay in its thread's malloc arena
                 drawn = self._draws_units and pool.submit(
-                    self._draw_units, f_idx, np.empty((min(_DRAW_ROWS, hr_dims[0]),) + hr_dims[1:]),
+                    self._draw_units, f_idx, np.empty(self.kernel.grid.dims[1:]),
                     [np.empty(self.lr_grid.dims, dtype=np.complex128) for _ in CHANNELS])
                 spectra = self._clean(frame)
                 if drawn:  # before the peak: its transforms beside the draws raised pipeline's peak RSS
@@ -297,8 +289,14 @@ class Acquisition:
         """Pass 2: the ``count`` LR frames acquired with ``cal``, from what :meth:`survey` spilled.
 
         ``spill`` is read from its start, one frame's spectra at a time;
-        between frames none is held.  ``FormatError`` on a short read.
+        between frames none is held.  ``FormatError`` on a short read;
+        ``ParameterError``, before any read, when ``cal`` adds noise that the
+        ideal kernel draws in pass 1 but the survey, without a noise target,
+        did not draw.
         """
+        if cal.sigma > 0 and self._ideal and not self._draws_units:
+            raise ParameterError(f"sigma {cal.sigma:g} needs the ideal kernel's unit noise, "
+                                 "which a survey without a noise target does not spill")
         spill.seek(0)
         for f_idx in range(count):  # no local keeps the spectra while a frame is out
             yield self._frame(f_idx, cal, self._read(spill))

@@ -213,8 +213,13 @@ def evaluate(
     compared before any sample is read; they are then read in lockstep, one
     channel of each at a time, and scored as their loads would be.  Only the
     reference's magnitude is used; the others are read and checked.
+    ``ParameterError``, before any file is opened, when a baseline's
+    ``baseline_method`` is ``sr_method``: the two could not be told apart.
     """
     _check_threshold(mask_threshold)
+    if baseline is not None and sr_method == baseline_method:
+        raise ParameterError(f"the baseline's method label is the SR's ({sr_method!r}): "
+                             "their records could not be told apart")
     with contextlib.ExitStack() as stack:
         candidates = [(sr_method, _open(sr, stack))]
         frame_count, dims, ref_blocks = _open(ref, stack)

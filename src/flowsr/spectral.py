@@ -300,8 +300,8 @@ def _zero_fill(box: np.ndarray, hr_dims) -> np.ndarray:
 def add_spread(spec: np.ndarray, kernel: KernelSpectrum, u: np.ndarray, d: tuple[int, int, int]) -> None:
     """Add ``conj(kernel.values) * np.tile(u, d)`` into ``spec``: the adjoint, in place.
 
-    The ideal low-pass at rates ``d`` adds ``u`` on its box, which ``spec``
-    may be alone (LR-shaped); other kernels take one HR scratch array.
+    The ideal low-pass at rates ``d`` adds ``u`` on its box; other kernels
+    take one HR scratch array.
     """
     if kernel.lowpass_rates == d:
         for lr, hr in _box(spec.shape, u.shape):

@@ -400,6 +400,17 @@ class TestEval:
         assert len([r for r in report.records if r.metric == "psnr_db"]) == 2 * 3 * 2
         assert len([r for r in report.records if r.metric == "mre_percent"]) == 2 * 2
 
+    @pytest.mark.parametrize("labels", [("--baseline-label", "fsr"),
+                                        ("--sr-label", "tri", "--baseline-label", "tri")])
+    def test_equal_method_labels_fail_before_any_file_is_read(self, tmp_path, hr_file, capsys, labels):
+        # the two methods' records would share one label; the SR file is missing,
+        # so the error shows that nothing was opened
+        out = tmp_path / "metrics.csv"
+        assert run("eval", "--sr", str(tmp_path / "missing.flw4"), "--ref", str(hr_file),
+                   "--baseline", str(hr_file), *labels, "--out", str(out)) == 1
+        assert "could not be told apart" in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def eval_files(tmp_path_factory):

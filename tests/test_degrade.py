@@ -10,6 +10,7 @@ from flowsr import (
     DegradationConfig,
     Grid3,
     GridMismatchError,
+    NoiseCalibration,
     ParameterError,
     ScalarVolume,
     apply_SH,
@@ -459,13 +460,13 @@ class TestAcquisition:
         for mine, expected in zip(acq.acquired(3, cal, spill), lr.frames, strict=True):
             _assert_frames_equal(mine, expected)
 
-    @pytest.mark.parametrize("d", [(1, 1, 1), (2, 2, 2), (2, 2, 3)])
+    @pytest.mark.parametrize("d", [(1, 1, 1), (2, 2, 2), (2, 2, 3), (4, 2, 3)])
     def test_spilled_units_are_the_box_of_full_k_space_draws(self, d):
         # the units drawn on the worker thread are the retained box of two
         # full-k-space draws per (frame, channel) stream, and acquire each frame
-        # to the bits of degrade_dataset; the draws fill 8 x rows at a time, so
-        # the 12 rows take two fills, and at d = 1 the box rows cross the edge
-        # between them
+        # to the bits of degrade_dataset; the draws fill one HR x row at a time,
+        # every row is kept at d = 1, and at d = 4 the LR x length (3) is odd,
+        # so the negative-frequency block is one row
         g = Grid3(12, 8, 6)
         cfg = DegradationConfig(d=d, noise_psnr_db=12.0, rng_seed=8)
         lr, cal = degrade_dataset(helix_phantom(g, **HELIX_12x8x6), cfg)
@@ -554,6 +555,18 @@ class TestAcquisition:
         acq = Acquisition(g, 120.0, DegradationConfig(d=(2, 2, 2)))
         cal, _, _ = _survey(acq, helix_phantom(g, 1.5, [90.0], 120.0).frames, 1)
         assert (cal.sigma, cal.achieved_psnr_db, cal.target_psnr_db) == (0.0, np.inf, None)
+
+    @pytest.mark.parametrize("d", [(2, 2, 2), (1, 1, 1)])
+    def test_noise_after_a_noiseless_ideal_survey_fails_before_the_read(self, d):
+        # the ideal kernel's noise comes from units drawn in pass 1, which a
+        # survey without a noise target does not draw
+        g = Grid3(4, 4, 4)
+        acq = Acquisition(g, 120.0, DegradationConfig(d=d))
+        _, spill, _ = _survey(acq, helix_phantom(g, 1.5, [90.0], 120.0).frames, 1)
+        spill.seek(5)
+        with pytest.raises(ParameterError, match="unit noise"):
+            next(acq.acquired(1, NoiseCalibration(sigma=1.0, achieved_psnr_db=3.0), spill))
+        assert spill.tell() == 5  # nothing was read
 
     def test_survey_of_zero_magnitude_rejects_the_noise_target(self):
         g = Grid3(4, 4, 4)

@@ -158,6 +158,12 @@ class TestEvaluate:
         assert len(mre_rows) == 3 * 2  # frames x methods
         assert {r.method for r in report.records} == {"fsr", "trilinear"}
 
+    def test_a_label_equal_to_the_sr_label_needs_no_baseline(self, rng):
+        # without a baseline there is one method, so its label names no other
+        sr, ref, _ = self._make(rng)
+        report = evaluate(sr, ref, baseline_method="fsr")
+        assert report.records == evaluate(sr, ref).records
+
     def test_better_method_scores_better(self, rng):
         sr, ref, base = self._make(rng)
         report = evaluate(sr, ref, baseline=base)
@@ -388,3 +394,10 @@ class TestEvaluateFiles:
         missing = tmp_path / "missing.flw4"
         with pytest.raises(ParameterError, match="threshold_fraction"):
             evaluate(missing, missing, mask_threshold=1.5)
+
+    @pytest.mark.parametrize("labels", [{"baseline_method": "fsr"},
+                                        {"sr_method": "tri", "baseline_method": "tri"}])
+    def test_equal_method_labels_fail_before_any_file_is_opened(self, tmp_path, labels):
+        missing = tmp_path / "missing.flw4"
+        with pytest.raises(ParameterError, match="could not be told apart"):
+            evaluate(missing, missing, baseline=missing, **labels)
