@@ -124,16 +124,16 @@ def _degradation(rc: RunConfig) -> DegradationConfig:
 
 
 def cmd_degrade(args) -> int:
-    # frame by frame through Acquisition's two passes, the spill beside the
-    # output; both files are committed together, so a failure leaves neither
+    # frame by frame through Acquisition.acquire's two passes, the spill beside
+    # the output; next() holds no LR frame while the second pass makes the next
+    # (a loop would).  Both files are committed together, so a failure leaves neither
     with open_frames(args.infile) as (hr_grid, params, frames), StreamWriter() as out, \
             tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(args.out))) as spill:
         cfg = _degradation(RunConfig(dims=hr_grid.dims, **_settings(args)))
         acq = Acquisition(hr_grid, params.venc, cfg)
         lr_file = out.volume(args.out, acq.lr_grid, params)
         cal_file = out.file(args.calibration_out or args.out + ".cal")
-        cal = acq.survey(frames, spill)
-        acquired = acq.acquired(params.frame_count, cal, spill)
+        cal, acquired = acq.acquire(frames, spill)
         for f_idx in range(params.frame_count):
             lr_file.write_frame(f_idx, next(acquired))
         cal_file.write(_calibration_text(cal, cfg).encode("utf-8"))
@@ -162,20 +162,25 @@ def cmd_sr(args) -> int:
     lr = load_dataset(args.infile)
     rc = RunConfig(dims=np.multiply(lr.grid.dims, args.factor), **_settings(args))
     hr_grid = lr.grid.scaled(rc.factor)
+    reports: list = []
     if args.method in METHODS:
         sr = upsample_dataset(lr, rc.factor, args.method)
-        save_dataset(sr, args.out)
-        print(f"wrote {args.out}: {args.method} upsampling to {sr.grid.dims}")
-        return 0
-    kernel = _degradation(rc).kernel_spectrum(hr_grid)
-    cfg = SolverConfig(tau=rc.tau, kernel=kernel, d=rc.factor, prior=rc.prior)
-    reports: list = []
-    sr = superresolve_dataset(lr, cfg, hr_grid, reports=reports)
-    save_dataset(sr, args.out)
-    if args.report_out:
-        _write_text(args.report_out, _solve_report_csv(reports))
-    total = sum(rep.wall_time_s for _, _, rep in reports)
-    print(f"wrote {args.out}: fsr tau={rc.tau:g} to {sr.grid.dims} ({total:.2f} s of solves)")
+        done = f"{args.method} upsampling to {sr.grid.dims}"
+    else:
+        kernel = _degradation(rc).kernel_spectrum(hr_grid)
+        cfg = SolverConfig(tau=rc.tau, kernel=kernel, d=rc.factor, prior=rc.prior)
+        sr = superresolve_dataset(lr, cfg, hr_grid, reports=reports)
+        total = sum(rep.wall_time_s for _, _, rep in reports)
+        done = f"fsr tau={rc.tau:g} to {sr.grid.dims} ({total:.2f} s of solves)"
+    # the volume and its report are committed together, so a failure leaves neither
+    with StreamWriter() as out:
+        sr_file = out.volume(args.out, sr.grid, sr.params)
+        if args.report_out:
+            out.file(args.report_out).write(_solve_report_csv(reports).encode("utf-8"))
+        for f_idx, frame in enumerate(sr.frames):
+            sr_file.write_frame(f_idx, frame)
+        out.commit()
+    print(f"wrote {args.out}: {done}")
     return 0
 
 
@@ -262,10 +267,10 @@ def cmd_pipeline(args) -> int:
     path = lambda name: os.path.join(out_dir, name)
     t0 = time.perf_counter()
 
-    # one frame at a time: Acquisition's first pass surveys the phantom
-    # frames, its second yields each LR frame as the frame is rebuilt, written,
-    # solved, upsampled and scored.  Every file is committed at the end, so a
-    # failure leaves no partial run
+    # one frame at a time: Acquisition.acquire's first pass surveys the phantom
+    # frames; each frame is then rebuilt before next() takes its LR frame from
+    # the second, to be written, solved, upsampled and scored.  Every file is
+    # committed at the end, so a failure leaves no partial run
     phantom = _phantom_args(rc)
     hr_grid, params = phantom["grid"], AcquisitionParams(rc.venc, rc.frames)
     single = AcquisitionParams(rc.venc)  # of the one-frame datasets
@@ -277,8 +282,7 @@ def cmd_pipeline(args) -> int:
         files = [out.volume(path(name), grid, params) for name, grid in (
             ("hr.flw4", hr_grid), ("lr.flw4", acq.lr_grid), ("sr_fsr.flw4", hr_grid),
             (f"sr_{rc.baseline}.flw4", hr_grid))]
-        cal = acq.survey(tube_frames(rc.phantom, **phantom), spill)
-        acquired = acq.acquired(rc.frames, cal, spill)
+        cal, acquired = acq.acquire(tube_frames(rc.phantom, **phantom), spill)
         for f_idx, frame in enumerate(tube_frames(rc.phantom, **phantom)):
             lr = VelocityDataset(single, (next(acquired),))
             # one-frame datasets through each stage's own call; their frame 0 is frame f_idx

@@ -12,9 +12,9 @@ back, and re-extract magnitude and velocity.  Under the unitary convention
 the truncation pipeline equals ``sqrt(d) * S H`` with the ideal low-pass
 kernel, which the tests pin down.  :class:`Acquisition` runs the chain in
 two passes that hold one frame at a time, for ``flowsr degrade``,
-``flowsr pipeline`` and :func:`degrade_dataset` alike: ``survey`` spills
-each frame's noiseless LR spectra and unit noise and calibrates the noise,
-``acquired`` reads them back and yields the noisy LR frames.
+``flowsr pipeline`` and :func:`degrade_dataset` alike: ``acquire``'s first
+pass spills each frame's noiseless LR spectra and unit noise and calibrates
+the noise, its second reads them back and yields the noisy LR frames.
 """
 
 from __future__ import annotations
@@ -206,12 +206,12 @@ class Acquisition:
     to image space, and extract velocity (:func:`map_frame` builds the
     frame).  Noise streams split per (frame, channel) from ``cfg.rng_seed``,
     so a fixed seed reproduces each frame bit-for-bit.  One noise level
-    serves all frames, so each frame goes through twice, one frame at a time:
-    :meth:`survey` spills each HR frame's noiseless LR spectra of ``sqrt(d)
-    S H x`` and the ideal kernel's unit noise, and calibrates from the top
-    clean LR magnitude; :meth:`acquired` reads them back and yields each LR
-    frame.  Amplitudes are sqrt(d) times those of a bare ``S H``; velocities
-    are not.
+    serves all frames, so :meth:`acquire` takes each frame through twice, one
+    frame at a time: its first pass spills each HR frame's noiseless LR
+    spectra of ``sqrt(d) S H x`` and the ideal kernel's unit noise, and
+    calibrates from the top clean LR magnitude; its second reads them back
+    and yields each LR frame.  Amplitudes are sqrt(d) times those of a bare
+    ``S H``; velocities are not.
     """
 
     def __init__(self, hr_grid: Grid3, venc: float, cfg: DegradationConfig):
@@ -250,23 +250,31 @@ class Acquisition:
                         _copy_box(part[kept[x]], row)
         return units
 
-    def survey(self, frames: Iterable[VelocityFrame], spill) -> NoiseCalibration:
-        """Pass 1: spill each HR frame's clean spectra, then its units, to the binary file ``spill``.
+    def acquire(self, frames: Iterable[VelocityFrame],
+                spill) -> tuple[NoiseCalibration, Iterator[VelocityFrame]]:
+        """The calibration, and an iterator of the LR frames of ``frames``, acquired through ``spill``.
 
-        With the ideal kernel and a noise target, a frame's unit per channel
-        is ``real + 1j * imag``, the retained boxes of two full-k-space draws
-        from the ``(frame, channel)`` stream, drawn on one worker thread while
-        this one computes the clean spectra (numpy drops the GIL while it
-        fills a buffer); the thread starts at the first draw and ends before
-        the call returns or raises.  ``spill`` takes 3/D of an HR complex128
-        array per frame (D the product of the rates), 6/D with units.  Returns
+        Pass 1, before this returns, spills each HR frame's clean spectra,
+        then its units, to the binary file ``spill``.  With the ideal kernel
+        and a noise target, a frame's unit per channel is ``real + 1j * imag``,
+        the retained boxes of two full-k-space draws from the ``(frame,
+        channel)`` stream, drawn on one worker thread while this one computes
+        the clean spectra (numpy drops the GIL while it fills a buffer); the
+        thread starts at the first draw and ends before the call returns or
+        raises.  ``spill`` takes 3/D of an HR complex128 array per frame (D the
+        product of the rates), 6/D with units.  The calibration is
         :func:`calibrate_noise` at the top clean LR magnitude, or sigma 0
-        without a noise target.
+        without a noise target.  A frame off the kernel's dims raises
+        ``GridMismatchError`` before its draw.  Pass 2, the iterator, reads
+        ``spill`` from its start, one frame's spectra at a time, holding none
+        between frames; ``FormatError`` on a short read.
         """
         noisy = self.cfg.noise_psnr_db is not None
-        peak = 0.0
+        peak, count = 0.0, 0
         with ThreadPoolExecutor(max_workers=1) as pool:
             for f_idx, frame in enumerate(frames):
+                if frame.grid.dims != self.kernel.grid.dims:
+                    raise GridMismatchError(f"frame {f_idx}: grid {frame.grid.dims} != {self.kernel.grid.dims}")
                 # the draws' scratch HR x row and the units are made here: the
                 # worker's own allocations would stay in its thread's malloc arena
                 drawn = self._draws_units and pool.submit(
@@ -280,26 +288,17 @@ class Acquisition:
                                        for s in spectra[:3]))
                 # C order: under the identity they are a loaded frame's x-fastest signals
                 spill.writelines(np.ascontiguousarray(s) for s in spectra)
+                count += 1
                 del frame, drawn, spectra  # before the next frame is made
-        if not noisy:
-            return NoiseCalibration(sigma=0.0, achieved_psnr_db=np.inf, target_psnr_db=None)
-        return _calibration(peak, self.lr_grid.dims, self.cfg.noise_psnr_db, self.cfg.rng_seed)
+        cal = (_calibration(peak, self.lr_grid.dims, self.cfg.noise_psnr_db, self.cfg.rng_seed) if noisy
+               else NoiseCalibration(sigma=0.0, achieved_psnr_db=np.inf, target_psnr_db=None))
+        return cal, self._acquired(count, cal.sigma, spill)
 
-    def acquired(self, count: int, cal: NoiseCalibration, spill) -> Iterator[VelocityFrame]:
-        """Pass 2: the ``count`` LR frames acquired with ``cal``, from what :meth:`survey` spilled.
-
-        ``spill`` is read from its start, one frame's spectra at a time;
-        between frames none is held.  ``FormatError`` on a short read;
-        ``ParameterError``, before any read, when ``cal`` adds noise that the
-        ideal kernel draws in pass 1 but the survey, without a noise target,
-        did not draw.
-        """
-        if cal.sigma > 0 and self._ideal and not self._draws_units:
-            raise ParameterError(f"sigma {cal.sigma:g} needs the ideal kernel's unit noise, "
-                                 "which a survey without a noise target does not spill")
+    def _acquired(self, count: int, sigma: float, spill) -> Iterator[VelocityFrame]:
+        # pass 2: the count frames pass 1 spilled, acquired with its sigma
         spill.seek(0)
         for f_idx in range(count):  # no local keeps the spectra while a frame is out
-            yield self._frame(f_idx, cal, self._read(spill))
+            yield self._frame(f_idx, sigma, self._read(spill))
 
     def _read(self, spill) -> list[np.ndarray]:
         # the next frame's clean spectra, then its units if they were drawn
@@ -311,25 +310,25 @@ class Acquisition:
                 raise FormatError(f"spectra spill: short read at byte offset {offset}")
         return spectra
 
-    def _frame(self, f_idx: int, cal: NoiseCalibration, spectra: list[np.ndarray]) -> VelocityFrame:
-        # frame f_idx acquired with cal's noise from its spilled spectra; the
+    def _frame(self, f_idx: int, sigma: float, spectra: list[np.ndarray]) -> VelocityFrame:
+        # frame f_idx acquired with noise sigma from its spilled spectra; the
         # ideal kernel's units are scaled in place, so each serves one call
 
         def lr_channel(ch: str, keep_magnitude: bool):
             c_idx = CHANNELS.index(ch)
             clean = spectra[c_idx]
-            if cal.sigma == 0:
+            if sigma == 0:
                 signal = clean if self._identity else ifftn_unitary(clean)
             else:
                 if self._ideal:
                     noise = spectra[3 + c_idx]
-                    noise *= cal.sigma  # in place: the bits of cal.sigma * unit, one array fewer
+                    noise *= sigma  # in place: the bits of sigma * unit, one array fewer
                 else:
                     # white noise on the LR k-space keeps the noise white per the
                     # forward model (a subsample after the filter would otherwise
                     # fold kernel-shaped noise)
                     rng = seeded_rng(self.cfg.rng_seed, f_idx, c_idx)
-                    noise = _complex_noise(self.lr_grid.dims, cal.sigma, rng)
+                    noise = _complex_noise(self.lr_grid.dims, sigma, rng)
                 signal = ifftn_unitary((fftn_unitary(clean) if self._identity else clean) + noise)
             # finite by construction; extract_velocity checks the magnitude it takes
             return extract_velocity(_adopt(ComplexVolume, self.lr_grid, signal), self.venc,
@@ -349,5 +348,5 @@ def degrade_dataset(
     """
     acq = Acquisition(hr.grid, hr.params.venc, cfg)
     with tempfile.TemporaryFile() as spill:
-        cal = acq.survey(hr.frames, spill)
-        return VelocityDataset(hr.params, tuple(acq.acquired(len(hr.frames), cal, spill))), cal
+        cal, frames = acq.acquire(hr.frames, spill)
+        return VelocityDataset(hr.params, tuple(frames)), cal

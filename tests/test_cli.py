@@ -313,6 +313,17 @@ class TestSr:
         assert err.startswith("error: --report-out: ") and message in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_report_that_fails_leaves_out_as_it_was(self, tmp_path, lr_file, capsys):
+        # the volume and its report are committed together: a report into a
+        # missing directory fails the run before --out is replaced
+        out = tmp_path / "sr.flw4"
+        out.write_bytes(b"old")
+        assert run("sr", "--in", str(lr_file), "--out", str(out), "--factor", "2,2,2",
+                   "--report-out", str(tmp_path / "nodir" / "solves.csv")) == 1
+        assert "No such file or directory" in capsys.readouterr().err
+        assert out.read_bytes() == b"old"
+        assert list(tmp_path.glob(".flowsr-*")) == []
+
     def test_zero_tau_is_runtime_error(self, lr_file):
         assert run("sr", "--in", str(lr_file), "--out", "x", "--factor", "2,2,2", "--tau", "0") == 1
 

@@ -10,7 +10,6 @@ from flowsr import (
     DegradationConfig,
     Grid3,
     GridMismatchError,
-    NoiseCalibration,
     ParameterError,
     ScalarVolume,
     apply_SH,
@@ -441,10 +440,10 @@ def _assert_frames_equal(a, b):
 
 
 def _survey(acq, frames, count):
-    # pass 1 into memory: the calibration, the spill, and the spilled arrays per frame
+    # acquire into memory: the calibration, pass 2's iterator, and the arrays pass 1 spilled per frame
     spill = io.BytesIO()
-    cal = acq.survey(frames, spill)
-    return cal, spill, np.frombuffer(spill.getvalue(), np.complex128).reshape(count, -1, *acq.lr_grid.dims)
+    cal, acquired = acq.acquire(frames, spill)
+    return cal, acquired, np.frombuffer(spill.getvalue(), np.complex128).reshape(count, -1, *acq.lr_grid.dims)
 
 
 class TestAcquisition:
@@ -455,10 +454,26 @@ class TestAcquisition:
         cfg = DegradationConfig(d=(2, 2, 3), kernel=kernel, noise_psnr_db=noise, rng_seed=4)
         lr, cal = degrade_dataset(helix_phantom(g, **HELIX_12x8x6), cfg)
         acq = Acquisition(g, 120.0, cfg)
-        got, spill, _ = _survey(acq, tube_frames("helix", g, **HELIX_12x8x6), 3)
+        got, acquired, _ = _survey(acq, tube_frames("helix", g, **HELIX_12x8x6), 3)
         assert got == cal
-        for mine, expected in zip(acq.acquired(3, cal, spill), lr.frames, strict=True):
+        for mine, expected in zip(acquired, lr.frames, strict=True):
             _assert_frames_equal(mine, expected)
+
+    @pytest.mark.parametrize("kernel", ["ideal", "gaussian"])
+    def test_each_acquire_takes_its_own_calibration_and_count(self, kernel):
+        # two calls on one Acquisition, their iterators read after both: each
+        # second pass takes its own call's sigma and frame count
+        g = Grid3(12, 8, 6)
+        cfg = DegradationConfig(d=(2, 2, 3), kernel=kernel, noise_psnr_db=15.0, rng_seed=4)
+        acq = Acquisition(g, 120.0, cfg)
+        datasets = (helix_phantom(g, **HELIX_12x8x6), helix_phantom(g, 2.5, [60.0], 120.0, magnitude_in=3.0))
+        calls = [_survey(acq, hr.frames, len(hr.frames))[:2] for hr in datasets]
+        assert calls[0][0].sigma != calls[1][0].sigma
+        for (cal, acquired), hr in zip(calls, datasets, strict=True):
+            lr, expected_cal = degrade_dataset(hr, cfg)
+            assert cal == expected_cal
+            for mine, expected in zip(acquired, lr.frames, strict=True):
+                _assert_frames_equal(mine, expected)
 
     @pytest.mark.parametrize("d", [(1, 1, 1), (2, 2, 2), (2, 2, 3), (4, 2, 3)])
     def test_spilled_units_are_the_box_of_full_k_space_draws(self, d):
@@ -469,15 +484,15 @@ class TestAcquisition:
         # so the negative-frequency block is one row
         g = Grid3(12, 8, 6)
         cfg = DegradationConfig(d=d, noise_psnr_db=12.0, rng_seed=8)
-        lr, cal = degrade_dataset(helix_phantom(g, **HELIX_12x8x6), cfg)
+        lr, _ = degrade_dataset(helix_phantom(g, **HELIX_12x8x6), cfg)
         acq = Acquisition(g, 120.0, cfg)
-        _, spill, spilled = _survey(acq, tube_frames("helix", g, **HELIX_12x8x6), 3)
+        _, acquired, spilled = _survey(acq, tube_frames("helix", g, **HELIX_12x8x6), 3)
         for f_idx, c_idx in np.ndindex(3, 3):
             rng = np.random.default_rng([cfg.rng_seed, f_idx, c_idx])
             real, imag = (crop_kspace(ComplexVolume(g, rng.standard_normal(g.dims) + 0j),
                                       acq.lr_grid).data.real for _ in range(2))
             assert np.array_equal(spilled[f_idx, 3 + c_idx], real + 1j * imag)
-        for mine, expected in zip(acq.acquired(3, cal, spill), lr.frames, strict=True):
+        for mine, expected in zip(acquired, lr.frames, strict=True):
             _assert_frames_equal(mine, expected)
 
     @pytest.mark.parametrize("kernel, noise, d, per_frame", [
@@ -518,10 +533,10 @@ class TestAcquisition:
         before = threading.active_count()
         for kernel, noise in (("gaussian", 12.0), ("ideal", None)):  # no units: no thread
             acq = Acquisition(g, 120.0, DegradationConfig(d=(2, 2, 2), kernel=kernel, noise_psnr_db=noise))
-            acq.survey(helix_phantom(g, **HELIX_12x8x6).frames, io.BytesIO())
+            acq.acquire(helix_phantom(g, **HELIX_12x8x6).frames, io.BytesIO())
             assert started == [] and draws == []
         acq = Acquisition(g, 120.0, DegradationConfig(d=(2, 2, 2), noise_psnr_db=12.0))
-        acq.survey(helix_phantom(g, **HELIX_12x8x6).frames, io.BytesIO())
+        acq.acquire(helix_phantom(g, **HELIX_12x8x6).frames, io.BytesIO())
         assert len(started) == 1 and draws == started * 9
         assert not started[0].is_alive() and threading.active_count() == before
 
@@ -530,7 +545,7 @@ class TestAcquisition:
 
         monkeypatch.setattr(flowsr.degrade, "seeded_rng", failing)
         with pytest.raises(ParameterError, match="the draw failed"):
-            acq.survey(helix_phantom(g, **HELIX_12x8x6).frames, io.BytesIO())
+            acq.acquire(helix_phantom(g, **HELIX_12x8x6).frames, io.BytesIO())
         assert len(started) == 2 and not started[1].is_alive()
         assert threading.active_count() == before
 
@@ -556,21 +571,44 @@ class TestAcquisition:
         cal, _, _ = _survey(acq, helix_phantom(g, 1.5, [90.0], 120.0).frames, 1)
         assert (cal.sigma, cal.achieved_psnr_db, cal.target_psnr_db) == (0.0, np.inf, None)
 
-    @pytest.mark.parametrize("d", [(2, 2, 2), (1, 1, 1)])
-    def test_noise_after_a_noiseless_ideal_survey_fails_before_the_read(self, d):
-        # the ideal kernel's noise comes from units drawn in pass 1, which a
-        # survey without a noise target does not draw
-        g = Grid3(4, 4, 4)
-        acq = Acquisition(g, 120.0, DegradationConfig(d=d))
-        _, spill, _ = _survey(acq, helix_phantom(g, 1.5, [90.0], 120.0).frames, 1)
-        spill.seek(5)
-        with pytest.raises(ParameterError, match="unit noise"):
-            next(acq.acquired(1, NoiseCalibration(sigma=1.0, achieved_psnr_db=3.0), spill))
-        assert spill.tell() == 5  # nothing was read
+    @pytest.mark.parametrize("kernel", ["ideal", "gaussian"])
+    def test_a_frame_off_the_grid_fails_before_its_draw(self, kernel, monkeypatch):
+        # frames of other dims, at the same spacing: the ideal kernel cut an LR
+        # frame from the wrong spectrum and the gaussian one died in a numpy
+        # broadcast; the frame's index is named before its draw is submitted or
+        # any of its channels is synthesized, and nothing of it is spilled
+        import flowsr.degrade
+
+        g, other = Grid3(8, 8, 4), Grid3(16, 8, 4)
+        calls = []
+
+        def recording(name):
+            original = getattr(flowsr.degrade, name)
+
+            def record(*args):
+                calls.append(name)
+                return original(*args)
+
+            return record
+
+        for name in ("synthesize_complex", "seeded_rng"):
+            monkeypatch.setattr(flowsr.degrade, name, recording(name))
+        acq = Acquisition(g, 120.0, DegradationConfig(d=(2, 2, 2), kernel=kernel, noise_psnr_db=15.0))
+        spill = io.BytesIO()
+        with pytest.raises(GridMismatchError, match=r"frame 0: grid \(16, 8, 4\) != \(8, 8, 4\)"):
+            acq.acquire(helix_phantom(other, 1.5, [90.0], 120.0).frames, spill)
+        assert spill.getvalue() == b"" and calls == []
+        frames = (*helix_phantom(g, 1.5, [90.0], 120.0).frames, *helix_phantom(other, 1.5, [60.0], 120.0).frames)
+        with pytest.raises(GridMismatchError, match="frame 1: "):
+            acq.acquire(frames, spill)
+        per_frame = 6 if kernel == "ideal" else 3  # frame 0's clean spectra, and its units
+        assert len(spill.getvalue()) == per_frame * 16 * acq.lr_grid.voxel_count
+        assert calls.count("synthesize_complex") == 3
+        assert calls.count("seeded_rng") == (3 if kernel == "ideal" else 0)
 
     def test_survey_of_zero_magnitude_rejects_the_noise_target(self):
         g = Grid3(4, 4, 4)
         acq = Acquisition(g, 120.0, DegradationConfig(d=(2, 2, 2), noise_psnr_db=10.0))
         frames = helix_phantom(g, 1.5, [90.0, 30.0], 120.0, magnitude_in=0.0).frames
         with pytest.raises(CalibrationError, match="noiseless LR magnitude is zero everywhere"):
-            acq.survey(frames, io.BytesIO())
+            acq.acquire(frames, io.BytesIO())
