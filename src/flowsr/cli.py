@@ -30,7 +30,7 @@ from .oracle import _dense_solve_priors, build_dense
 from .phantom import helix_phantom, poiseuille_phantom, pulsatile_profile, tube_frames
 from .solver import SolverConfig, build_prior, fsr_solve, superresolve_dataset
 from .spectral import gaussian_spectrum, ideal_lowpass_spectrum  # noqa: F401  perfbench traces them
-from .volio import StreamWriter, atomic_write, load_dataset, open_frames, save_dataset
+from .volio import StreamWriter, load_dataset, open_frames, save_dataset
 from .volume import AcquisitionParams, ComplexVolume, Grid3, VelocityDataset
 
 __all__ = ["main"]
@@ -86,8 +86,11 @@ def _settings(args) -> dict:
     return {name: value for name, value in vars(args).items() if name in HINTS}
 
 
-def _write_text(path, text: str) -> None:
-    atomic_write(path, [text.encode("utf-8")])
+def _check_not_replaced(flag: str, path, others: dict) -> None:
+    """``ParameterError`` if ``flag``'s output ``path`` is a file of ``others`` (flag: path or None)."""
+    for other_flag, other in others.items():
+        if other and os.path.realpath(path) == os.path.realpath(other):
+            raise ParameterError(f"{flag}: {path} is also {other_flag}")
 
 
 def _phantom_args(rc: RunConfig) -> dict:
@@ -124,6 +127,8 @@ def _degradation(rc: RunConfig) -> DegradationConfig:
 
 
 def cmd_degrade(args) -> int:
+    cal_path = args.calibration_out or args.out + ".cal"
+    _check_not_replaced("--calibration-out", cal_path, {"--in": args.infile})
     # frame by frame through Acquisition.acquire's two passes, the spill beside
     # the output; next() holds no LR frame while the second pass makes the next
     # (a loop would).  Both files are committed together, so a failure leaves neither
@@ -132,7 +137,7 @@ def cmd_degrade(args) -> int:
         cfg = _degradation(RunConfig(dims=hr_grid.dims, **_settings(args)))
         acq = Acquisition(hr_grid, params.venc, cfg)
         lr_file = out.volume(args.out, acq.lr_grid, params)
-        cal_file = out.file(args.calibration_out or args.out + ".cal")
+        cal_file = out.file(cal_path)
         cal, acquired = acq.acquire(frames, spill)
         for f_idx in range(params.frame_count):
             lr_file.write_frame(f_idx, next(acquired))
@@ -157,8 +162,8 @@ def _solve_report_csv(reports) -> str:
 def cmd_sr(args) -> int:
     if args.report_out and args.method != "fsr":
         raise ParameterError(f"--report-out: {args.method} upsampling makes no solve reports")
-    if args.report_out and os.path.realpath(args.report_out) == os.path.realpath(args.out):
-        raise ParameterError(f"--report-out: {args.report_out} is also --out")
+    if args.report_out:
+        _check_not_replaced("--report-out", args.report_out, {"--out": args.out, "--in": args.infile})
     lr = load_dataset(args.infile)
     rc = RunConfig(dims=np.multiply(lr.grid.dims, args.factor), **_settings(args))
     hr_grid = lr.grid.scaled(rc.factor)
@@ -195,11 +200,14 @@ def _summary_lines(report: EvalReport, methods) -> list[str]:
 
 def cmd_eval(args) -> int:
     rc = RunConfig(mask_threshold=args.mask_threshold)  # its --baseline is a file
-    # evaluate reads the files in lockstep, one channel of each at a time
     baseline = args.baseline or None
+    _check_not_replaced("--out", args.out, {"--sr": args.sr, "--ref": args.ref, "--baseline": baseline})
+    # evaluate reads the files in lockstep, one channel of each at a time
     labels = (args.sr_label, args.baseline_label)
     report = evaluate(args.sr, args.ref, baseline, rc.mask_threshold, *labels)
-    _write_text(args.out, report.to_csv())
+    with StreamWriter() as out:
+        out.file(args.out).write(report.to_csv().encode("utf-8"))
+        out.commit()
     print("\n".join(_summary_lines(report, labels if baseline is not None else labels[:1])))
     print(f"wrote {args.out}: {len(report.records)} records")
     return 0

@@ -23,7 +23,7 @@ Writes are atomic (temp file in the target directory, then rename), so an
 interrupted run never leaves a truncated file that parses.  :class:`StreamWriter`
 is the one writer behind this and every other file the command line writes:
 it takes volume files block by block, in file order, and commits a set of
-files together.  :func:`save_dataset` and :func:`atomic_write` wrap it.
+files together.  :func:`save_dataset` is its one wrapper.
 
 :func:`open_channels` is the one read path: it checks the header and the
 file size before any sample, then yields the payload one channel block at a
@@ -54,7 +54,7 @@ from .volume import (
 )
 
 __all__ = [
-    "MAGIC", "VERSION", "HEADER_SIZE", "StreamWriter", "VolumeStream", "atomic_write", "save_dataset",
+    "MAGIC", "VERSION", "HEADER_SIZE", "StreamWriter", "VolumeStream", "save_dataset",
     "open_channels", "open_frames", "load_dataset",
 ]
 
@@ -151,17 +151,6 @@ class VolumeStream:
     def check_complete(self) -> None:
         if self._next is not None:
             raise FormatError(f"{self._path}: blocks missing from (frame, channel) {self._next} on")
-
-
-def atomic_write(path, chunks) -> None:
-    """Write the bytes-like ``chunks`` to ``path`` through a :class:`StreamWriter`, all or nothing.
-
-    ``chunks`` is consumed lazily and each chunk is released before the next
-    is made, so a generator keeps one chunk in memory at a time.
-    """
-    with StreamWriter() as out:
-        out.file(path).writelines(chunks)
-        out.commit()
 
 
 def save_dataset(ds: VelocityDataset, path) -> None:

@@ -38,7 +38,7 @@ from flowsr import (
 )
 from flowsr.cli import build_parser, main
 from flowsr.interp import _axis_weights
-from flowsr.volio import HEADER_SIZE, atomic_write
+from flowsr.volio import HEADER_SIZE
 
 
 def run(*argv):
@@ -134,33 +134,6 @@ class TestSimulate:
             run("simulate", "--dims", "8,8", "--out", "x.flw4")
         assert excinfo.value.code == 2
 
-    def test_infinite_spacing_is_runtime_error(self, tmp_path, capsys):
-        out = tmp_path / "s.flw4"
-        assert run("simulate", "--dims", "8,8,8", "--frames", "1", "--spacing", "inf,1,1",
-                   "--out", str(out)) == 1
-        assert "spacing" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_nonpositive_kernel_fwhm_is_runtime_error(self, tmp_path, capsys):
-        # rejected with the config, before any file is written
-        out = tmp_path / "run"
-        small = ("--dims", "8,8,8", "--frames", "1", "--factor", "2,2,2", "--kernel", "gaussian")
-        assert run("pipeline", "--out-dir", str(out), *small, "--kernel-fwhm=-1,2,2") == 1
-        assert "kernel_fwhm" in capsys.readouterr().err
-        config = tmp_path / "bad.cfg"
-        config.write_text("dims = 8,8,8\nframes = 1\nfactor = 2,2,2\nkernel = gaussian\nkernel_fwhm = 0,2,2\n")
-        assert run("pipeline", "--out-dir", str(out), "--config", str(config)) == 1
-        assert "kernel_fwhm" in capsys.readouterr().err
-        assert not list(tmp_path.rglob("*.flw4"))
-
-    def test_negative_radius_is_runtime_error(self, tmp_path, capsys):
-        # only 0 means the automatic radius
-        out = tmp_path / "r.flw4"
-        assert run("simulate", "--dims", "8,8,8", "--frames", "1", "--radius", "-3",
-                   "--out", str(out)) == 1
-        assert "radius" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_defaults_are_the_pipeline_defaults(self, tmp_path):
         alone = tmp_path / "hr.flw4"
         assert run("simulate", "--dims", "16,16,16", "--frames", "2", "--out", str(alone)) == 0
@@ -191,22 +164,6 @@ class TestDegrade:
         code = run("degrade", "--in", str(tmp_path / "nope.flw4"), "--out", "o", "--factor", "2,2,2")
         assert code == 1
         assert "error:" in capsys.readouterr().err
-
-    def test_nondivisible_factor_is_runtime_error(self, hr_file, tmp_path, capsys):
-        code = run(
-            "degrade", "--in", str(hr_file), "--out", str(tmp_path / "o.flw4"), "--factor", "3,3,3"
-        )
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
-
-    def test_negative_seed_is_runtime_error(self, hr_file, tmp_path, capsys):
-        out = tmp_path / "o.flw4"
-        code = run("degrade", "--in", str(hr_file), "--out", str(out), "--factor", "2,2,2",
-                   "--noise-psnr", "15", "--seed", "-2")
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
-        assert not out.exists() and not (tmp_path / "o.flw4.cal").exists()
-
 
     def test_zero_noise_psnr_calibrates_to_0_db(self, hr_file, tmp_path):
         # only pipeline's flag reads <= 0 as noiseless
@@ -324,36 +281,38 @@ class TestSr:
         assert out.read_bytes() == b"old"
         assert list(tmp_path.glob(".flowsr-*")) == []
 
-    def test_zero_tau_is_runtime_error(self, lr_file):
-        assert run("sr", "--in", str(lr_file), "--out", "x", "--factor", "2,2,2", "--tau", "0") == 1
-
-    def test_infinite_tau_is_runtime_error(self, lr_file, capsys):
-        assert run("sr", "--in", str(lr_file), "--out", "x", "--factor", "2,2,2", "--tau", "inf") == 1
-        assert "must be finite and > 0" in capsys.readouterr().err
-
-    def test_factor_below_one_is_runtime_error(self, lr_file, capsys):
-        assert run("sr", "--in", str(lr_file), "--out", "x", "--factor", "0,1,1") == 1
-        assert ">= 1" in capsys.readouterr().err
-
 
 @pytest.mark.parametrize("argv, message", [
     (("simulate", "--dims", "0,8,8", "--out", "{out}"), "dims and factor entries must be >= 1"),
+    (("simulate", "--radius", "-3", "--out", "{out}"), "radius must be finite and >= 0 (0 = auto)"),
     (("degrade", "--in", "{hr}", "--out", "{out}", "--factor", "0,1,1"),
      "dims and factor entries must be >= 1"),
+    (("degrade", "--in", "{hr}", "--out", "{out}", "--factor", "3,3,3"),
+     "factor (3, 3, 3) does not divide dims (16, 16, 16)"),
+    (("degrade", "--in", "{hr}", "--out", "{out}", "--factor", "2,2,2", "--noise-psnr", "15",
+      "--seed", "-2"), "seed must be >= 0"),
     (("degrade", "--in", "{hr}", "--out", "{out}", "--factor", "2,2,2", "--noise-psnr", "nan"),
      "noise_psnr must be finite"),
     (("degrade", "--in", "{hr}", "--out", "{out}", "--factor", "2,2,2", "--kernel", "gaussian",
       "--kernel-fwhm=nan,2,2"), "kernel_fwhm entries must be > 0"),
     (("sr", "--in", "{lr}", "--out", "{out}", "--factor", "2,2,2", "--tau", "nan"),
      "tau must be finite and > 0"),
+    (("sr", "--in", "{lr}", "--out", "{out}", "--factor", "2,2,2", "--tau", "0"),
+     "tau must be finite and > 0"),
+    (("sr", "--in", "{lr}", "--out", "{out}", "--factor", "2,2,2", "--tau", "inf"),
+     "tau must be finite and > 0"),
+    (("sr", "--in", "{lr}", "--out", "{out}", "--factor", "0,1,1"), "dims and factor entries must be >= 1"),
     (("sr", "--in", "{lr}", "--out", "{out}", "--factor", "2,2,2", "--kernel", "gaussian",
       "--kernel-fwhm=nan,2,2"), "kernel_fwhm entries must be > 0"),
     (("eval", "--sr", "{hr}", "--ref", "{hr}", "--out", "{out}", "--mask-threshold", "1.5"),
      "mask_threshold must be in (0, 1)"),
     (("oracle-check", "--factor", "0,1,1"), "dims and factor entries must be >= 1"),
+    (("oracle-check", "--dims", "4,4,4", "--factor", "2,2,2", "--seed", "-1"), "seed must be >= 0"),
     (("pipeline", "--out-dir", "{out}", "--venc", "inf"), "venc must be finite and > 0"),
     (("pipeline", "--out-dir", "{out}", "--noise-psnr", "nan"), "noise_psnr must be finite"),
     (("pipeline", "--out-dir", "{out}", "--vmax", "nan"), "vmax must satisfy"),
+    (("pipeline", "--out-dir", "{out}", "--seed", "-1"), "seed must be >= 0"),
+    (("pipeline", "--out-dir", "{out}", "--radius", "-3"), "radius must be finite and >= 0 (0 = auto)"),
     (("simulate", "--magnitude-out=nan", "--out", "{out}"), "magnitude_out must be finite and >= 0"),
     (("simulate", "--magnitude-in=-1", "--out", "{out}"), "magnitude_in must be finite and >= 0"),
     (("simulate", "--spacing=1,inf,1", "--out", "{out}"), "spacing entries must be finite and > 0"),
@@ -372,6 +331,37 @@ def test_out_of_range_setting_fails_before_a_write(tmp_path, lr_file, capsys, ar
     assert sorted(tmp_path.rglob("*")) == files
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("eval", "--sr", "{sr}", "--ref", "{hr}", "--out", "{sr}"), "--out: {sr} is also --sr"),
+    (("eval", "--sr", "{sr}", "--ref", "{hr}", "--out", "{dir}/./hr.flw4"),
+     "--out: {dir}/./hr.flw4 is also --ref"),
+    (("eval", "--sr", "{hr}", "--ref", "{hr}", "--baseline", "{sr}", "--out", "{sr}"),
+     "--out: {sr} is also --baseline"),
+    (("sr", "--in", "{lr}", "--out", "{out}", "--factor", "2,2,2", "--report-out", "{lr}"),
+     "--report-out: {lr} is also --in"),
+    (("degrade", "--in", "{hr}", "--out", "{out}", "--factor", "1,1,1", "--noise-psnr", "10",
+      "--calibration-out", "{hr}"), "--calibration-out: {hr} is also --in"),
+    (("degrade", "--in", "{out}.cal", "--out", "{out}", "--factor", "1,1,1"),
+     "--calibration-out: {out}.cal is also --in"),
+])
+def test_a_text_output_on_an_input_fails_before_the_input_is_opened(tmp_path, lr_file, capsys,
+                                                                     monkeypatch, argv, message):
+    # a CSV or key = value file would replace the volume it was made from
+    paths = dict(dir=tmp_path, hr=tmp_path / "hr.flw4", lr=lr_file, sr=tmp_path / "sr.flw4",
+                 out=tmp_path / "out.flw4")
+    for copy in (paths["sr"], tmp_path / "out.flw4.cal"):
+        copy.write_bytes(paths["hr"].read_bytes())
+    files = {path: path.read_bytes() for path in tmp_path.iterdir()}
+
+    def unopened(*args):
+        raise AssertionError("an input was opened")
+
+    monkeypatch.setattr(flowsr.volio, "_read_header", unopened)
+    assert run(*(arg.format(**paths) for arg in argv)) == 1
+    assert capsys.readouterr().err == f"error: {message.format(**paths)}\n"
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == files
+
+
 class TestEval:
     def test_identical_inputs_zero_error(self, tmp_path, hr_file):
         out = tmp_path / "metrics.csv"
@@ -384,15 +374,18 @@ class TestEval:
         out = tmp_path / "metrics.csv"
         out.write_text("old metrics\n")
         before = sorted(p.name for p in tmp_path.iterdir())
+        real_file = flowsr.volio.StreamWriter.file
 
-        def full_disk(path, chunks):
-            def failing():
-                yield from chunks
+        class FullDisk:
+            # a StreamWriter file that takes half of what it is given, then fails
+            def __init__(self, fh):
+                self._fh = fh
+
+            def write(self, data):
+                self._fh.write(data[:len(data) // 2])
                 raise OSError("no space left on device")
 
-            atomic_write(path, failing())
-
-        monkeypatch.setattr(flowsr.cli, "atomic_write", full_disk)
+        monkeypatch.setattr(flowsr.volio.StreamWriter, "file", lambda w, path: FullDisk(real_file(w, path)))
         assert run("eval", "--sr", str(hr_file), "--ref", str(hr_file), "--out", str(out)) == 1
         assert "no space" in capsys.readouterr().err
         assert out.read_text() == "old metrics\n"
@@ -585,10 +578,6 @@ class TestOracleCheck:
         lines = captured.out.splitlines()
         assert [line for line in lines if line.startswith("[FAIL]") and "prior=trilinear" in line]
         assert [line for line in lines if line.startswith("[ok]") and "prior=explicit" in line]
-
-    def test_negative_seed_is_runtime_error(self, capsys):
-        assert run("oracle-check", "--dims", "4,4,4", "--factor", "2,2,2", "--seed", "-1") == 1
-        assert "error: seed must be >= 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [("--factor", "0,1,1"), ("--tau", "nan"),
                                       ("--dims", "4,4,4", "--tau", "0")])
@@ -889,9 +878,6 @@ class TestPipeline:
         for name in names:
             assert untimed(tmp_path / "flags" / name) == untimed(tmp_path / "config" / name), name
 
-    def test_infinite_venc_is_runtime_error(self, tmp_path):
-        assert run("pipeline", "--out-dir", str(tmp_path / "run"), "--venc", "inf") == 1
-
     def test_nonpositive_kernel_fwhm_is_runtime_error(self, tmp_path, capsys):
         # rejected with the config, before any file is written
         out = tmp_path / "run"
@@ -902,14 +888,6 @@ class TestPipeline:
         config.write_text("dims = 8,8,8\nframes = 1\nfactor = 2,2,2\nkernel = gaussian\nkernel_fwhm = 0,2,2\n")
         assert run("pipeline", "--out-dir", str(out), "--config", str(config)) == 1
         assert "kernel_fwhm" in capsys.readouterr().err
-        assert not list(tmp_path.rglob("*.flw4"))
-
-    def test_negative_seed_is_runtime_error(self, tmp_path, capsys):
-        # rejected with the config, before hr.flw4 is written
-        out = tmp_path / "run"
-        assert run("pipeline", "--out-dir", str(out), "--dims", "16,16,16", "--frames", "1",
-                   "--factor", "2,2,2", "--seed", "-1") == 1
-        assert "error:" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.flw4"))
 
     def test_infinite_noise_psnr_is_runtime_error(self, tmp_path, capsys):
@@ -923,13 +901,6 @@ class TestPipeline:
         assert run("pipeline", "--out-dir", str(out), "--config", str(config)) == 1
         assert "error: noise_psnr must be finite" in capsys.readouterr().err
         assert not list(tmp_path.rglob("*.flw4"))
-
-    def test_negative_radius_is_runtime_error(self, tmp_path, capsys):
-        out = tmp_path / "run"
-        assert run("pipeline", "--out-dir", str(out), "--dims", "8,8,8", "--frames", "1",
-                   "--factor", "2,2,2", "--radius", "-3") == 1
-        assert "radius" in capsys.readouterr().err
-        assert not out.exists()
 
 
 def test_readme_commands_parse():

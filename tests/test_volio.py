@@ -2,7 +2,6 @@ import dataclasses
 import struct
 import tracemalloc
 import types
-import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from flowsr import (
     poiseuille_phantom,
     save_dataset,
 )
-from flowsr.volio import HEADER_SIZE, MAGIC, VERSION, StreamWriter, atomic_write, open_channels
+from flowsr.volio import HEADER_SIZE, MAGIC, VERSION, StreamWriter, open_channels
 
 from conftest import swap_axes
 
@@ -127,45 +126,7 @@ class TestRoundTrip:
         assert peak - base <= 2.3 * payload
 
 
-def _failing_chunks(count):
-    """Yield ``count`` chunks, then raise as a full disk would."""
-    for i in range(count):
-        yield b"new chunk %d\n" % i
-    raise OSError("no space left on device")
-
-
-class _Chunk(bytearray):
-    """A bytes-like chunk that a weak reference can watch."""
-
-
-class TestAtomicWrite:
-    def test_failure_keeps_the_old_bytes(self, tmp_path):
-        path = tmp_path / "out.txt"
-        path.write_bytes(b"old contents")
-        with pytest.raises(OSError, match="no space"):
-            atomic_write(path, _failing_chunks(2))
-        assert path.read_bytes() == b"old contents"
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
-
-    def test_failure_creates_no_new_file(self, tmp_path):
-        with pytest.raises(OSError, match="no space"):
-            atomic_write(tmp_path / "out.txt", _failing_chunks(2))
-        assert list(tmp_path.iterdir()) == []
-
-    def test_each_chunk_is_released_before_the_next_is_made(self, tmp_path):
-        refs = []
-
-        def chunks():
-            for i in range(4):
-                assert all(ref() is None for ref in refs), "an earlier chunk is still held"
-                chunk = _Chunk(b"%d" % i)
-                refs.append(weakref.ref(chunk))
-                yield chunk
-                del chunk
-
-        atomic_write(tmp_path / "out.bin", chunks())
-        assert (tmp_path / "out.bin").read_bytes() == b"0123"
-
+class TestSaveDataset:
     def test_save_holds_one_float32_copy_of_a_channel(self, tmp_path):
         ds = poiseuille_phantom(
             Grid3(32, 32, 32), radius_voxels=10, vmax_per_frame=[80.0, 50.0], venc=130.0
@@ -247,6 +208,15 @@ def _targets_unchanged(tmp_path, paths):
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in paths)
     for path in paths:
         assert path.read_bytes() == b"old " + path.name.encode()
+
+
+def _fill_the_disk(path):
+    # two chunks into a StreamWriter file, then the error of a full disk
+    with StreamWriter() as out:
+        fh = out.file(path)
+        fh.write(b"new chunk 0\n")
+        fh.write(b"new chunk 1\n")
+        raise OSError("no space left on device")
 
 
 class TestStreamWriter:
@@ -339,6 +309,19 @@ class TestStreamWriter:
                     short.write(1, ch, dataset.frames[1].channel(ch).data)
                 out.commit()
         _targets_unchanged(tmp_path, paths)
+
+    def test_failure_keeps_the_old_bytes(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old contents")
+        with pytest.raises(OSError, match="no space"):
+            _fill_the_disk(path)
+        assert path.read_bytes() == b"old contents"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+
+    def test_failure_creates_no_new_file(self, tmp_path):
+        with pytest.raises(OSError, match="no space"):
+            _fill_the_disk(tmp_path / "out.txt")
+        assert list(tmp_path.iterdir()) == []
 
     def test_leaving_without_a_commit_writes_nothing(self, tmp_path, dataset):
         with StreamWriter() as out:
